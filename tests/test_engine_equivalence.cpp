@@ -11,16 +11,30 @@
 //
 // Backend-level equivalence (every BackendKind run under --engine event,
 // lint-enforced) lives in test_event_engine.cpp.
+//
+// The same scenario grid is also pinned against golden captures
+// (tests/golden/engine_<scenario>.golden): full metrics JSON plus digests
+// of the per-round/per-tile/per-link series and of the complete trace
+// JSONL, for each engine.  Equivalence alone cannot catch a change that
+// moves both engines the same way; the goldens can.  Regenerating is only
+// legitimate for a deliberate behaviour change (e.g. a new draw sequence
+// on one RNG stream), never to paper over an accidental divergence:
+//   SNOC_UPDATE_GOLDEN=1 build/tests/test_engine_equivalence
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/master_slave_pi.hpp"
 #include "core/engine.hpp"
 #include "core/event_engine.hpp"
+#include "telemetry/export.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace snoc {
 namespace {
@@ -83,6 +97,11 @@ std::vector<Scenario> scenarios() {
     secded.config.link_protection = LinkProtection::SecdedCorrect;
     out.push_back(secded);
 
+    Scenario secded_clean = plain;
+    secded_clean.name = "secded_clean";
+    secded_clean.config.link_protection = LinkProtection::SecdedCorrect;
+    out.push_back(secded_clean);
+
     Scenario skew = plain;
     skew.name = "clock_skew";
     skew.faults.sigma_synchr = 0.6; // exercises the round+2 ring bucket
@@ -123,21 +142,37 @@ std::vector<Scenario> scenarios() {
 }
 
 /// Everything a run can observably produce: metrics, per-kind trace
-/// counts, local time and the spread count of the broadcast rumor.
+/// counts, local time and the spread count of the broadcast rumor, plus
+/// the full trace stream as JSONL (for the golden digests).
 struct RunOutput {
     NetworkMetrics metrics;
     std::array<std::size_t, kTraceEventKinds> trace_counts{};
     double elapsed{0.0};
     std::size_t spread{0};
+    std::size_t trace_events{0};
+    std::string trace_jsonl;
 };
+
+RunOutput collect(const GossipNetwork& net, const Telemetry& telemetry) {
+    RunOutput out;
+    out.metrics = net.metrics();
+    for (std::size_t k = 0; k < kTraceEventKinds; ++k)
+        out.trace_counts[k] = telemetry.count(static_cast<TraceEventKind>(k));
+    out.elapsed = net.elapsed_seconds();
+    out.trace_events = telemetry.events().size();
+    std::ostringstream jsonl;
+    write_jsonl(telemetry, jsonl);
+    out.trace_jsonl = jsonl.str();
+    return out;
+}
 
 RunOutput run_scenario(const Scenario& s, std::uint64_t seed,
                        bool reference_encode, EngineSelect engine = {}) {
     GossipConfig config = s.config;
     config.reference_encode_path = reference_encode;
     GossipNetwork net(Topology::mesh(4, 4), config, s.faults, seed, engine);
-    CountingSink counter;
-    net.set_trace_sink(&counter);
+    Telemetry telemetry;
+    net.set_trace_sink(&telemetry);
     net.attach(0, std::make_unique<BroadcastSource>());
     if (s.unicast_traffic) {
         net.attach(5, std::make_unique<ChattySource>(15));
@@ -153,11 +188,7 @@ RunOutput run_scenario(const Scenario& s, std::uint64_t seed,
     }
     for (int i = 0; i < 40; ++i) net.step();
     net.drain(200);
-    RunOutput out;
-    out.metrics = net.metrics();
-    for (std::size_t k = 0; k < kTraceEventKinds; ++k)
-        out.trace_counts[k] = counter.count(static_cast<TraceEventKind>(k));
-    out.elapsed = net.elapsed_seconds();
+    RunOutput out = collect(net, telemetry);
     out.spread = net.tiles_knowing(MessageId{0, 0}); // the broadcast rumor
     return out;
 }
@@ -167,19 +198,14 @@ RunOutput run_pi_scenario(const Scenario& s, std::uint64_t seed,
     GossipConfig config = s.config;
     config.reference_encode_path = reference_encode;
     GossipNetwork net(Topology::mesh(5, 5), config, s.faults, seed, engine);
-    CountingSink counter;
-    net.set_trace_sink(&counter);
+    Telemetry telemetry;
+    net.set_trace_sink(&telemetry);
     apps::PiDeployment d;
     auto& master = apps::deploy_pi(net, d);
     net.protect(d.master_tile);
     net.run_until([&master] { return master.done(); }, 2000);
     net.drain();
-    RunOutput out;
-    out.metrics = net.metrics();
-    for (std::size_t k = 0; k < kTraceEventKinds; ++k)
-        out.trace_counts[k] = counter.count(static_cast<TraceEventKind>(k));
-    out.elapsed = net.elapsed_seconds();
-    return out;
+    return collect(net, telemetry);
 }
 
 RunOutput run_output(const Scenario& s, std::uint64_t seed,
@@ -265,6 +291,78 @@ TEST(EngineEquivalence, ScenariosActuallyExerciseTheHotPaths) {
     EXPECT_GT(skew, 0u);
     EXPECT_GT(fec, 0u);
 }
+
+// --- Golden captures ----------------------------------------------------
+
+/// FNV-1a over a series spelled as comma-separated decimals.
+template <typename T>
+std::uint64_t series_digest(const std::vector<T>& values) {
+    std::ostringstream os;
+    for (const T& v : values) os << v << ',';
+    return key_of(os.str());
+}
+
+/// The golden text of one run: the metrics JSON verbatim, then digests of
+/// everything too long to pin inline.
+std::string golden_section(const RunOutput& out) {
+    std::ostringstream os;
+    write_metrics_json(out.metrics, os);
+    os << std::hex << "packets_per_round=" << series_digest(out.metrics.packets_per_round)
+       << " bits_sent_by_tile=" << series_digest(out.metrics.bits_sent_by_tile)
+       << " packets_by_link=" << series_digest(out.metrics.packets_by_link) << '\n'
+       << std::hexfloat << "elapsed=" << out.elapsed << std::defaultfloat
+       << std::dec << " spread=" << out.spread << '\n'
+       << "trace_events=" << out.trace_events << " trace_jsonl_fnv=" << std::hex
+       << key_of(out.trace_jsonl) << std::dec << '\n';
+    return os.str();
+}
+
+/// Both engines (the event engine sharded, so the shard merge is pinned
+/// too) over two seeds.  The engines' trace streams order a round's
+/// events differently (the event engine merges shard buffers at phase
+/// end), so each engine has its own sections.
+std::string golden_image(const Scenario& s) {
+    std::ostringstream os;
+    for (const bool event : {false, true}) {
+        for (const std::uint64_t seed : {1ull, 7ull}) {
+            const EngineSelect engine =
+                event ? EngineSelect{EngineKind::Event, 2} : EngineSelect{};
+            os << "# engine=" << (event ? "event shards=2" : "lockstep")
+               << " seed=" << seed << '\n'
+               << golden_section(run_output(s, seed, false, engine));
+        }
+    }
+    return os.str();
+}
+
+class EngineGolden : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EngineGolden, MetricsAndTraceDigestsMatchCapture) {
+    const Scenario s = scenarios().at(GetParam());
+    const std::string path =
+        std::string(SNOC_GOLDEN_DIR) + "/engine_" + s.name + ".golden";
+    const std::string image = golden_image(s);
+
+    if (std::getenv("SNOC_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        out << image;
+        GTEST_SKIP() << "golden updated: " << path;
+    }
+
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing golden " << path
+                           << " (run with SNOC_UPDATE_GOLDEN=1 to capture)";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(image, golden.str()) << s.name << " diverged from its golden capture";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, EngineGolden, ::testing::Range(std::size_t{0}, scenarios().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+        return scenarios().at(info.param).name;
+    });
 
 } // namespace
 } // namespace snoc
