@@ -4,10 +4,10 @@
 #include <optional>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 #include "core/event_engine.hpp"
 #include "noc/fec.hpp"
 #include "telemetry/metrics_registry.hpp"
-#include "telemetry/prof.hpp"
 
 namespace snoc {
 
@@ -289,65 +289,78 @@ void GossipNetwork::receive_phase() {
     // capacity across rounds.
     arrivals_scratch_.clear();
     std::swap(arrivals_scratch_, bucket);
-    StepSink deliver_sink = direct_sink();
-    for (auto& [dest, arrival] : arrivals_scratch_) {
-        if (crash_state_.dead_tiles[dest]) { // delivered into silence
-            ++metrics_.crash_drops;
-            trace(TraceEventKind::CrashDrop, dest);
-            continue;
-        }
-        if (!tile_active_this_round(dest)) {
-            // The destination's slower clock domain has not reached this
-            // round yet; the packet waits in the port buffer.
-            in_flight_[(round_ + 1) % kInFlightRing].emplace_back(dest, std::move(arrival));
-            continue;
-        }
-        auto& tile = tiles_[dest];
-        // Forced overflow (p_overflow of Ch. 2) strikes before the CRC check:
-        // the packet never makes it out of the port buffer.
-        if (injector_.overflow_drop()) {
-            ++metrics_.overflow_drops;
-            ++metrics_.port_overflow_drops;
-            trace(TraceEventKind::OverflowDrop, dest);
-            continue;
-        }
-        // Finite input buffering: a tile can accept at most
-        // in_buffer_capacity packets per round across its ports.
-        if (tile.inbox_backlog >= config_.in_buffer_capacity) {
-            ++metrics_.overflow_drops;
-            ++metrics_.port_overflow_drops;
-            trace(TraceEventKind::OverflowDrop, dest);
-            continue;
-        }
-        ++tile.inbox_backlog;
+    StepSink sink = direct_sink();
+    for (auto& [dest, arrival] : arrivals_scratch_)
+        if (admit_arrival(dest, arrival)) receive_arrival(dest, arrival, sink);
+    for (auto& tile : tiles_) tile.inbox_backlog = 0;
+}
 
-        std::optional<Message> decoded;
-        bool corrected_this_packet = false;
+bool GossipNetwork::admit_arrival(TileId dest, Arrival& arrival) {
+    if (crash_state_.dead_tiles[dest]) { // delivered into silence
+        ++metrics_.crash_drops;
+        trace(TraceEventKind::CrashDrop, dest);
+        return false;
+    }
+    if (!tile_active_this_round(dest)) {
+        // The destination's slower clock domain has not reached this
+        // round yet; the packet waits in the port buffer.
+        in_flight_[(round_ + 1) % kInFlightRing].emplace_back(dest, std::move(arrival));
+        return false;
+    }
+    auto& tile = tiles_[dest];
+    // Forced overflow (p_overflow of Ch. 2) strikes before the CRC check:
+    // the packet never makes it out of the port buffer.  Finite input
+    // buffering: a tile accepts at most in_buffer_capacity packets per
+    // round across its ports.
+    if (injector_.overflow_drop() || tile.inbox_backlog >= config_.in_buffer_capacity) {
+        ++metrics_.overflow_drops;
+        ++metrics_.port_overflow_drops;
+        trace(TraceEventKind::OverflowDrop, dest);
+        return false;
+    }
+    ++tile.inbox_backlog;
+    return true;
+}
+
+void GossipNetwork::receive_arrival(TileId tile_id, const Arrival& arrival,
+                                    StepSink& sink) {
+    if (!arrival.corrupted && tiles_[tile_id].send_buffer.knows(arrival.id)) {
+        ignore_duplicate(tile_id, arrival.id, sink);
+        return;
+    }
+    std::optional<Message> decoded;
+    bool corrected_this_packet = false;
+    {
+        SNOC_PROF("engine/decode");
         if (config_.link_protection == LinkProtection::SecdedCorrect) {
             // Strip the SECDED layer first; single-bit upsets per word are
             // repaired here, before the CRC ever sees them.
             auto recovered = fec::recover(*arrival.wire);
             if (!recovered.ok) {
-                ++metrics_.fec_uncorrectable;
-                trace(TraceEventKind::FecUncorrectable, dest);
-                continue;
+                ++sink.metrics->fec_uncorrectable;
+                sink_trace(sink, TraceEventKind::FecUncorrectable, tile_id);
+                return;
             }
-            metrics_.fec_corrected += recovered.corrected_words;
+            sink.metrics->fec_corrected += recovered.corrected_words;
             corrected_this_packet = recovered.corrected_words > 0;
             decoded = Packet::decode_wire(recovered.payload);
         } else {
             decoded = Packet::decode_wire(*arrival.wire);
         }
-        if (!decoded) {
-            ++metrics_.crc_drops; // scrambled packet, CRC caught it
-            trace(TraceEventKind::CrcDrop, dest);
-            continue;
-        }
-        if (arrival.corrupted && !corrected_this_packet)
-            ++metrics_.upsets_undetected;
-        deliver_and_insert(dest, std::move(*decoded), deliver_sink);
     }
-    for (auto& tile : tiles_) tile.inbox_backlog = 0;
+    if (!decoded) {
+        ++sink.metrics->crc_drops; // scrambled packet, CRC caught it
+        sink_trace(sink, TraceEventKind::CrcDrop, tile_id);
+        return;
+    }
+    if (arrival.corrupted && !corrected_this_packet)
+        ++sink.metrics->upsets_undetected;
+    deliver_and_insert(tile_id, std::move(*decoded), sink);
+}
+
+void GossipNetwork::ignore_duplicate(TileId tile_id, MessageId id, StepSink& sink) {
+    ++sink.metrics->duplicates_ignored;
+    sink_trace(sink, TraceEventKind::DuplicateIgnored, tile_id, kNoTile, id);
 }
 
 void GossipNetwork::deliver_and_insert(TileId tile_id, Message message,
@@ -355,9 +368,7 @@ void GossipNetwork::deliver_and_insert(TileId tile_id, Message message,
     SNOC_PROF("engine/deliver");
     auto& tile = tiles_[tile_id];
     if (tile.send_buffer.knows(message.id)) {
-        ++sink.metrics->duplicates_ignored;
-        sink_trace(sink, TraceEventKind::DuplicateIgnored, tile_id, kNoTile,
-                   message.id);
+        ignore_duplicate(tile_id, message.id, sink);
         return;
     }
     const bool for_me =
@@ -470,7 +481,7 @@ std::shared_ptr<const std::vector<std::byte>> GossipNetwork::encode_message(
 void GossipNetwork::enqueue_transmission(TileId from, TileId to, LinkId link,
                                          MessageId id,
                                          std::shared_ptr<const std::vector<std::byte>> wire) {
-    Arrival arrival{std::move(wire), false};
+    Arrival arrival{std::move(wire), id, false};
     if (injector_.upset_roll()) {
         // Copy-on-corrupt: only the (rare) upset transmission pays for a
         // private copy of the bytes; clean ones alias the shared image.

@@ -145,8 +145,11 @@ private:
     /// One packet in flight.  All clean transmissions of a message in a
     /// round share a single encoded wire image (encode-once forward
     /// path); an upset transmission owns a corrupted copy of the bytes.
+    /// `id` is the message the sender encoded, which is what a clean wire
+    /// decodes to.
     struct Arrival {
         std::shared_ptr<const std::vector<std::byte>> wire;
+        MessageId id;
         bool corrupted{false};
     };
 
@@ -192,6 +195,20 @@ private:
     void forward_phase();
     void age_phase();
     void advance_clocks();
+    /// The port-buffer stage of the receive phase, in arrival order (it
+    /// draws the global overflow stream): crash drops, slow-clock
+    /// deferrals into the next ring bucket, forced and capacity overflow
+    /// drops.  True iff the arrival took an inbox slot and goes on to
+    /// receive_arrival().
+    bool admit_arrival(TileId dest, Arrival& arrival);
+    /// The rest of the receive phase for one admitted arrival, shared by
+    /// both engines.  A clean copy of a message the tile already knows is
+    /// counted as a duplicate without decoding: a clean wire always
+    /// passes CRC and SECDED with zero corrections, so the outcome is the
+    /// one decoding would give.  Anything else is FEC-stripped,
+    /// CRC-checked and delivered.  Touches only `tile`'s state and `sink`.
+    void receive_arrival(TileId tile, const Arrival& arrival, StepSink& sink);
+    void ignore_duplicate(TileId tile, MessageId id, StepSink& sink);
     void deliver_and_insert(TileId tile, Message message, StepSink& sink);
     /// Run `tile`'s IP core hook with a Context wired to `sink`.
     void core_round(TileId tile, StepSink& sink);

@@ -4,15 +4,12 @@
 #include <atomic>
 #include <exception>
 #include <functional>
-#include <optional>
 
 #include "common/annotations.hpp"
 #include "common/expect.hpp"
 #include "common/parallel.hpp"
-#include "noc/fec.hpp"
-#include "noc/packet.hpp"
+#include "common/prof.hpp"
 #include "telemetry/metrics_registry.hpp"
-#include "telemetry/prof.hpp"
 
 namespace snoc {
 
@@ -207,30 +204,7 @@ void EventEngine::receive_phase() {
     std::uint32_t seq = 0;
     for (auto& [dest, arrival] : net_.arrivals_scratch_) {
         ++seq;
-        if (net_.crash_state_.dead_tiles[dest]) {
-            ++net_.metrics_.crash_drops;
-            net_.trace(TraceEventKind::CrashDrop, dest);
-            continue;
-        }
-        if (!net_.tile_active_this_round(dest)) {
-            net_.in_flight_[(net_.round_ + 1) % GossipNetwork::kInFlightRing]
-                .emplace_back(dest, std::move(arrival));
-            continue;
-        }
-        auto& tile = net_.tiles_[dest];
-        if (net_.injector_.overflow_drop()) {
-            ++net_.metrics_.overflow_drops;
-            ++net_.metrics_.port_overflow_drops;
-            net_.trace(TraceEventKind::OverflowDrop, dest);
-            continue;
-        }
-        if (tile.inbox_backlog >= net_.config_.in_buffer_capacity) {
-            ++net_.metrics_.overflow_drops;
-            ++net_.metrics_.port_overflow_drops;
-            net_.trace(TraceEventKind::OverflowDrop, dest);
-            continue;
-        }
-        ++tile.inbox_backlog;
+        if (!net_.admit_arrival(dest, arrival)) continue;
         backlog_touched_.push_back(dest);
         shards_[shard_of(dest)].arrivals.push_back(
             Work{dest, seq, std::move(arrival)});
@@ -246,31 +220,7 @@ void EventEngine::receive_phase() {
                       return a.dest != b.dest ? a.dest < b.dest : a.seq < b.seq;
                   });
         GossipNetwork::StepSink sink = shard_sink(sh);
-        for (Work& w : sh.arrivals) {
-            std::optional<Message> decoded;
-            bool corrected_this_packet = false;
-            if (net_.config_.link_protection == LinkProtection::SecdedCorrect) {
-                auto recovered = fec::recover(*w.arrival.wire);
-                if (!recovered.ok) {
-                    ++sink.metrics->fec_uncorrectable;
-                    net_.sink_trace(sink, TraceEventKind::FecUncorrectable, w.dest);
-                    continue;
-                }
-                sink.metrics->fec_corrected += recovered.corrected_words;
-                corrected_this_packet = recovered.corrected_words > 0;
-                decoded = Packet::decode_wire(recovered.payload);
-            } else {
-                decoded = Packet::decode_wire(*w.arrival.wire);
-            }
-            if (!decoded) {
-                ++sink.metrics->crc_drops;
-                net_.sink_trace(sink, TraceEventKind::CrcDrop, w.dest);
-                continue;
-            }
-            if (w.arrival.corrupted && !corrected_this_packet)
-                ++sink.metrics->upsets_undetected;
-            net_.deliver_and_insert(w.dest, std::move(*decoded), sink);
-        }
+        for (const Work& w : sh.arrivals) net_.receive_arrival(w.dest, w.arrival, sink);
         sh.arrivals.clear();
         sh.evictions += sink.evictions;
     });

@@ -6,9 +6,9 @@
 #include "apps/trace_app.hpp"
 #include "check/invariant_auditor.hpp"
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
-#include "telemetry/prof.hpp"
 
 namespace snoc {
 
