@@ -9,7 +9,7 @@
 // The thesis realises the Bernoulli(p) gate with an amplified-thermal-noise
 // circuit (Sec. 3.2.3); this is its deterministic functional equivalent.
 //
-// Draw-sequence contract (v2): bernoulli(), below() and uniform() map
+// Draw-sequence contract (v3): bernoulli(), below() and uniform() map
 // raw mt19937_64 words directly instead of going through the standard
 // <random> distribution adaptors, because the engine's forward phase
 // calls bernoulli() once per output port per held message per round and
@@ -24,9 +24,16 @@
 //     jitter only) — its per-call construction is documented, not a bug:
 //     the distribution caches a second Box-Muller variate that would go
 //     stale across calls with different (mean, stddev) parameters.
+// Consumers document their own per-event draw counts where they matter;
+// notably the `fault/upset` stream (FaultInjector) draws one bernoulli()
+// gate per transmission and, per bit-error upset, one uniform() per
+// flipped bit plus one (geometric gap sampling; up to v2 it drew one
+// bernoulli() per wire bit), plus a below() when nothing flipped.
 // Any change to these mappings shifts every downstream stochastic
-// trajectory; tests assert distributions and determinism, never exact
-// sequences, so the mappings may evolve — but bump this note when they do.
+// trajectory; tests assert distributions and determinism (and the
+// engine goldens pin exact sequences, regenerated deliberately when a
+// stream changes), so the mappings may evolve — but bump this note when
+// they do.
 #pragma once
 
 #include <cmath>

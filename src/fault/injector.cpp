@@ -1,8 +1,10 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 
 namespace snoc {
 
@@ -84,6 +86,7 @@ void FaultInjector::apply_upset(std::vector<std::byte>& wire) {
 }
 
 void FaultInjector::corrupt(std::vector<std::byte>& wire) {
+    SNOC_PROF("fault/upset");
     SNOC_EXPECT(!wire.empty());
     const std::size_t nbits = wire.size() * 8;
 
@@ -93,16 +96,28 @@ void FaultInjector::corrupt(std::vector<std::byte>& wire) {
 
     switch (scenario_.upset_model) {
     case UpsetModel::RandomBitError: {
-        // e_1..e_n independent with small p_b; conditioned on the packet
-        // being upset at least one bit flips.  Expected flips ~ 2 models a
-        // burst-free DSM noise event (crosstalk glitch on a couple of
-        // wires) while keeping P[packet scrambled] == p_upset exactly.
+        // e_1..e_n independent with small p_b = 2/n; conditioned on the
+        // packet being upset at least one bit flips.  Expected flips ~ 2
+        // models a burst-free DSM noise event (crosstalk glitch on a couple
+        // of wires) while keeping P[packet scrambled] == p_upset exactly.
+        //
+        // Rather than one Bernoulli(p_b) draw per wire bit, jump straight
+        // to the next flipped bit: the run of unflipped bits before it is
+        // Geometric(p_b), sampled by inversion as floor(log u / log(1-p_b))
+        // with u uniform in (0, 1].  Same per-bit law, O(flips) draws: one
+        // uniform() per flip plus the one that overshoots the wire.
+        // tests/test_fault.cpp holds the chi-square oracle against the
+        // per-bit reference.
+        const double log_keep = std::log1p(-2.0 / static_cast<double>(nbits));
         std::size_t flips = 0;
-        for (std::size_t b = 0; b < nbits; ++b) {
-            if (upset_rng_.bernoulli(2.0 / static_cast<double>(nbits))) {
-                flip(b);
-                ++flips;
-            }
+        for (std::size_t bit = 0;; ++bit) {
+            const double u = 1.0 - upset_rng_.uniform();
+            const double gap = std::floor(std::log(u) / log_keep);
+            // Compare as a double: a huge gap must not wrap in the cast.
+            if (gap >= static_cast<double>(nbits - bit)) break;
+            bit += static_cast<std::size_t>(gap);
+            flip(bit);
+            ++flips;
         }
         if (flips == 0) flip(static_cast<std::size_t>(upset_rng_.below(nbits)));
         break;
