@@ -29,6 +29,7 @@ public:
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 15);
+    reject_telemetry_flags(opt, argv[0]);
     const auto topo = Topology::mesh(5, 5);
     constexpr TileId kRoot = 12;
 

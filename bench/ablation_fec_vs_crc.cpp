@@ -13,6 +13,7 @@
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 10);
+    reject_telemetry_flags(opt, argv[0]);
 
     struct Trial {
         bool completed{false};

@@ -115,6 +115,8 @@ int main(int argc, char** argv) {
         spec.jobs = opt.jobs;
         spec.max_rounds = 20000;
         spec.audit = true;
+        spec.telemetry =
+            bench::tag_telemetry(opt.telemetry, faulted ? "_faulted" : "_healthy");
         spec.backend = [&](const SweepPoint& pt, std::uint64_t seed) {
             return make_backend(kKinds[pt.index_of("backend")], scenario, seed);
         };

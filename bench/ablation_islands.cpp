@@ -28,6 +28,7 @@ std::vector<snoc::TileId> outer_ring() {
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 10);
+    reject_telemetry_flags(opt, argv[0]);
     const auto tech = Technology::cmos_025um();
     const auto ring = outer_ring();
 

@@ -86,6 +86,7 @@ private:
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 10);
+    reject_telemetry_flags(opt, argv[0]);
 
     struct Trial {
         double raw_del, raw_pkts, rel_del, rel_pkts, rel_rounds;

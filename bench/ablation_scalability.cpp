@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
     using namespace snoc;
     const CliArgs args(argc, argv);
     const auto opt = bench::options(argc, argv, 10);
+    reject_telemetry_flags(opt, argv[0]);
     constexpr double kP = 0.5;
 
     std::vector<std::size_t> sides = {4, 6, 8, 10, 12, 16};

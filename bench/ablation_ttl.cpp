@@ -44,6 +44,7 @@ struct TtlTrial {
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 40);
+    reject_telemetry_flags(opt, argv[0]);
 
     Table table({"TTL", "delivery [%]", "avg packets", "avg latency [rounds]"});
     for (std::uint16_t ttl : {2, 4, 6, 8, 12, 16, 24, 32}) {

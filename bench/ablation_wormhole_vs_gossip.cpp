@@ -18,6 +18,7 @@
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 15);
+    reject_telemetry_flags(opt, argv[0]);
 
     // ---- Part 1: saturation curve.
     wormhole::Config wc;

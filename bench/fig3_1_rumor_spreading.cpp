@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     // telemetry flags run a seeded engine-backed companion: the same
     // one-source rumor spreading, realised as a tile-0 scatter on a 5x5
     // gossip mesh.  This is the small traced run CI exercises.
-    if (opt.telemetry.enabled()) {
+    if (!opt.telemetry.requested_flags().empty()) {
         ExperimentSpec spec;
         spec.name = "fig3_1 traced companion";
         spec.base_seed = opt.seed;

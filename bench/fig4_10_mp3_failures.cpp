@@ -64,6 +64,7 @@ SweepPoint run_point(const snoc::FaultScenario& scenario, std::size_t repeats,
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 6);
+    reject_telemetry_flags(opt, argv[0]);
 
     // Left panel: buffer overflows.
     Table overflow({"dropped packets [%]", "latency [rounds]", "jitter", "completion"});

@@ -65,6 +65,7 @@ BitratePoint run_point(const snoc::FaultScenario& scenario, std::size_t repeats,
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 6);
+    reject_telemetry_flags(opt, argv[0]);
 
     Table overflow({"dropped packets [%]", "bit rate [bits/s]", "jitter [bits/s]",
                     "frames delivered [%]"});

@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 10);
+    reject_telemetry_flags(opt, argv[0]);
     const std::vector<std::size_t> kCrashes{0, 1, 2, 3, 4};
     const std::vector<double> kUpsets{0.0, 0.3, 0.5, 0.7, 0.8, 0.9};
 

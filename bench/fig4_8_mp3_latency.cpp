@@ -27,6 +27,7 @@ snoc::apps::Mp3Config mp3_config() {
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 5);
+    reject_telemetry_flags(opt, argv[0]);
     const std::vector<double> kPs{0.1, 0.25, 0.5, 0.75, 1.0};
     const std::vector<double> kUpsets{0.0, 0.2, 0.4, 0.6, 0.8};
     constexpr Round kMaxRounds = 4000;

@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 5);
+    reject_telemetry_flags(opt, argv[0]);
     const auto tech = Technology::cmos_025um();
     const std::vector<double> kPs{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 

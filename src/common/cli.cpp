@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
+#include <utility>
 
 #include "common/expect.hpp"
 #include "common/parallel.hpp"
@@ -126,6 +128,28 @@ BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeat
 
 BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repeats) {
     return parse_bench_options(CliArgs(argc, argv), default_repeats);
+}
+
+std::vector<std::string> TelemetryOptions::requested_flags() const {
+    const std::pair<const char*, const std::string*> exports[] = {
+        {"--trace-out", &trace_jsonl_out},   {"--chrome-out", &chrome_out},
+        {"--heatmap-out", &heatmap_out},     {"--postmortem-out", &postmortem_out},
+        {"--heartbeat-out", &heartbeat_out}, {"--metrics-out", &metrics_out},
+    };
+    std::vector<std::string> flags;
+    for (const auto& [flag, path] : exports)
+        if (!path->empty()) flags.emplace_back(flag);
+    return flags;
+}
+
+void reject_telemetry_flags(const BenchOptions& options, std::string_view program) {
+    const auto flags = options.telemetry.requested_flags();
+    if (flags.empty()) return;
+    for (const auto& flag : flags)
+        std::cerr << program << ": " << flag
+                  << " is not supported by this bench (its trials do not run "
+                     "through ScenarioRunner)\n";
+    std::exit(2);
 }
 
 std::vector<std::string> CliArgs::unknown_options(

@@ -92,6 +92,9 @@ struct TelemetryOptions {
     bool observes_trials() const {
         return enabled() || !postmortem_out.empty();
     }
+    /// Command-line spellings ("--trace-out", ...) of every export
+    /// destination that is set; empty when no export was requested.
+    std::vector<std::string> requested_flags() const;
 };
 
 /// Which round-execution engine drives a GossipNetwork.  A plain enum
@@ -143,5 +146,11 @@ struct BenchOptions {
 
 BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeats);
 BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repeats);
+
+/// For benches whose trials do not run through ScenarioRunner, which is
+/// what honours the telemetry exports: an accepted flag is honoured or
+/// rejected, never silently dropped.  If any export was requested, print
+/// one line per flag to stderr and exit with status 2.
+void reject_telemetry_flags(const BenchOptions& options, std::string_view program);
 
 } // namespace snoc
