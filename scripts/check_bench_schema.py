@@ -4,7 +4,9 @@
 scripts/bench_snapshot.sh writes them; this checker (stdlib only, run
 from ctest as `bench_schema`) keeps them honest: every snapshot must
 carry schema_version 1, the provenance block (machine, git_sha,
-workload) and the per-snapshot payload the acceptance gates read.  A
+workload) and the per-snapshot payload the acceptance gates read —
+for the engine snapshot that includes the `figures` block of end-to-end
+wall times and peak RSS.  A
 snapshot that drifts from the writer — a renamed key, a dropped table —
 fails here instead of surfacing as a KeyError deep inside
 bench_snapshot.sh months later.
@@ -15,7 +17,7 @@ Usage:
 
 With no arguments, checks the repo-root snapshots relative to this
 script.  --diff compares two engine snapshots' ns_per_round tables and
-prints per-cell deltas — warn-only (always exits 0): CI uses it to
+figure wall times and prints per-cell deltas — warn-only (always exits 0): CI uses it to
 surface perf drift in logs without holding PRs hostage to machine noise.
 """
 
@@ -89,6 +91,42 @@ def check_engine(path, snap):
             for key in ("mesh", "rounds", "coverage_pct", "wall_s"):
                 if key not in row:
                     ok = fail(path, f"scalability.{cell}.{key} missing")
+    ok &= check_figures(path, snap.get("figures"))
+    return ok
+
+
+FIGURE_CELLS = ("fig4_8_mp3_latency", "fig4_5_fault_surface",
+                "lockstep_128x128_dense_broadcast")
+
+
+def check_figures(path, figures):
+    """The end-to-end timings block: per cell, `after` (and, when the
+    snapshot was taken against a baseline build, `before`) wall seconds
+    and peak RSS, plus the machine they were measured on."""
+    if not isinstance(figures, dict):
+        return fail(path, "figures missing")
+    ok = True
+    machine = figures.get("machine")
+    if not isinstance(machine, dict) or \
+            not isinstance(machine.get("cores"), int):
+        ok = fail(path, "figures.machine.cores missing")
+    benches = figures.get("benches")
+    if not isinstance(benches, dict):
+        return fail(path, "figures.benches missing")
+    for cell in FIGURE_CELLS:
+        row = benches.get(cell)
+        if not isinstance(row, dict):
+            ok = fail(path, f"figures.benches.{cell} missing")
+            continue
+        if "after" not in row:
+            ok = fail(path, f"figures.benches.{cell}.after missing")
+        for side in ("after", "before"):
+            if side not in row:
+                continue
+            for key in ("wall_s", "peak_rss_mb"):
+                if not isinstance(row[side].get(key), (int, float)):
+                    ok = fail(path, f"figures.benches.{cell}.{side}.{key} "
+                                    f"missing or not a number")
     return ok
 
 
@@ -141,6 +179,17 @@ def diff_engine(old_path, new_path):
             marker = "  <-- regression?" if delta > 10.0 else ""
             print(f"ns_per_round {engine}/{side}: {before:.0f} -> "
                   f"{after:.0f} ns ({delta:+.1f}%){marker}")
+    old_figs = old.get("figures", {}).get("benches", {})
+    new_figs = new.get("figures", {}).get("benches", {})
+    for cell in sorted(set(old_figs) & set(new_figs)):
+        before = old_figs[cell].get("after", {}).get("wall_s")
+        after = new_figs[cell].get("after", {}).get("wall_s")
+        if not before or after is None:
+            continue
+        delta = (after - before) / before * 100.0
+        marker = "  <-- regression?" if delta > 10.0 else ""
+        print(f"figures {cell}: {before:.2f} -> {after:.2f} s "
+              f"({delta:+.1f}%){marker}")
     print("check_bench_schema: diff is informational only (machine noise "
           "dominates cross-run deltas); not failing the build on it")
     return True
