@@ -131,7 +131,10 @@ auto run_trials(std::size_t n_trials, Fn&& fn, std::size_t jobs = 0)
     // The caller is worker #1; helpers come from the shared pool.  Each
     // helper signals the countdown when it runs out of trials.  The
     // acq_rel countdown + the caller's acquire re-check publish every
-    // helper's `results[i]` writes to the caller.
+    // helper's `results[i]` writes to the caller.  The last helper counts
+    // down while holding the latch mutex: the caller can only see zero
+    // once that helper is done with the latch, which lives on the
+    // caller's stack and dies when run_trials returns.
     const std::size_t helpers = std::min(jobs, n_trials) - 1;
     std::atomic<std::size_t> remaining{helpers};
     struct DoneLatch {
@@ -142,10 +145,9 @@ auto run_trials(std::size_t n_trials, Fn&& fn, std::size_t jobs = 0)
     for (std::size_t h = 0; h < helpers; ++h) {
         pool.submit([&] {
             work();
-            if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                LockGuard lock(done.mutex);
+            LockGuard lock(done.mutex);
+            if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
                 done.cv.notify_all();
-            }
         });
     }
     work();
