@@ -70,12 +70,12 @@ int main(int argc, char** argv) {
 
     struct Trial {
         bool completed{false}; ///< the rumor reached every tile.
-        double rounds{0.0}, packets{0.0}, coverage{0.0}, wall_s{0.0};
+        double rounds{0.0}, packets{0.0}, reached{0.0}, coverage{0.0}, wall_s{0.0};
     };
 
     Table table({"mesh", "tiles", "rounds", "diameter/p + slack",
-                 "Pittel (full graph)", "packets/tile", "coverage [%]",
-                 "wall [s]"});
+                 "Pittel (full graph)", "packets/tile", "tiles reached",
+                 "coverage [%]", "wall [s]"});
     for (std::size_t side : sides) {
         const auto topo = Topology::mesh(side, side);
         const std::size_t n = topo.node_count();
@@ -106,6 +106,7 @@ int main(int argc, char** argv) {
                 const std::size_t knowing = net.tiles_knowing(rumor);
                 out.completed = knowing == n;
                 out.rounds = static_cast<double>(r.rounds);
+                out.reached = static_cast<double>(knowing);
                 out.coverage =
                     100.0 * static_cast<double>(knowing) / static_cast<double>(n);
                 if (r.rounds > 0)
@@ -118,10 +119,11 @@ int main(int argc, char** argv) {
                 return out;
             },
             opt.jobs);
-        Accumulator rounds, packets, coverage, wall;
+        Accumulator rounds, packets, reached, coverage, wall;
         for (const Trial& t : trials) {
             rounds.add(t.rounds);
             packets.add(t.packets);
+            reached.add(t.reached);
             coverage.add(t.coverage);
             wall.add(t.wall_s);
         }
@@ -130,6 +132,7 @@ int main(int argc, char** argv) {
                        std::to_string(estimate_ttl(diameter, kP)),
                        format_number(analytic::pittel_rounds(n), 1),
                        format_number(packets.mean(), 2),
+                       format_number(reached.mean(), 1),
                        format_number(coverage.mean(), 1),
                        format_number(wall.mean(), 3)});
     }

@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the hot paths: CRC, packet codec,
-// a full gossip round (encode-once vs reference per-transmission encode),
+// a full gossip round (byte-free clean transmissions vs the byte-level
+// reference path),
 // the parallel trial fan-out, FFT and MDCT kernels.  Not a paper figure —
 // this guards the simulator's own performance.
 #include <benchmark/benchmark.h>
@@ -69,13 +70,14 @@ void gossip_round_impl(benchmark::State& state, bool reference_encode,
     state.SetItemsProcessed(state.iterations() * 10);
 }
 
-// Production path: each held message is serialised once per round and the
-// wire image is shared across its port transmissions.
+// Production path: clean transmissions carry the sender's shared message
+// body and no bytes; only an upset transmission materialises a wire.
 void BM_GossipRound(benchmark::State& state) { gossip_round_impl(state, false); }
 BENCHMARK(BM_GossipRound)->Arg(4)->Arg(8)->Arg(16)->Unit(benchmark::kMicrosecond);
 
-// Reference path: re-encode per transmission (the pre-optimisation
-// behaviour).  The delta against BM_GossipRound is what encode-once saves.
+// Reference path: encode every transmission and FEC-strip, CRC-check and
+// decode every arrival (the byte-level oracle).  The delta against
+// BM_GossipRound is what skipping the bytes of clean copies saves.
 void BM_GossipRoundReference(benchmark::State& state) {
     gossip_round_impl(state, true);
 }

@@ -168,7 +168,7 @@ void InvariantAuditor::check_round(const GossipNetwork& net) {
         const SendBuffer& buf = net.send_buffer(t);
         check_occupancy(t, buf.size(), capacity);
         auto& seen = last_ttl_[t];
-        for (const Message& msg : buf.messages()) {
+        for (const HeldMessage& msg : buf.messages()) {
             if (msg.ttl == 0) {
                 std::ostringstream os;
                 os << "tile " << t << " buffers a TTL-0 message after ageing";
@@ -176,18 +176,18 @@ void InvariantAuditor::check_round(const GossipNetwork& net) {
             }
             // A rumor's TTL only ever decreases while a tile holds it —
             // re-receiving a fresher copy must not resurrect it.
-            auto it = seen.find(msg.id);
+            auto it = seen.find(msg.id());
             if (it != seen.end() && msg.ttl > it->second) {
                 std::ostringstream os;
-                os << "tile " << t << " message {" << msg.id.origin << ","
-                   << msg.id.sequence << "} TTL grew " << it->second << " -> "
+                os << "tile " << t << " message {" << msg.id().origin << ","
+                   << msg.id().sequence << "} TTL grew " << it->second << " -> "
                    << msg.ttl;
                 violate("ttl-monotonicity", os.str());
                 it->second = msg.ttl;
             } else if (it != seen.end()) {
                 it->second = msg.ttl;
             } else {
-                seen.emplace(msg.id, msg.ttl);
+                seen.emplace(msg.id(), msg.ttl);
             }
         }
     }

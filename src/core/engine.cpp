@@ -45,13 +45,10 @@ private:
     void send_impl(MessageId id, TileId destination, std::uint32_t tag,
                    std::vector<std::byte> payload, std::uint16_t ttl_override) {
         auto& t = net_.tiles_[tile_];
-        Message m;
-        m.id = id;
-        m.source = tile_;
-        m.destination = destination;
-        m.tag = tag;
-        m.ttl = ttl_override != 0 ? ttl_override : net_.config_.default_ttl;
-        m.payload = std::move(payload);
+        // The one body every copy of this rumor will share.
+        HeldMessage m{std::make_shared<const MessageBody>(MessageBody{
+                          id, tile_, destination, tag, std::move(payload)}),
+                      ttl_override != 0 ? ttl_override : net_.config_.default_ttl};
         MessageId evicted{kNoTile, 0};
         MessageId* evicted_out =
             (sink_.tracing || sink_.inserted) ? &evicted : nullptr;
@@ -322,31 +319,28 @@ bool GossipNetwork::admit_arrival(TileId dest, Arrival& arrival) {
     return true;
 }
 
-void GossipNetwork::receive_arrival(TileId tile_id, const Arrival& arrival,
-                                    StepSink& sink) {
-    if (!arrival.corrupted && tiles_[tile_id].send_buffer.knows(arrival.id)) {
-        ignore_duplicate(tile_id, arrival.id, sink);
+void GossipNetwork::receive_arrival(TileId tile_id, Arrival& arrival, StepSink& sink) {
+    if (!arrival.wire) {
+        deliver_and_insert(tile_id, HeldMessage{std::move(arrival.body), arrival.ttl},
+                           sink);
         return;
     }
     std::optional<Message> decoded;
     bool corrected_this_packet = false;
-    {
-        SNOC_PROF("engine/decode");
-        if (config_.link_protection == LinkProtection::SecdedCorrect) {
-            // Strip the SECDED layer first; single-bit upsets per word are
-            // repaired here, before the CRC ever sees them.
-            auto recovered = fec::recover(*arrival.wire);
-            if (!recovered.ok) {
-                ++sink.metrics->fec_uncorrectable;
-                sink_trace(sink, TraceEventKind::FecUncorrectable, tile_id);
-                return;
-            }
-            sink.metrics->fec_corrected += recovered.corrected_words;
-            corrected_this_packet = recovered.corrected_words > 0;
-            decoded = Packet::decode_wire(recovered.payload);
-        } else {
-            decoded = Packet::decode_wire(*arrival.wire);
+    if (config_.link_protection == LinkProtection::SecdedCorrect) {
+        // Strip the SECDED layer first; single-bit upsets per word are
+        // repaired here, before the CRC ever sees them.
+        auto recovered = fec::recover(*arrival.wire);
+        if (!recovered.ok) {
+            ++sink.metrics->fec_uncorrectable;
+            sink_trace(sink, TraceEventKind::FecUncorrectable, tile_id);
+            return;
         }
+        sink.metrics->fec_corrected += recovered.corrected_words;
+        corrected_this_packet = recovered.corrected_words > 0;
+        decoded = Packet::decode_wire(recovered.payload);
+    } else {
+        decoded = Packet::decode_wire(*arrival.wire);
     }
     if (!decoded) {
         ++sink.metrics->crc_drops; // scrambled packet, CRC caught it
@@ -355,7 +349,10 @@ void GossipNetwork::receive_arrival(TileId tile_id, const Arrival& arrival,
     }
     if (arrival.corrupted && !corrected_this_packet)
         ++sink.metrics->upsets_undetected;
-    deliver_and_insert(tile_id, std::move(*decoded), sink);
+    const std::uint16_t ttl = decoded->ttl;
+    deliver_and_insert(
+        tile_id, HeldMessage{std::make_shared<const MessageBody>(std::move(*decoded)), ttl},
+        sink);
 }
 
 void GossipNetwork::ignore_duplicate(TileId tile_id, MessageId id, StepSink& sink) {
@@ -363,27 +360,27 @@ void GossipNetwork::ignore_duplicate(TileId tile_id, MessageId id, StepSink& sin
     sink_trace(sink, TraceEventKind::DuplicateIgnored, tile_id, kNoTile, id);
 }
 
-void GossipNetwork::deliver_and_insert(TileId tile_id, Message message,
+void GossipNetwork::deliver_and_insert(TileId tile_id, HeldMessage message,
                                        StepSink& sink) {
-    SNOC_PROF("engine/deliver");
     auto& tile = tiles_[tile_id];
-    if (tile.send_buffer.knows(message.id)) {
-        ignore_duplicate(tile_id, message.id, sink);
+    if (tile.send_buffer.knows(message.id())) {
+        ignore_duplicate(tile_id, message.id(), sink);
         return;
     }
-    const bool for_me =
-        message.destination == tile_id || message.destination == kBroadcast;
+    SNOC_PROF("engine/deliver");
+    const TileId destination = message.body->destination;
+    const bool for_me = destination == tile_id || destination == kBroadcast;
     if (for_me && tile.core) {
         Context ctx(*this, tile_id, sink);
-        tile.core->on_message(message, ctx);
+        tile.core->on_message(message.message(), ctx);
         ++sink.metrics->deliveries;
-        sink_trace(sink, TraceEventKind::Delivered, tile_id, kNoTile, message.id);
+        sink_trace(sink, TraceEventKind::Delivered, tile_id, kNoTile, message.id());
     }
-    if (config_.stop_spread_on_delivery && message.destination == tile_id) {
+    if (config_.stop_spread_on_delivery && destination == tile_id) {
         if (sink.unicasts)
-            sink.unicasts->push_back(message.id);
+            sink.unicasts->push_back(message.id());
         else
-            delivered_unicasts_.insert(message.id);
+            delivered_unicasts_.insert(message.id());
     }
     // The tile keeps relaying even when it is the destination: the rumor
     // lives until its TTL expires, which is what gives later tiles their
@@ -393,7 +390,7 @@ void GossipNetwork::deliver_and_insert(TileId tile_id, Message message,
     // accepted; if that ever stopped holding, the copy would vanish
     // without a fate and the wire law would flag the leak.
     if (message.ttl > 0) {
-        const MessageId id = message.id;
+        const MessageId id = message.id();
         MessageId evicted{kNoTile, 0};
         MessageId* evicted_out =
             (sink.tracing || sink.inserted) ? &evicted : nullptr;
@@ -427,6 +424,7 @@ void GossipNetwork::compute_phase() {
 }
 
 void GossipNetwork::forward_phase() {
+    upset_source_ = nullptr;
     for (TileId t = 0; t < tiles_.size(); ++t) {
         if (crash_state_.dead_tiles[t]) continue;
         if (!tile_active_this_round(t)) continue;
@@ -442,60 +440,68 @@ void GossipNetwork::forward_phase() {
         const std::size_t offset =
             (budget >= msgs.size()) ? 0 : static_cast<std::size_t>(round_) % msgs.size();
         for (std::size_t mi = 0; mi < msgs.size(); ++mi) {
-            const Message& m = msgs[(mi + offset) % msgs.size()];
+            const HeldMessage& m = msgs[(mi + offset) % msgs.size()];
             if (budget == 0) break; // serialised medium saturated this round
-            if (config_.stop_spread_on_delivery && delivered_unicasts_.contains(m.id))
+            if (config_.stop_spread_on_delivery && delivered_unicasts_.contains(m.id()))
                 continue; // spread terminated early (Sec. 3.2.2)
-            // Encode-once: the up-to-4 port transmissions of this message
-            // share a single wire image, built lazily when the first port
-            // gate opens (a message that forwards nowhere this round costs
-            // no serialisation at all).  Upset transmissions copy before
-            // corrupting; see enqueue_transmission.
-            std::shared_ptr<const std::vector<std::byte>> wire;
             for (std::size_t i = 0; i < nbrs.size() && budget > 0; ++i) {
                 // Fig. 3-4: the message is presented on every output port
                 // and a random decision (probability p) gates each port.
                 if (!forward_rng_[t].bernoulli(config_.forward_p)) continue;
                 if (crash_state_.dead_links[links[i]]) continue;
-                if (route_filter_[t] && !route_filter_[t](m, nbrs[i])) continue;
-                if (!wire || config_.reference_encode_path) wire = encode_message(m);
-                enqueue_transmission(t, nbrs[i], links[i], m.id, wire);
+                if (route_filter_[t] && !route_filter_[t](*m.body, nbrs[i])) continue;
+                enqueue_transmission(t, nbrs[i], links[i], m);
                 --budget;
             }
         }
     }
 }
 
-std::shared_ptr<const std::vector<std::byte>> GossipNetwork::encode_message(
-    const Message& m) const {
+std::size_t GossipNetwork::wire_size(const MessageBody& body) const {
+    const std::size_t plain = Packet::wire_bytes(body.payload.size());
+    return config_.link_protection == LinkProtection::SecdedCorrect
+               ? fec::protected_bytes(plain)
+               : plain;
+}
+
+std::vector<std::byte> GossipNetwork::encode_message(const HeldMessage& m) const {
     SNOC_PROF("engine/encode");
-    Packet p = Packet::encode(m);
-    if (config_.link_protection == LinkProtection::SecdedCorrect) {
-        auto protected_wire = fec::protect(p.wire());
-        return std::make_shared<const std::vector<std::byte>>(
-            std::move(protected_wire.bytes));
-    }
-    return std::make_shared<const std::vector<std::byte>>(std::move(p.mutable_wire()));
+    Packet p = Packet::encode(*m.body, m.ttl);
+    std::vector<std::byte> wire =
+        config_.link_protection == LinkProtection::SecdedCorrect
+            ? fec::protect(p.wire()).bytes
+            : std::move(p.mutable_wire());
+    SNOC_CHECK(1, wire.size() == wire_size(*m.body));
+    return wire;
 }
 
 void GossipNetwork::enqueue_transmission(TileId from, TileId to, LinkId link,
-                                         MessageId id,
-                                         std::shared_ptr<const std::vector<std::byte>> wire) {
-    Arrival arrival{std::move(wire), id, false};
+                                         const HeldMessage& m) {
+    Arrival arrival{m.body, nullptr, m.ttl, false};
+    // The reference path serialises every transmission, as real hardware
+    // does; otherwise a clean transmission carries no bytes at all.
+    if (config_.reference_encode_path)
+        arrival.wire = std::make_unique<std::vector<std::byte>>(encode_message(m));
     if (injector_.upset_roll()) {
-        // Copy-on-corrupt: only the (rare) upset transmission pays for a
-        // private copy of the bytes; clean ones alias the shared image.
-        auto corrupted = std::make_shared<std::vector<std::byte>>(*arrival.wire);
-        injector_.apply_upset(*corrupted);
-        arrival.wire = std::move(corrupted);
+        // Bytes only on upset: the held message is encoded at most once
+        // per forward phase, and each upset port corrupts its own copy.
+        if (!arrival.wire) {
+            if (upset_source_ != &m) {
+                upset_wire_ = encode_message(m);
+                upset_source_ = &m;
+            }
+            arrival.wire = std::make_unique<std::vector<std::byte>>(upset_wire_);
+        }
+        injector_.apply_upset(*arrival.wire);
         arrival.corrupted = true;
     }
-    const std::size_t bits = arrival.wire->size() * 8;
+    const std::size_t bits = wire_size(*m.body) * 8;
     ++metrics_.packets_sent;
     ++packets_this_round_;
     metrics_.bits_sent += bits;
     metrics_.bits_sent_by_tile[from] += bits;
     ++metrics_.packets_by_link[link];
+    const MessageId id = m.id();
     trace(TraceEventKind::Transmitted, from, to, id);
 
     // A transmission into a crashed tile still burns bandwidth/energy but

@@ -72,7 +72,7 @@ public:
     /// destination's cluster: plain mesh tiles have no filter, gateway and
     /// hub tiles forward a rumor off-cluster only when its destination
     /// lives there.  Returning false suppresses that port for that message.
-    using RouteFilter = std::function<bool(const Message&, TileId next_hop)>;
+    using RouteFilter = std::function<bool(const MessageBody&, TileId next_hop)>;
     void set_route_filter(TileId tile, RouteFilter filter);
 
     /// Voltage/frequency islands (Ch. 5): a tile with clock scale s >= 1
@@ -142,16 +142,22 @@ public:
     check::ConservationLedger ledger() const;
 
 private:
-    /// One packet in flight.  All clean transmissions of a message in a
-    /// round share a single encoded wire image (encode-once forward
-    /// path); an upset transmission owns a corrupted copy of the bytes.
-    /// `id` is the message the sender encoded, which is what a clean wire
-    /// decodes to.
+    /// One packet in flight: the sender's shared message body and the
+    /// TTL it carried when sent, which is exactly what its wire image
+    /// would decode to.  A clean transmission has no bytes at all (its
+    /// size is computable, see wire_size()).  Bytes exist only where
+    /// something must read them: an upset transmission owns a corrupted
+    /// copy of the message's encoding, and under reference_encode_path
+    /// every transmission owns its own encoding.
     struct Arrival {
-        std::shared_ptr<const std::vector<std::byte>> wire;
-        MessageId id;
+        std::shared_ptr<const MessageBody> body;
+        std::unique_ptr<std::vector<std::byte>> wire;
+        std::uint16_t ttl{0};
         bool corrupted{false};
     };
+    // The in-flight ring holds one Arrival per packet on the wire: a
+    // wider one shows up directly in dense meshes' peak RSS.
+    static_assert(sizeof(Arrival) <= 32);
 
     struct Tile {
         SendBuffer send_buffer;
@@ -202,20 +208,26 @@ private:
     /// receive_arrival().
     bool admit_arrival(TileId dest, Arrival& arrival);
     /// The rest of the receive phase for one admitted arrival, shared by
-    /// both engines.  A clean copy of a message the tile already knows is
-    /// counted as a duplicate without decoding: a clean wire always
-    /// passes CRC and SECDED with zero corrections, so the outcome is the
-    /// one decoding would give.  Anything else is FEC-stripped,
-    /// CRC-checked and delivered.  Touches only `tile`'s state and `sink`.
-    void receive_arrival(TileId tile, const Arrival& arrival, StepSink& sink);
+    /// both engines.  An arrival without bytes is clean: a clean wire
+    /// always passes SECDED with zero corrections and the CRC, and
+    /// decodes to (body, ttl), so it is deduplicated or accepted straight
+    /// from the shared body.  Materialised bytes are FEC-stripped,
+    /// CRC-checked and decoded.  Consumes `arrival`; touches only
+    /// `tile`'s state and `sink`.
+    void receive_arrival(TileId tile, Arrival& arrival, StepSink& sink);
     void ignore_duplicate(TileId tile, MessageId id, StepSink& sink);
-    void deliver_and_insert(TileId tile, Message message, StepSink& sink);
+    void deliver_and_insert(TileId tile, HeldMessage message, StepSink& sink);
     /// Run `tile`'s IP core hook with a Context wired to `sink`.
     void core_round(TileId tile, StepSink& sink);
-    /// Serialise + CRC (+ optional FEC) a message into a shareable wire image.
-    std::shared_ptr<const std::vector<std::byte>> encode_message(const Message& m) const;
-    void enqueue_transmission(TileId from, TileId to, LinkId link, MessageId id,
-                              std::shared_ptr<const std::vector<std::byte>> wire);
+    /// Bytes on the wire for `body` under the configured link protection:
+    /// Packet::wire_bytes, SECDED-expanded by fec::protected_bytes.
+    std::size_t wire_size(const MessageBody& body) const;
+    /// Serialise + CRC (+ optional FEC) a held message into wire bytes.
+    std::vector<std::byte> encode_message(const HeldMessage& m) const;
+    /// Send `m` from `from` to `to` over `link`.  `m` must stay in place
+    /// until the forward phase ends: upset transmissions of one held
+    /// message in a round copy a single cached encoding of it.
+    void enqueue_transmission(TileId from, TileId to, LinkId link, const HeldMessage& m);
     void trace(TraceEventKind kind, TileId tile, TileId peer = kNoTile,
                MessageId message = MessageId{kNoTile, 0});
     void sink_trace(StepSink& sink, TraceEventKind kind, TileId tile,
@@ -251,6 +263,11 @@ private:
     static constexpr std::size_t kInFlightRing = 4;
     std::array<std::vector<std::pair<TileId, Arrival>>, kInFlightRing> in_flight_;
     std::vector<std::pair<TileId, Arrival>> arrivals_scratch_;
+    // The forward phase's encoding of the held message it last had to
+    // materialise for an upset; reset at every forward phase's start,
+    // since send-buffer slots are reused across rounds.
+    const HeldMessage* upset_source_{nullptr};
+    std::vector<std::byte> upset_wire_;
     NetworkMetrics metrics_;
     std::size_t packets_this_round_{0};
     std::size_t sendbuf_overflow_snapshot_{0};

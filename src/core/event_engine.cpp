@@ -209,10 +209,10 @@ void EventEngine::receive_phase() {
         shards_[shard_of(dest)].arrivals.push_back(
             Work{dest, seq, std::move(arrival)});
     }
-    // Parallel pass 2: decode (FEC strip + CRC — the expensive part) and
-    // deliver.  Sorting by (destination, bucket position) keeps per-tile
-    // arrival order identical to lockstep and makes the concatenated
-    // shard output independent of the shard count.
+    // Parallel pass 2: dedup, decode what carries bytes, and deliver.
+    // Sorting by (destination, bucket position) keeps per-tile arrival
+    // order identical to lockstep and makes the concatenated shard output
+    // independent of the shard count.
     run_sharded([this](std::size_t s) {
         Shard& sh = shards_[s];
         std::sort(sh.arrivals.begin(), sh.arrivals.end(),
@@ -220,7 +220,7 @@ void EventEngine::receive_phase() {
                       return a.dest != b.dest ? a.dest < b.dest : a.seq < b.seq;
                   });
         GossipNetwork::StepSink sink = shard_sink(sh);
-        for (const Work& w : sh.arrivals) net_.receive_arrival(w.dest, w.arrival, sink);
+        for (Work& w : sh.arrivals) net_.receive_arrival(w.dest, w.arrival, sink);
         sh.arrivals.clear();
         sh.evictions += sink.evictions;
     });
@@ -281,9 +281,8 @@ void EventEngine::compute_phase() {
 }
 
 void EventEngine::forward_phase() {
-    // Pass A (parallel): per-tile port gating and encoding.  Only the
-    // tile's own stream is consumed, in the lockstep per-tile order, and
-    // the encode-once wire image is built off the hot serial path.
+    // Pass A (parallel): per-tile port gating.  Only the tile's own
+    // stream is consumed, in the lockstep per-tile order.
     run_sharded([this](std::size_t s) {
         Shard& sh = shards_[s];
         for (const TileId t : sh.active) {
@@ -298,21 +297,19 @@ void EventEngine::forward_phase() {
                     ? 0
                     : static_cast<std::size_t>(net_.round_) % msgs.size();
             for (std::size_t mi = 0; mi < msgs.size(); ++mi) {
-                const Message& m = msgs[(mi + offset) % msgs.size()];
+                const HeldMessage& m = msgs[(mi + offset) % msgs.size()];
                 if (budget == 0) break;
                 if (net_.config_.stop_spread_on_delivery &&
-                    net_.delivered_unicasts_.contains(m.id))
+                    net_.delivered_unicasts_.contains(m.id()))
                     continue;
-                std::shared_ptr<const std::vector<std::byte>> wire;
                 for (std::size_t i = 0; i < nbrs.size() && budget > 0; ++i) {
                     if (!net_.forward_rng_[t].bernoulli(net_.config_.forward_p))
                         continue;
                     if (net_.crash_state_.dead_links[links[i]]) continue;
-                    if (net_.route_filter_[t] && !net_.route_filter_[t](m, nbrs[i]))
+                    if (net_.route_filter_[t] &&
+                        !net_.route_filter_[t](*m.body, nbrs[i]))
                         continue;
-                    if (!wire || net_.config_.reference_encode_path)
-                        wire = net_.encode_message(m);
-                    sh.plans.push_back(Plan{t, nbrs[i], links[i], m.id, wire});
+                    sh.plans.push_back(Plan{t, nbrs[i], links[i], &m});
                     --budget;
                 }
             }
@@ -321,11 +318,13 @@ void EventEngine::forward_phase() {
     // Pass B (serial, canonical order): replay the planned transmissions
     // through enqueue_transmission so upset draws, skew checks, ring
     // appends, link counters and traces happen in the exact lockstep
-    // sequence — ascending strips concatenate to ascending tiles.
+    // sequence — ascending strips concatenate to ascending tiles.  Bytes
+    // are materialised here, and only for upset transmissions.
+    net_.upset_source_ = nullptr;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         Shard& sh = shards_[shard_merge_index(i)];
-        for (Plan& p : sh.plans)
-            net_.enqueue_transmission(p.from, p.to, p.link, p.id, std::move(p.wire));
+        for (const Plan& p : sh.plans)
+            net_.enqueue_transmission(p.from, p.to, p.link, *p.message);
         sh.plans.clear();
     }
 }

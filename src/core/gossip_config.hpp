@@ -57,13 +57,16 @@ struct GossipConfig {
     /// Link-level protection scheme (see LinkProtection).
     LinkProtection link_protection{LinkProtection::CrcDetect};
 
-    /// Diagnostic knob: serialise (and CRC / FEC-protect) the wire image
-    /// anew for every port transmission instead of encoding each held
-    /// message once per round and sharing the bytes across its ports.
-    /// Observable behaviour must be identical either way —
-    /// test_engine_equivalence asserts it metric-for-metric and
-    /// perf_microbench's BM_GossipRoundReference measures what the
-    /// sharing saves.  Never set this in real experiments.
+    /// Diagnostic knob: the byte-level oracle.  Every port transmission
+    /// serialises (and CRC / FEC-protects) its own wire image, and every
+    /// arrival — clean duplicates included — is FEC-stripped, CRC-checked
+    /// and decoded from those bytes.  The production path instead carries
+    /// the sender's shared message body and materialises bytes only for
+    /// upset transmissions.  Observable behaviour must be identical
+    /// either way — test_engine_equivalence asserts it metric-for-metric
+    /// and trace-for-trace, and perf_microbench's BM_GossipRoundReference
+    /// measures what the shortcut saves.  Never set this in real
+    /// experiments.
     bool reference_encode_path{false};
 
     void validate() const {

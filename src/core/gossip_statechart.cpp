@@ -120,7 +120,7 @@ void GossipTileChart::run_round(const std::vector<Message>& received) {
     for (const auto& m : messages) {
         chart_.dispatch(Event{kEvSendMessage, 0});
         for (std::size_t p = 0; p < kPortCount; ++p)
-            if (chart_.in(gate_open_[p])) transmit_(m, static_cast<Port>(p));
+            if (chart_.in(gate_open_[p])) transmit_(m.message(), static_cast<Port>(p));
     }
     chart_.dispatch(Event{kEvEndRound, 0});
 }

@@ -10,16 +10,22 @@ SendBuffer::SendBuffer(std::size_t capacity) : capacity_(capacity) {
     SNOC_EXPECT(capacity > 0);
 }
 
-bool SendBuffer::insert(Message message, MessageId* evicted) {
-    if (known_.contains(message.id)) return false;
+bool SendBuffer::insert(HeldMessage message, MessageId* evicted) {
+    if (known_.contains(message.id())) return false;
     if (messages_.size() == capacity_) {
-        if (evicted) *evicted = messages_.front().id;
+        if (evicted) *evicted = messages_.front().id();
         messages_.erase(messages_.begin());
         ++overflow_drops_;
     }
-    known_.insert(message.id);
+    known_.insert(message.id());
     messages_.push_back(std::move(message));
     return true;
+}
+
+bool SendBuffer::insert(Message message, MessageId* evicted) {
+    const std::uint16_t ttl = message.ttl;
+    return insert(HeldMessage{std::make_shared<const MessageBody>(std::move(message)), ttl},
+                  evicted);
 }
 
 std::size_t SendBuffer::age_and_collect(std::vector<MessageId>* expired_ids) {
@@ -32,11 +38,11 @@ std::size_t SendBuffer::age_and_collect(std::vector<MessageId>* expired_ids) {
     }
     const auto first_dead = std::stable_partition(
         messages_.begin(), messages_.end(),
-        [](const Message& m) { return m.ttl > 0; });
+        [](const HeldMessage& m) { return m.ttl > 0; });
     const auto expired = static_cast<std::size_t>(messages_.end() - first_dead);
     if (expired_ids)
         for (auto it = first_dead; it != messages_.end(); ++it)
-            expired_ids->push_back(it->id);
+            expired_ids->push_back(it->id());
     messages_.erase(first_dead, messages_.end());
     return expired;
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -12,6 +13,17 @@
 #include "noc/packet.hpp"
 
 namespace snoc {
+
+/// One held rumor: the immutable body every copy of it shares, plus this
+/// copy's remaining TTL — the only field that differs between copies.
+struct HeldMessage {
+    std::shared_ptr<const MessageBody> body;
+    std::uint16_t ttl{0};
+
+    const MessageId& id() const { return body->id; }
+    /// A standalone Message (one payload copy), for IP cores.
+    Message message() const { return Message{*body, ttl}; }
+};
 
 class SendBuffer {
 public:
@@ -23,6 +35,8 @@ public:
     /// oldest entry had to be evicted to make room.  When `evicted` is
     /// non-null the victim's id is written there (for tracing); it is
     /// left untouched when nothing was evicted.
+    bool insert(HeldMessage message, MessageId* evicted = nullptr);
+    /// Convenience: wraps `message` in a fresh body of its own.
     bool insert(Message message, MessageId* evicted = nullptr);
 
     /// True iff this id is currently held *or was ever held* by this tile.
@@ -39,7 +53,7 @@ public:
     std::size_t capacity() const { return capacity_; }
     std::size_t overflow_drops() const { return overflow_drops_; }
 
-    const std::vector<Message>& messages() const { return messages_; }
+    const std::vector<HeldMessage>& messages() const { return messages_; }
 
     /// Every id this tile has ever held (a superset of messages(): ids
     /// survive ageing and eviction).  The event engine's bootstrap counts
@@ -51,7 +65,7 @@ public:
 
 private:
     std::size_t capacity_;
-    std::vector<Message> messages_;
+    std::vector<HeldMessage> messages_;
     std::unordered_set<MessageId> known_;
     std::size_t overflow_drops_{0};
 };

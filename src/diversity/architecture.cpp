@@ -88,13 +88,13 @@ Topology gateway_mesh_topology(const std::string& name) {
 /// cluster that hosts its destination; a gateway only hands a rumor to the
 /// hub when the destination is off-cluster.
 void install_cluster_filters(GossipNetwork& net) {
-    net.set_route_filter(kHubNode, [](const Message& m, TileId next) {
+    net.set_route_filter(kHubNode, [](const MessageBody& m, TileId next) {
         if (m.destination == kBroadcast) return true;
         return cluster_of(next) == cluster_of(m.destination);
     });
     for (std::size_t c = 0; c < kClusterCount; ++c) {
         const TileId gateway = cluster_tile(c, kGatewayLocals[c]);
-        net.set_route_filter(gateway, [c](const Message& m, TileId next) {
+        net.set_route_filter(gateway, [c](const MessageBody& m, TileId next) {
             if (next != kHubNode) return true;
             if (m.destination == kBroadcast) return true;
             return cluster_of(m.destination) != c;
@@ -107,7 +107,7 @@ void install_cluster_filters(GossipNetwork& net) {
 void install_gateway_mesh_filters(GossipNetwork& net) {
     for (std::size_t c = 0; c < kClusterCount; ++c) {
         const TileId gateway = cluster_tile(c, kGatewayLocals[c]);
-        net.set_route_filter(gateway, [c](const Message& m, TileId next) {
+        net.set_route_filter(gateway, [c](const MessageBody& m, TileId next) {
             const std::size_t next_cluster = cluster_of(next);
             if (next_cluster == c) return true; // intra-cluster port
             // Inter-gateway link: only toward the destination's cluster.

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 
 namespace snoc::fec {
 
@@ -114,9 +115,10 @@ void flip_bit(Codeword& word, std::size_t bit) {
 }
 
 ProtectedPayload protect(const std::vector<std::byte>& payload) {
+    SNOC_PROF("noc/secded");
     ProtectedPayload out;
     const auto length = static_cast<std::uint32_t>(payload.size());
-    out.bytes.reserve(4 + ((payload.size() + 7) / 8) * 9);
+    out.bytes.reserve(protected_bytes(payload.size()));
     for (std::size_t i = 0; i < 4; ++i)
         out.bytes.push_back(static_cast<std::byte>((length >> (8 * i)) & 0xFF));
     for (std::size_t offset = 0; offset < payload.size(); offset += 8) {
@@ -132,6 +134,7 @@ ProtectedPayload protect(const std::vector<std::byte>& payload) {
 }
 
 RecoverResult recover(const std::vector<std::byte>& bytes) {
+    SNOC_PROF("noc/secded");
     RecoverResult out;
     if (bytes.size() < 4) {
         out.ok = false;
@@ -141,7 +144,7 @@ RecoverResult recover(const std::vector<std::byte>& bytes) {
     for (std::size_t i = 0; i < 4; ++i)
         length |= static_cast<std::uint32_t>(bytes[i]) << (8 * i);
     const std::size_t words = (static_cast<std::size_t>(length) + 7) / 8;
-    if (bytes.size() != 4 + words * 9) {
+    if (bytes.size() != protected_bytes(length)) {
         out.ok = false;
         return out;
     }

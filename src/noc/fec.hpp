@@ -59,6 +59,10 @@ struct ProtectedPayload {
 
 ProtectedPayload protect(const std::vector<std::byte>& payload);
 
+/// Size of protect()'s output for an `n`-byte payload: the 4-byte length
+/// prefix plus 9 bytes per (zero-padded) 8-byte word.
+constexpr std::size_t protected_bytes(std::size_t n) { return 4 + ((n + 7) / 8) * 9; }
+
 struct RecoverResult {
     std::vector<std::byte> payload;
     std::size_t corrected_words{0};

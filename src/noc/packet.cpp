@@ -4,6 +4,7 @@
 #include <span>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 #include "noc/crc.hpp"
 
 namespace snoc {
@@ -34,17 +35,19 @@ constexpr std::size_t kHeaderBytes = 4 /*origin*/ + 4 /*seq*/ + 4 /*src*/ +
                                      4 /*payload len*/;
 constexpr std::size_t kCrcBytes = 4;
 
+static_assert(kHeaderBytes + kCrcBytes == kWireOverheadBytes);
+
 } // namespace
 
-Packet Packet::encode(const Message& m) {
+Packet Packet::encode(const MessageBody& m, std::uint16_t ttl) {
     std::vector<std::byte> wire;
-    wire.reserve(kHeaderBytes + m.payload.size() + kCrcBytes);
+    wire.reserve(wire_bytes(m.payload.size()));
     put<std::uint32_t>(wire, m.id.origin);
     put<std::uint32_t>(wire, m.id.sequence);
     put<std::uint32_t>(wire, m.source);
     put<std::uint32_t>(wire, m.destination);
     put<std::uint32_t>(wire, m.tag);
-    put<std::uint16_t>(wire, m.ttl);
+    put<std::uint16_t>(wire, ttl);
     put<std::uint32_t>(wire, static_cast<std::uint32_t>(m.payload.size()));
     wire.insert(wire.end(), m.payload.begin(), m.payload.end());
     const std::uint32_t crc = crc::crc32(std::span<const std::byte>(wire));
@@ -59,6 +62,7 @@ bool Packet::crc_ok() const { return crc_ok_wire(wire_); }
 std::optional<Message> Packet::decode() const { return decode_wire(wire_); }
 
 bool Packet::crc_ok_wire(std::span<const std::byte> wire) {
+    SNOC_PROF("noc/crc");
     if (wire.size() < kHeaderBytes + kCrcBytes) return false;
     const std::size_t body = wire.size() - kCrcBytes;
     std::size_t pos = body;

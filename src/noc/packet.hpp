@@ -25,29 +25,46 @@ inline constexpr TileId kBroadcast = kNoTile;
 /// message pays this overhead on top of the payload.
 inline constexpr std::size_t kWireOverheadBytes = 26 + 4;
 
-/// An application-level message travelling through the NoC.
-struct Message {
+/// Everything a rumor's copies share: what the sender's IP created, minus
+/// the TTL.  The gossip engine allocates one immutable body per send() and
+/// hands the same body to every send-buffer entry and in-flight copy of
+/// that rumor (core/send_buffer.hpp).  Replicas sent with the same id from
+/// different tiles differ in `source`, so a body is never keyed by id.
+struct MessageBody {
     MessageId id{};           ///< (origin, sequence) — unique network-wide.
     TileId source{0};         ///< tile that created the message.
     TileId destination{0};    ///< tile whose IP should consume it (or kBroadcast).
     std::uint32_t tag{0};     ///< application-defined type discriminator.
-    std::uint16_t ttl{0};     ///< remaining hops before garbage collection.
     std::vector<std::byte> payload;
 
     /// Two messages are "the same rumor" iff their ids match; the
-    /// send-buffer dedups on this (Sec. 3.2.3).
-    friend bool operator==(const Message& a, const Message& b) {
+    /// send-buffer dedups on this (Sec. 3.2.3).  Equality ignores the TTL.
+    friend bool operator==(const MessageBody& a, const MessageBody& b) {
         return a.id == b.id && a.source == b.source &&
                a.destination == b.destination && a.tag == b.tag &&
                a.payload == b.payload;
     }
 };
 
+/// An application-level message travelling through the NoC: a body plus
+/// the copy's remaining hop budget.
+struct Message : MessageBody {
+    std::uint16_t ttl{0};     ///< remaining hops before garbage collection.
+};
+
 /// Serialised form: header + payload + trailing CRC-32.
 class Packet {
 public:
     /// Serialise a message (computes and appends the CRC).
-    static Packet encode(const Message& m);
+    static Packet encode(const Message& m) { return encode(m, m.ttl); }
+    /// Same, for a shared body carried with a separate TTL.
+    static Packet encode(const MessageBody& body, std::uint16_t ttl);
+
+    /// Wire size of a message with `payload_bytes` of payload — what
+    /// encode() produces, known without serialising anything.
+    static constexpr std::size_t wire_bytes(std::size_t payload_bytes) {
+        return kWireOverheadBytes + payload_bytes;
+    }
 
     /// Construct from raw wire bytes (e.g. after corruption).
     static Packet from_wire(std::vector<std::byte> wire);

@@ -303,7 +303,7 @@ TEST(Engine, RouteFilterSuppressesPorts) {
     // Filter away every port of the source: nothing is ever transmitted.
     GossipNetwork net(Topology::mesh(4, 4), flooding_config(), FaultScenario::none(), 17);
     net.attach(5, std::make_unique<OneShotSource>(11));
-    net.set_route_filter(5, [](const Message&, TileId) { return false; });
+    net.set_route_filter(5, [](const MessageBody&, TileId) { return false; });
     for (int i = 0; i < 10; ++i) net.step();
     EXPECT_EQ(net.metrics().packets_sent, 0u);
 }

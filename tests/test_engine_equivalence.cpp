@@ -1,13 +1,16 @@
-// The encode-once forward path, the in-flight ring buffer and the whole
+// Byte-free clean transmissions, the in-flight ring buffer and the whole
 // event-driven engine are pure optimisations: for any fixed seed the
 // network must behave exactly as if every transmission serialised its own
-// packet (the reference_encode_path diagnostic knob re-enables that) and
-// exactly as if every tile were walked every round (the lockstep engine).
-// These tests run the same scenario through each variant and require
-// NetworkMetrics, per-kind trace counts and elapsed local time to match
-// field-for-field — any divergence means a shared wire image leaked a
-// mutation, an RNG draw moved, a ring bucket aliased a live round, or the
-// event engine's active set skipped a tile that still had work.
+// packet and every arrival were FEC-stripped, CRC-checked and decoded
+// from those bytes (the reference_encode_path knob, the byte-level
+// oracle) and exactly as if every tile were walked every round (the
+// lockstep engine).  These tests run the same scenario through each
+// variant and require NetworkMetrics, per-kind trace counts and elapsed
+// local time to match field-for-field (against the byte-level oracle,
+// the whole trace too) — any divergence means a clean shortcut decided
+// differently from the bytes, a shared body leaked a mutation, an RNG
+// draw moved, a ring bucket aliased a live round, or the event engine's
+// active set skipped a tile that still had work.
 //
 // Backend-level equivalence (every BackendKind run under --engine event,
 // lint-enforced) lives in test_event_engine.cpp.
@@ -252,6 +255,14 @@ TEST(EngineEquivalence, SharedWireMatchesReferenceEncodePath) {
             const auto shared = run_output(s, seed, false);
             const auto reference = run_output(s, seed, true);
             expect_outputs_equal(shared, reference, label);
+            EXPECT_EQ(shared.trace_jsonl, reference.trace_jsonl) << label;
+            // The event engine materialises bytes in its serial replay.
+            const EngineSelect event{EngineKind::Event, 2};
+            const auto event_shared = run_output(s, seed, false, event);
+            const auto event_reference = run_output(s, seed, true, event);
+            expect_outputs_equal(event_shared, event_reference, label + " event");
+            EXPECT_EQ(event_shared.trace_jsonl, event_reference.trace_jsonl)
+                << label << " event";
         }
     }
 }

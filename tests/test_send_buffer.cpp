@@ -67,8 +67,8 @@ TEST(SendBuffer, AgingPreservesOrder) {
     b.insert(msg(1, 2, 5));
     b.age_and_collect();
     ASSERT_EQ(b.size(), 2u);
-    EXPECT_EQ(b.messages()[0].id.sequence, 0u);
-    EXPECT_EQ(b.messages()[1].id.sequence, 2u);
+    EXPECT_EQ(b.messages()[0].id().sequence, 0u);
+    EXPECT_EQ(b.messages()[1].id().sequence, 2u);
 }
 
 TEST(SendBuffer, CapacityEvictsOldest) {
@@ -78,8 +78,8 @@ TEST(SendBuffer, CapacityEvictsOldest) {
     EXPECT_TRUE(b.insert(msg(1, 2)));
     EXPECT_EQ(b.size(), 2u);
     EXPECT_EQ(b.overflow_drops(), 1u);
-    EXPECT_EQ(b.messages()[0].id.sequence, 1u);
-    EXPECT_EQ(b.messages()[1].id.sequence, 2u);
+    EXPECT_EQ(b.messages()[0].id().sequence, 1u);
+    EXPECT_EQ(b.messages()[1].id().sequence, 2u);
 }
 
 TEST(SendBuffer, ZeroCapacityRejected) {

@@ -252,7 +252,7 @@ TEST(GossipTileChart, MatchesReferenceSendBufferEvolution) {
 
         ASSERT_EQ(tile.buffer().size(), reference.size()) << "round " << round;
         for (std::size_t i = 0; i < reference.size(); ++i) {
-            EXPECT_EQ(tile.buffer().messages()[i].id, reference.messages()[i].id);
+            EXPECT_EQ(tile.buffer().messages()[i].id(), reference.messages()[i].id());
             EXPECT_EQ(tile.buffer().messages()[i].ttl, reference.messages()[i].ttl);
         }
     }

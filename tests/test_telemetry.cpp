@@ -396,32 +396,55 @@ TEST(Prof, ScopesRecordOnlyWhenEnabled) {
 }
 
 TEST(Prof, LayerScopesAreGatedAndRecordWhenArmed) {
-    // The fault injector's upset sampler and the gossip receive path's
-    // decode: off unless armed, recorded when armed.  Clean copies of
-    // known messages skip the decoder, so it runs for fewer arrivals than
-    // were sent.
-    const char* const names[] = {"fault/upset", "engine/decode"};
-    const auto run = [] {
+    // The fault injector's upset sampler, the CRC and SECDED layers of the
+    // codec and the upset-path encoder: off unless armed, recorded when
+    // armed.  Clean transmissions carry no bytes, so only corrupted
+    // arrivals ever reach the decoder and only upsets are encoded.
+    const char* const names[] = {"fault/upset", "noc/crc", "noc/secded",
+                                 "engine/encode"};
+    const auto run = [](LinkProtection protection) {
         GossipSpec gs;
         gs.drain = true;
+        gs.config.link_protection = protection;
         FaultScenario faults;
         faults.p_upset = 0.3;
         GossipAdapter net(std::move(gs), faults, 4);
         return net.run(corner_trace(), 400);
     };
     prof::reset();
-    run();
+    run(LinkProtection::CrcDetect);
+    run(LinkProtection::SecdedCorrect);
     for (const char* name : names) EXPECT_EQ(prof::snapshot().count(name), 0u) << name;
 
+    const auto calls = [](const char* name) {
+        const auto stats = prof::snapshot();
+        const auto it = stats.find(name);
+        return it == stats.end() ? std::uint64_t{0} : it->second.calls;
+    };
+
+    // CRC only: every decoded arrival is an upset one, and each either
+    // fails the CRC or slips through it undetected.
     prof::set_enabled(true);
-    const RunReport report = run();
+    const RunReport crc = run(LinkProtection::CrcDetect);
     prof::set_enabled(false);
-    const auto stats = prof::snapshot();
-    for (const char* name : names) {
-        ASSERT_EQ(stats.count(name), 1u) << name;
-        EXPECT_GT(stats.at(name).calls, 0u) << name;
-    }
-    EXPECT_LT(stats.at("engine/decode").calls, report.metrics.packets_sent);
+    EXPECT_GT(calls("fault/upset"), 0u);
+    EXPECT_GT(calls("noc/crc"), 0u);
+    EXPECT_EQ(calls("noc/crc"), crc.metrics.crc_drops + crc.metrics.upsets_undetected);
+    EXPECT_LT(calls("noc/crc"), crc.metrics.packets_sent);
+    EXPECT_GT(calls("engine/encode"), 0u);
+    EXPECT_LT(calls("engine/encode"), crc.metrics.packets_sent);
+    EXPECT_EQ(calls("noc/secded"), 0u);
+
+    // SECDED: each encode protects once; each decoded arrival is
+    // recovered once and reaches the CRC unless uncorrectable.
+    prof::reset();
+    prof::set_enabled(true);
+    const RunReport fec = run(LinkProtection::SecdedCorrect);
+    prof::set_enabled(false);
+    EXPECT_GT(calls("noc/secded"), 0u);
+    EXPECT_EQ(calls("noc/secded"),
+              calls("engine/encode") + fec.metrics.fec_uncorrectable + calls("noc/crc"));
+    EXPECT_LT(calls("noc/crc"), fec.metrics.packets_sent);
     prof::reset();
 }
 
