@@ -3,10 +3,10 @@
 # (lockstep vs event, ns/round) and the two scalability anchor cells
 # (lockstep 256x256 full broadcast; event 1000x1000 sparse wavefront),
 # then writes BENCH_engine.json — machine info, git SHA, the per-side
-# ns/round table and the headline ratios.  It also times four end-to-end
-# runs (fig4_8_mp3_latency, fig4_5_fault_surface and a single-threaded
-# 128x128 dense broadcast under each engine; median wall seconds and
-# peak RSS of 3 runs each) into
+# ns/round table and the headline ratios.  It also times five end-to-end
+# runs (fig4_8_mp3_latency, fig4_5_fault_surface, a single-threaded
+# 128x128 dense broadcast under each engine and the wormhole-vs-gossip
+# ablation; median wall seconds and peak RSS of 3 runs each) into
 # the snapshot's `figures` block.  Given a baseline build dir (e.g. a
 # build of the parent commit), the same runs are timed there too,
 # interleaved with the current build's, and recorded as `before` next to
@@ -64,6 +64,9 @@ CELLS = [
     # One shard, so it compares like for like with the lockstep cell.
     ("event_128x128_dense_broadcast", "ablation_scalability",
      ["--sides", "128", "--repeats", "1", "--engine", "event", "--jobs", "1"]),
+    # The wormhole router's cell: a load sweep plus crash sweeps whose
+    # wedged worms run to the cycle budget.
+    ("ablation_wormhole_vs_gossip", "ablation_wormhole_vs_gossip", []),
 ]
 
 def timed(binary, args):

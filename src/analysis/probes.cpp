@@ -12,11 +12,11 @@ bool tile_dead(const std::vector<bool>& dead, TileId t) {
 
 } // namespace
 
-std::vector<std::size_t> CyclicTurnPolicy::candidates(
+router::PortList CyclicTurnPolicy::candidates(
     const Topology& topo, TileId at, TileId from, TileId dst,
     const std::vector<bool>& dead) const {
     (void)from;
-    std::vector<std::size_t> out;
+    router::PortList out;
     if (at == dst) return out;
     const std::size_t x = topo.x_of(at), y = topo.y_of(at);
     const std::size_t dx = topo.x_of(dst), dy = topo.y_of(dst);

@@ -36,7 +36,7 @@ public:
     router::PolicyKind kind() const override {
         return router::PolicyKind::WestFirst;
     }
-    std::vector<std::size_t> candidates(
+    router::PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const override;
 };

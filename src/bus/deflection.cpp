@@ -1,7 +1,6 @@
 #include "bus/deflection.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/expect.hpp"
 #include "router/accounting.hpp"
@@ -14,7 +13,8 @@ Network::Network(std::size_t width, std::size_t height, Config config,
     : topo_(Topology::mesh(width, height)),
       config_(config),
       rng_(splitmix64(seed)),
-      dead_(topo_.node_count(), false) {
+      dead_(topo_.node_count(), false),
+      residents_(topo_.node_count()) {
     SNOC_EXPECT(config.max_hops >= 1);
 }
 
@@ -47,22 +47,27 @@ std::size_t Network::in_flight() const { return flying_.size(); }
 void Network::step() {
     // Per tile: collect resident packets, then assign output ports —
     // productive first, deflections for the rest.  A link carries one
-    // packet per cycle per direction.
-    std::map<TileId, std::vector<std::size_t>> by_tile; // index into flying_
-    for (std::size_t i = 0; i < flying_.size(); ++i)
-        by_tile[flying_[i].at].push_back(i);
+    // packet per cycle per direction.  Tiles are visited in ascending
+    // order, each one's residents in flying_ order before the shuffle.
+    occupied_.clear();
+    for (std::size_t i = 0; i < flying_.size(); ++i) {
+        auto& residents = residents_[flying_[i].at];
+        if (residents.empty()) occupied_.push_back(flying_[i].at);
+        residents.push_back(i);
+    }
+    std::sort(occupied_.begin(), occupied_.end());
 
-    std::vector<Moving> next;
-    next.reserve(flying_.size());
-    for (auto& [tile, residents] : by_tile) {
+    next_.clear();
+    const router::ProductivePolicy productive;
+    for (const TileId tile : occupied_) {
+        auto& residents = residents_[tile];
         const auto& nbrs = topo_.neighbours(tile);
-        std::vector<bool> port_used(nbrs.size(), false);
+        port_used_.assign(nbrs.size(), false);
         // Shuffle residents so deflection victims rotate fairly.
         for (std::size_t i = residents.size(); i > 1; --i)
             std::swap(residents[i - 1],
                       residents[static_cast<std::size_t>(rng_.below(i))]);
-        const router::ProductivePolicy productive;
-        for (std::size_t idx : residents) {
+        for (const std::size_t idx : residents) {
             auto& rec = records_[flying_[idx].id];
             // Preferred (productive) ports — the shared routing-policy
             // stage lists the live Manhattan-reducing ports in ascending
@@ -70,17 +75,18 @@ void Network::step() {
             std::optional<std::size_t> chosen;
             for (const std::size_t p : productive.candidates(
                      topo_, tile, kNoTile, rec.destination, dead_)) {
-                if (port_used[p]) continue;
+                if (port_used_[p]) continue;
                 chosen = p;
                 break;
             }
             if (!chosen) {
                 // Deflect: any free live port.
-                std::vector<std::size_t> free;
+                free_ports_.clear();
                 for (std::size_t p = 0; p < nbrs.size(); ++p)
-                    if (!port_used[p] && !dead_[nbrs[p]]) free.push_back(p);
-                if (!free.empty())
-                    chosen = free[static_cast<std::size_t>(rng_.below(free.size()))];
+                    if (!port_used_[p] && !dead_[nbrs[p]]) free_ports_.push_back(p);
+                if (!free_ports_.empty())
+                    chosen = free_ports_[static_cast<std::size_t>(
+                        rng_.below(free_ports_.size()))];
             }
             if (!chosen) {
                 // Completely walled in this cycle: hold in place, but the
@@ -92,11 +98,11 @@ void Network::step() {
                     ++dropped_;
                     trace_event(TraceEventKind::TtlExpired, tile, kNoTile, rec);
                 } else {
-                    next.push_back({flying_[idx].id, tile});
+                    next_.push_back({flying_[idx].id, tile});
                 }
                 continue;
             }
-            port_used[*chosen] = true;
+            port_used_[*chosen] = true;
             const TileId to = nbrs[*chosen];
             ++rec.hops;
             trace_event(TraceEventKind::Transmitted, tile, to, rec);
@@ -111,11 +117,12 @@ void Network::step() {
                 ++dropped_;
                 trace_event(TraceEventKind::TtlExpired, to, kNoTile, rec);
             } else {
-                next.push_back({flying_[idx].id, to});
+                next_.push_back({flying_[idx].id, to});
             }
         }
+        residents.clear();
     }
-    flying_ = std::move(next);
+    flying_.swap(next_);
     ++cycle_;
 }
 

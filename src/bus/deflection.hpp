@@ -74,6 +74,14 @@ private:
     RngStream rng_;
     std::vector<bool> dead_;
     std::vector<Moving> flying_;
+    /// Per-cycle scratch, reused so a cycle never allocates: the flying_
+    /// indexes resident at each tile, the occupied tiles, the survivors,
+    /// and the output ports taken / free at the tile being routed.
+    std::vector<std::vector<std::size_t>> residents_;
+    std::vector<TileId> occupied_;
+    std::vector<Moving> next_;
+    std::vector<bool> port_used_;
+    std::vector<std::size_t> free_ports_;
     std::vector<PacketRecord> records_;
     std::size_t cycle_{0};
     std::size_t delivered_{0};

@@ -37,13 +37,14 @@ public:
               class = std::enable_if_t<
                   std::is_invocable_r_v<bool, Request&, std::size_t>>>
     std::optional<std::size_t> grant(Request&& request) {
+        std::size_t slot = last_ + 1 == slots_ ? 0 : last_ + 1;
         for (std::size_t i = 0; i < slots_; ++i) {
-            const std::size_t slot = (last_ + 1 + i) % slots_;
             if (request(slot)) {
                 last_ = slot;
                 ++grants_[slot];
                 return slot;
             }
+            if (++slot == slots_) slot = 0;
         }
         return std::nullopt;
     }

@@ -4,6 +4,7 @@
 
 #include "common/expect.hpp"
 #include "common/postmortem.hpp"
+#include "common/prof.hpp"
 #include "router/ports.hpp"
 
 namespace snoc::router {
@@ -24,6 +25,7 @@ RouterCore::RouterCore(Topology topo, RouterConfig config,
       policy_(std::move(policy)),
       dead_tiles_(topo_.node_count(), false),
       dead_links_(topo_.link_count(), false),
+      occupancy_(topo_.node_count(), 0),
       pending_(topo_.node_count()) {
     config_.validate();
     SNOC_EXPECT(policy_ != nullptr);
@@ -87,13 +89,19 @@ bool RouterCore::head_ready(const Buffered& head) const {
                : head.head_at <= cycle_;
 }
 
+RouterCore::Buffered RouterCore::arrival(std::uint32_t id, TileId t, TileId from,
+                                         std::size_t head_at,
+                                         std::size_t full_at) const {
+    return Buffered{id, from, head_at, full_at,
+                    policy_->candidates(topo_, t, from, records_[id].destination,
+                                        dead_tiles_)};
+}
+
 std::optional<std::size_t> RouterCore::choose_output(TileId t,
                                                      const Buffered& head) const {
-    const PacketRecord& rec = records_[head.id];
     const auto& nbrs = topo_.neighbours(t);
     const auto& links = topo_.out_links(t);
-    for (const std::size_t c :
-         policy_->candidates(topo_, t, head.from, rec.destination, dead_tiles_)) {
+    for (const std::size_t c : head.route) {
         const TileId next = nbrs[c];
         if (dead_tiles_[next] || dead_links_[links[c]]) continue;
         if (link_free_at_[t][c] > cycle_) continue; // serializing a packet
@@ -109,6 +117,7 @@ std::optional<std::size_t> RouterCore::choose_output(TileId t,
 void RouterCore::drop_head(TileId t, std::size_t in_port, bool ttl) {
     Buffered head = in_[t][in_port].front();
     in_[t][in_port].pop_front();
+    --occupancy_[t];
     PacketRecord& rec = records_[head.id];
     rec.dropped = true;
     ++dropped_;
@@ -133,12 +142,10 @@ void RouterCore::resolve_head_fates(TileId t, std::size_t in_port) {
             drop_head(t, in_port, /*ttl=*/true);
             continue;
         }
-        const auto cands =
-            policy_->candidates(topo_, t, head.from, rec.destination, dead_tiles_);
         bool viable = false;
         const auto& nbrs = topo_.neighbours(t);
         const auto& links = topo_.out_links(t);
-        for (const std::size_t c : cands)
+        for (const std::size_t c : head.route)
             if (!dead_tiles_[nbrs[c]] && !dead_links_[links[c]]) {
                 viable = true;
                 break;
@@ -155,52 +162,49 @@ void RouterCore::resolve_head_fates(TileId t, std::size_t in_port) {
     }
 }
 
-void RouterCore::step() {
-    // DeadlockSentinel progress ledger: admissions, drops and moves all
-    // count; a cycle with none of them (and packets outstanding) extends
-    // the zero-progress streak the watchdog trips on.
-    [[maybe_unused]] std::size_t admitted = 0; // unused only at level 0.
-    [[maybe_unused]] const std::size_t dropped_before = dropped_;
-
-    // ---- Injection: one packet per tile per cycle enters the local
-    // input FIFO as space allows (source packets are wholly resident).
+std::size_t RouterCore::inject_stage() {
+    // One packet per tile per cycle enters the local input FIFO as space
+    // allows (source packets are wholly resident).
+    SNOC_PROF("router/inject");
+    std::size_t admitted = 0;
     for (TileId t = 0; t < topo_.node_count(); ++t) {
         if (pending_[t].empty()) continue;
         auto& local = in_[t][local_port(t)];
         if (local.size() >= config_.buffer_packets) continue;
-        local.push_back(Buffered{pending_[t].front(), kNoTile, cycle_, cycle_});
+        local.push_back(arrival(pending_[t].front(), t, kNoTile, cycle_, cycle_));
+        ++occupancy_[t];
         pending_[t].pop_front();
         ++admitted;
     }
+    return admitted;
+}
 
-    // ---- Head-of-line fate resolution: crash and hop-budget drops.
+void RouterCore::fate_stage() {
+    // Head-of-line fate resolution: crash and hop-budget drops.
+    SNOC_PROF("router/fate");
     for (TileId t = 0; t < topo_.node_count(); ++t)
-        for (std::size_t ip = 0; ip < input_count(t); ++ip)
+        for (std::size_t ip = 0; ip < input_count(t) && occupancy_[t] > 0; ++ip)
             resolve_head_fates(t, ip);
+}
 
-    // ---- Switch allocation: per output, a rotating arbiter over the
-    // input ports; downstream slots committed here are visible to every
-    // later decision this cycle.
-    struct Move {
-        TileId tile;
-        std::size_t in_port;
-        std::size_t out;
-        bool eject;
-    };
-    std::vector<Move> moves;
+void RouterCore::arbitrate_stage() {
+    // Switch allocation: per output, a rotating arbiter over the input
+    // ports; downstream slots committed here are visible to every later
+    // decision this cycle.
+    SNOC_PROF("router/arbitrate");
+    moves_.clear();
     for (TileId t = 0; t < topo_.node_count(); ++t)
         std::fill(committed_[t].begin(), committed_[t].end(), 0);
-    std::vector<bool> input_used;
     for (TileId t = 0; t < topo_.node_count(); ++t) {
-        if (dead_tiles_[t]) continue;
-        input_used.assign(input_count(t), false);
+        if (dead_tiles_[t] || occupancy_[t] == 0) continue;
+        input_used_.assign(input_count(t), false);
         const std::size_t outputs = output_count(t);
         for (std::size_t out = 0; out < outputs; ++out) {
             const bool is_eject = out == eject_port(t);
             if (!is_eject && link_free_at_[t][out] > cycle_)
                 continue; // link still serializing; nobody can win it
             arbiters_[t][out].grant([&](std::size_t ip) {
-                if (input_used[ip]) return false;
+                if (input_used_[ip]) return false;
                 auto& fifo = in_[t][ip];
                 if (fifo.empty()) return false;
                 const Buffered& head = fifo.front();
@@ -213,24 +217,30 @@ void RouterCore::step() {
                 } else {
                     if (rec.destination == t) return false;
                     if (!head_ready(head)) return false;
+                    // Re-evaluated per request, never cached: committed_
+                    // changes as earlier outputs of this tile are granted.
                     const auto chosen = choose_output(t, head);
                     if (!chosen || *chosen != out) return false;
                     const TileId next = topo_.neighbours(t)[out];
                     ++committed_[next][input_port_from(topo_, next, t)];
                 }
-                input_used[ip] = true;
-                moves.push_back(Move{t, ip, out, is_eject});
+                input_used_[ip] = true;
+                moves_.push_back(Move{t, ip, out, is_eject});
                 return true;
             });
         }
     }
+}
 
-    // ---- Apply phase.
-    for (const auto& m : moves) {
+void RouterCore::move_stage() {
+    // Apply this cycle's grants: ejections deliver, the rest cross a link.
+    SNOC_PROF("router/move");
+    for (const auto& m : moves_) {
         auto& fifo = in_[m.tile][m.in_port];
         SNOC_ENSURE(!fifo.empty());
         const Buffered head = fifo.front();
         fifo.pop_front();
+        --occupancy_[m.tile];
         PacketRecord& rec = records_[head.id];
         const MessageId mid{rec.source, rec.id};
         if (m.eject) {
@@ -251,8 +261,20 @@ void RouterCore::step() {
             std::max(head.full_at + 1, cycle_ + config_.flits_per_packet);
         link_free_at_[m.tile][m.out] = full_at_next;
         in_[next][input_port_from(topo_, next, m.tile)].push_back(
-            Buffered{head.id, m.tile, cycle_ + 1, full_at_next});
+            arrival(head.id, next, m.tile, cycle_ + 1, full_at_next));
+        ++occupancy_[next];
     }
+}
+
+void RouterCore::step() {
+    // DeadlockSentinel progress ledger: admissions, drops and moves all
+    // count; a cycle with none of them (and packets outstanding) extends
+    // the zero-progress streak the watchdog trips on.
+    [[maybe_unused]] const std::size_t dropped_before = dropped_;
+    [[maybe_unused]] const std::size_t admitted = inject_stage();
+    fate_stage();
+    arbitrate_stage();
+    move_stage();
 
     accounting_.advance_to(static_cast<Round>(cycle_));
     accounting_.publish_registry();
@@ -261,7 +283,7 @@ void RouterCore::step() {
     // the checking machinery (the observables then stay false/0).
     if constexpr (SNOC_CHECK_LEVEL >= 1) {
         const std::size_t progress =
-            admitted + (dropped_ - dropped_before) + moves.size();
+            admitted + (dropped_ - dropped_before) + moves_.size();
         if (outstanding_ == 0 || progress > 0) {
             stalled_cycles_ = 0;
         } else if (++stalled_cycles_ >= stall_limit_ && !sentinel_fired_) {

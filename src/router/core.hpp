@@ -156,6 +156,18 @@ private:
         TileId from{kNoTile};    ///< upstream neighbour (kNoTile = source).
         std::size_t head_at{0};  ///< cycle the header arrived.
         std::size_t full_at{0};  ///< cycle the tail arrived / arrives.
+        /// The policy's candidates at this hop, computed once on arrival:
+        /// the policy is a pure function of (tile, from, destination,
+        /// static crash pattern), so the list cannot change while the
+        /// packet waits.
+        PortList route;
+    };
+    /// A switch grant of the current cycle, applied after arbitration.
+    struct Move {
+        TileId tile;
+        std::size_t in_port;
+        std::size_t out;
+        bool eject;
     };
 
     std::size_t input_count(TileId t) const { return topo_.neighbours(t).size() + 1; }
@@ -164,12 +176,22 @@ private:
     std::size_t eject_port(TileId t) const { return topo_.neighbours(t).size(); }
 
     bool head_ready(const Buffered& head) const;
+    /// `id` entering an input FIFO at `t` from `from`, its route cached.
+    Buffered arrival(std::uint32_t id, TileId t, TileId from, std::size_t head_at,
+                     std::size_t full_at) const;
     /// First viable-and-available candidate output for `head` at `t`:
     /// policy preference order, filtered by crashes, link occupancy and
     /// downstream buffer space (including slots committed this cycle).
     std::optional<std::size_t> choose_output(TileId t, const Buffered& head) const;
     void drop_head(TileId t, std::size_t in_port, bool ttl);
     void resolve_head_fates(TileId t, std::size_t in_port);
+
+    /// The four stages of step(), in order; inject_stage returns the
+    /// packets admitted.
+    std::size_t inject_stage();
+    void fate_stage();
+    void arbitrate_stage();
+    void move_stage();
 
     Topology topo_;
     RouterConfig config_;
@@ -178,12 +200,19 @@ private:
     std::vector<bool> dead_links_;
 
     std::vector<std::vector<std::deque<Buffered>>> in_;    ///< [tile][input].
+    /// Packets buffered in each tile's input FIFOs: an empty tile has no
+    /// fate to resolve and no request to arbitrate, so the stages skip it.
+    std::vector<std::size_t> occupancy_;
     std::vector<std::vector<RotatingArbiter>> arbiters_;   ///< [tile][output].
     std::vector<std::vector<std::size_t>> link_free_at_;   ///< [tile][link out].
     std::vector<std::deque<std::uint32_t>> pending_;       ///< injection queues.
     /// Downstream FIFO slots committed during the current decide phase
     /// ([tile][input]); cleared every cycle.
     std::vector<std::vector<std::size_t>> committed_;
+    /// Per-cycle scratch, reused so a cycle never allocates: this cycle's
+    /// grants, and the inputs of the tile under arbitration already granted.
+    std::vector<Move> moves_;
+    std::vector<bool> input_used_;
 
     std::vector<PacketRecord> records_;
     std::size_t cycle_{0};

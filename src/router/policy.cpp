@@ -33,12 +33,12 @@ std::vector<TileId> dimension_order_path(const Topology& mesh, TileId src,
     return path;
 }
 
-std::vector<std::size_t> DimensionOrderPolicy::candidates(
+PortList DimensionOrderPolicy::candidates(
     const Topology& topo, TileId at, TileId from, TileId dst,
     const std::vector<bool>& dead) const {
     (void)from;
     (void)dead;
-    std::vector<std::size_t> out;
+    PortList out;
     if (at == dst) return out;
     const std::size_t x = topo.x_of(at), y = topo.y_of(at);
     const std::size_t dx = topo.x_of(dst), dy = topo.y_of(dst);
@@ -53,12 +53,12 @@ std::vector<std::size_t> DimensionOrderPolicy::candidates(
     return out;
 }
 
-std::vector<std::size_t> WestFirstPolicy::candidates(
+PortList WestFirstPolicy::candidates(
     const Topology& topo, TileId at, TileId from, TileId dst,
     const std::vector<bool>& dead) const {
     (void)from;
     (void)dead;
-    std::vector<std::size_t> out;
+    PortList out;
     if (at == dst) return out;
     // West-first: if any westward progress remains, it must happen now
     // (turning into west later is prohibited); otherwise every minimal
@@ -78,11 +78,11 @@ std::vector<std::size_t> WestFirstPolicy::candidates(
     return out;
 }
 
-std::vector<std::size_t> ProductivePolicy::candidates(
+PortList ProductivePolicy::candidates(
     const Topology& topo, TileId at, TileId from, TileId dst,
     const std::vector<bool>& dead) const {
     (void)from;
-    std::vector<std::size_t> out;
+    PortList out;
     if (at == dst) return out;
     const auto& nbrs = topo.neighbours(at);
     for (std::size_t p = 0; p < nbrs.size(); ++p) {
@@ -93,10 +93,10 @@ std::vector<std::size_t> ProductivePolicy::candidates(
     return out;
 }
 
-std::vector<std::size_t> FaultAdaptivePolicy::candidates(
+PortList FaultAdaptivePolicy::candidates(
     const Topology& topo, TileId at, TileId from, TileId dst,
     const std::vector<bool>& dead) const {
-    std::vector<std::size_t> out;
+    PortList out;
     if (at == dst) return out;
     const auto& nbrs = topo.neighbours(at);
     const std::size_t x = topo.x_of(at), y = topo.y_of(at);

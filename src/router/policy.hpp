@@ -9,11 +9,13 @@
 // desynchronize to_string or make_policy.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iterator>
 #include <memory>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "common/types.hpp"
 #include "noc/topology.hpp"
 
@@ -44,9 +46,33 @@ constexpr const char* to_string(PolicyKind k) {
     return i < kPolicyKinds ? kPolicyKindNames[i] : "?";
 }
 
-/// A routing decision: candidate output ports (indexes into
-/// `topo.neighbours(at)`) in preference order.  Empty means "no move":
-/// either `at == dst` (eject locally) or the policy has no legal port.
+/// Candidate output ports (indexes into `topo.neighbours(at)`) in
+/// preference order, held inline: a grid tile has at most four ports, so
+/// a routing decision never touches the heap and a router can cache one
+/// per buffered packet.  Overflow is a ContractViolation.
+class PortList {
+public:
+    static constexpr std::size_t kCapacity = 4;
+
+    void push_back(std::size_t port) {
+        SNOC_ENSURE(size_ < kCapacity && port <= UINT8_MAX &&
+                    "more candidate ports than a grid tile has");
+        ports_[size_++] = static_cast<std::uint8_t>(port);
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const std::uint8_t* begin() const { return ports_.data(); }
+    const std::uint8_t* end() const { return ports_.data() + size_; }
+
+private:
+    std::array<std::uint8_t, kCapacity> ports_{};
+    std::uint8_t size_{0};
+};
+
+/// A routing decision: candidate output ports in preference order.  Empty
+/// means "no move": either `at == dst` (eject locally) or the policy has
+/// no legal port.
 ///
 /// `dead` is the tile crash pattern (indexed by TileId; empty means all
 /// alive) — fault-aware policies exclude ports into dead neighbours,
@@ -59,7 +85,7 @@ public:
 
     virtual PolicyKind kind() const = 0;
 
-    virtual std::vector<std::size_t> candidates(
+    virtual PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const = 0;
 
@@ -76,7 +102,7 @@ public:
 class DimensionOrderPolicy final : public RoutingPolicy {
 public:
     PolicyKind kind() const override { return PolicyKind::DimensionOrder; }
-    std::vector<std::size_t> candidates(
+    PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const override;
 };
@@ -87,7 +113,7 @@ public:
 class WestFirstPolicy final : public RoutingPolicy {
 public:
     PolicyKind kind() const override { return PolicyKind::WestFirst; }
-    std::vector<std::size_t> candidates(
+    PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const override;
 };
@@ -98,7 +124,7 @@ public:
 class ProductivePolicy final : public RoutingPolicy {
 public:
     PolicyKind kind() const override { return PolicyKind::Productive; }
-    std::vector<std::size_t> candidates(
+    PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const override;
     bool fault_aware() const override { return true; }
@@ -112,7 +138,7 @@ public:
 class FaultAdaptivePolicy final : public RoutingPolicy {
 public:
     PolicyKind kind() const override { return PolicyKind::FaultAdaptive; }
-    std::vector<std::size_t> candidates(
+    PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const override;
     bool fault_aware() const override { return true; }

@@ -198,7 +198,10 @@ RunReport WormholeAdapter::run(const TrafficTrace& trace, Round limit) {
             net.inject(m.src, m.dst);
             ++expected;
         }
-        while (net.delivered() < expected && net.cycle() < limit) net.step();
+        // A frozen step is a fixed point (a worm wedged behind a dead
+        // router): every cycle left to the budget would repeat it.
+        while (net.delivered() < expected && net.cycle() < limit)
+            if (!net.step()) net.skip_to(limit);
         if (net.delivered() < expected) {
             completed = false; // a worm is blocked (or the budget is gone).
             break;

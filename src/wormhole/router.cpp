@@ -1,9 +1,9 @@
 #include "wormhole/router.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 #include "common/rng.hpp"
 #include "router/accounting.hpp"
 #include "router/ports.hpp"
@@ -48,6 +48,7 @@ std::uint32_t Network::inject(TileId source, TileId destination) {
     const std::uint32_t id = next_packet_++;
     records_.push_back(PacketRecord{id, source, destination, cycle_, std::nullopt});
     injection_queues_[source].push_back(id);
+    frozen_ = false;
     trace_event(TraceEventKind::MessageCreated, source, kNoTile, id);
     return id;
 }
@@ -57,7 +58,7 @@ void Network::crash_router(TileId tile) {
     routers_[tile].alive = false;
 }
 
-std::vector<std::size_t> Network::route_candidates(TileId t, TileId dst) const {
+router::PortList Network::route_candidates(TileId t, TileId dst) const {
     // The wormhole router is fault-oblivious at the policy level (a dead
     // router refuses credits instead), so the policy sees no crash state.
     static const std::vector<bool> kNoDead;
@@ -81,7 +82,10 @@ std::size_t Network::downstream_space(TileId t, std::size_t out_port,
     return config_.vc_buffer_flits - std::min(config_.vc_buffer_flits, buffer.size());
 }
 
-void Network::step() {
+bool Network::step() {
+    SNOC_PROF("wormhole/step");
+    bool changed = false; // any flit injected, head routed or flit moved.
+
     // ---- Injection: one flit per tile per cycle into a local-port VC.
     for (TileId t = 0; t < topo_.node_count(); ++t) {
         if (!routers_[t].alive) continue;
@@ -97,7 +101,9 @@ void Network::step() {
                     Flit{is_tail ? Flit::Kind::Tail : Flit::Kind::Body, *st.packet,
                          records_[*st.packet].destination});
                 ++st.generated;
+                ++routers_[t].flits;
                 if (is_tail) st.packet.reset();
+                changed = true;
             }
         } else if (!injection_queues_[t].empty()) {
             // Start a new worm on a free local VC (unreserved).
@@ -109,33 +115,25 @@ void Network::step() {
                 vc.buffer.push_back(
                     Flit{Flit::Kind::Head, id, records_[id].destination});
                 vc.reserved_for = id;
+                ++routers_[t].flits;
                 st.packet = id;
                 st.generated = 1;
                 st.vc = v;
                 if (config_.flits_per_packet == 1) st.packet.reset();
+                changed = true;
                 break;
             }
         }
     }
 
-    // ---- Switch + VC allocation (decide phase).
-    struct Move {
-        TileId tile;
-        std::size_t in_port, in_vc;
-        bool eject{false};
-        std::size_t out_port{0}, out_vc{0};
-    };
-    std::vector<Move> moves;
-    // Reserve downstream space committed this cycle: key (tile, port, vc).
-    auto space_key = [this](TileId t, std::size_t port, std::size_t vc) {
-        return (static_cast<std::size_t>(t) * 8 + port) * config_.vcs_per_port + vc;
-    };
-    std::unordered_map<std::size_t, std::size_t> committed;
+    // ---- Switch + VC allocation (decide phase).  No credit needs a
+    // per-cycle reservation: a downstream VC is fed by exactly one output
+    // port, and an output grants at most one flit per cycle.
+    moves_.clear();
     for (TileId t = 0; t < topo_.node_count(); ++t) {
         auto& router = routers_[t];
-        if (!router.alive) continue;
-        const std::size_t ports = port_count(t);
-        std::vector<bool> input_port_used(ports, false);
+        if (!router.alive || router.flits == 0) continue;
+        input_port_used_.assign(port_count(t), false);
         const std::size_t outputs = topo_.neighbours(t).size() + 1; // + eject
         for (std::size_t out = 0; out < outputs; ++out) {
             const bool is_eject = out == outputs - 1;
@@ -147,7 +145,7 @@ void Network::step() {
             arbiters_[t][out].grant([&](std::size_t slot) {
                 const std::size_t in_port = slot / config_.vcs_per_port;
                 const std::size_t in_vc = slot % config_.vcs_per_port;
-                if (input_port_used[in_port]) return false;
+                if (input_port_used_[in_port]) return false;
                 auto& vc = router.in_vcs[in_port][in_vc];
                 if (vc.buffer.empty()) return false;
                 const Flit& flit = vc.buffer.front();
@@ -161,6 +159,7 @@ void Network::step() {
                     if (candidates.empty()) {
                         vc.out_port = outputs - 1; // eject
                         vc.out_vc = 0;
+                        changed = true;
                     } else {
                         for (const std::size_t route : candidates) {
                             const TileId next = port_neighbour(t, route);
@@ -181,6 +180,7 @@ void Network::step() {
                                 flit.packet;
                             vc.out_port = route;
                             vc.out_vc = *chosen;
+                            changed = true;
                             break;
                         }
                         if (!vc.out_port) return false; // nothing allocatable yet
@@ -189,28 +189,25 @@ void Network::step() {
                 if (!vc.out_port || *vc.out_port != out) return false;
 
                 if (is_eject) {
-                    moves.push_back({t, in_port, in_vc, true, 0, 0});
+                    moves_.push_back({t, in_port, in_vc, true, 0, 0});
                 } else {
-                    const TileId next = port_neighbour(t, out);
-                    const std::size_t in_at_next = input_port_from(topo_, next, t);
-                    const std::size_t key = space_key(next, in_at_next, *vc.out_vc);
-                    const std::size_t space = downstream_space(t, out, *vc.out_vc);
-                    if (space <= committed[key]) return false; // no credit
-                    ++committed[key];
-                    moves.push_back({t, in_port, in_vc, false, out, *vc.out_vc});
+                    if (downstream_space(t, out, *vc.out_vc) == 0)
+                        return false; // no credit
+                    moves_.push_back({t, in_port, in_vc, false, out, *vc.out_vc});
                 }
-                input_port_used[in_port] = true;
+                input_port_used_[in_port] = true;
                 return true;
             });
         }
     }
 
     // ---- Apply phase.
-    for (const auto& m : moves) {
+    for (const auto& m : moves_) {
         auto& vc = routers_[m.tile].in_vcs[m.in_port][m.in_vc];
         SNOC_ENSURE(!vc.buffer.empty());
         Flit flit = vc.buffer.front();
         vc.buffer.pop_front();
+        --routers_[m.tile].flits;
         const bool was_tail = flit.kind == Flit::Kind::Tail;
         if (m.eject) {
             if (was_tail) {
@@ -225,6 +222,7 @@ void Network::step() {
             const TileId next = port_neighbour(m.tile, m.out_port);
             const std::size_t in_at_next = input_port_from(topo_, next, m.tile);
             routers_[next].in_vcs[in_at_next][m.out_vc].buffer.push_back(flit);
+            ++routers_[next].flits;
             ++flit_hops_;
             trace_event(TraceEventKind::Transmitted, m.tile, next, flit.packet);
         }
@@ -238,10 +236,20 @@ void Network::step() {
     }
 
     ++cycle_;
+    frozen_ = !changed && moves_.empty();
+    return !frozen_;
+}
+
+void Network::skip_to(std::size_t cycle) {
+    SNOC_EXPECT(frozen_ && "skip_to needs a frozen network");
+    SNOC_EXPECT(cycle >= cycle_);
+    cycle_ = cycle;
 }
 
 void Network::run(std::size_t cycles) {
-    for (std::size_t i = 0; i < cycles; ++i) step();
+    const std::size_t end = cycle_ + cycles;
+    while (cycle_ < end)
+        if (!step()) skip_to(end);
 }
 
 LoadPoint run_uniform_load(std::size_t side, const Config& config, double offered_load,

@@ -15,6 +15,10 @@
 // gossip round).  It reports per-packet latency, throughput and what
 // happens when a router dies mid-worm: the worm blocks and everything
 // behind it backs up — the failure mode stochastic communication avoids.
+// A wedged network is a fixed point: step() reports a cycle that changed
+// nothing, and run() (like the backend adapter) jumps the clock to its
+// budget from there, so a blocked worm costs one simulated step instead
+// of one per cycle left to the cap.
 #pragma once
 
 #include <cstdint>
@@ -91,8 +95,16 @@ public:
     /// characteristic failure).
     void crash_router(TileId tile);
 
-    /// Advance one link cycle.
-    void step();
+    /// Advance one link cycle.  Returns false when the cycle changed
+    /// nothing — no flit injected, no head routed, no flit moved.  The
+    /// network is then at a fixed point: arbiters rotate only on a grant
+    /// and no wormhole state reads the clock, so every later step()
+    /// repeats the frozen one exactly until the next inject().
+    bool step();
+    /// Move the clock to `cycle` without simulating the frozen cycles in
+    /// between; only legal right after a step() that returned false.
+    void skip_to(std::size_t cycle);
+    /// Advance `cycles` link cycles, skipping them once the network freezes.
     void run(std::size_t cycles);
 
     std::size_t cycle() const { return cycle_; }
@@ -130,6 +142,9 @@ private:
         // in_vcs[port][vc]; port 0..3 = links (index into in_links), the
         // last port is the local injection port.
         std::vector<std::vector<VirtualChannel>> in_vcs;
+        /// Flits buffered over all in_vcs: a router holding none has no
+        /// request to allocate, so step() skips it.
+        std::size_t flits{0};
         bool alive{true};
     };
 
@@ -137,7 +152,7 @@ private:
     std::size_t local_port(TileId t) const { return topo_.neighbours(t).size(); }
     /// Candidate output ports under the configured routing policy, in
     /// preference order; empty when t == dst.
-    std::vector<std::size_t> route_candidates(TileId t, TileId dst) const;
+    router::PortList route_candidates(TileId t, TileId dst) const;
     /// Neighbour on the given output port.
     TileId port_neighbour(TileId t, std::size_t port) const;
     /// Credits available on the (neighbour, its input port from t, vc).
@@ -166,6 +181,21 @@ private:
     // the (input port, VC) slots — the shared arbitration stage.
     std::vector<std::vector<router::RotatingArbiter>> arbiters_;
     TraceSink* trace_{nullptr};
+    /// The last step() changed nothing and no packet was injected since.
+    bool frozen_{false};
+
+    /// A switch grant of the current cycle, applied after allocation.
+    struct Move {
+        TileId tile;
+        std::size_t in_port, in_vc;
+        bool eject{false};
+        std::size_t out_port{0}, out_vc{0};
+    };
+    /// Per-cycle scratch, reused so a cycle never allocates: this cycle's
+    /// grants, and the input ports of the tile under allocation already
+    /// granted.
+    std::vector<Move> moves_;
+    std::vector<bool> input_port_used_;
 
     void trace_event(TraceEventKind kind, TileId tile, TileId peer,
                      std::uint32_t packet);

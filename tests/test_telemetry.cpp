@@ -448,5 +448,69 @@ TEST(Prof, LayerScopesAreGatedAndRecordWhenArmed) {
     prof::reset();
 }
 
+TEST(Prof, RouterScopesCountCyclesAndDumpDeterministically) {
+    // The four RouterCore stages run once per simulated cycle; the
+    // wormhole step once per *simulated* cycle too, so a worm wedged on a
+    // dead centre tile shows the frozen cycles it skipped.
+    const char* const stages[] = {"router/inject", "router/fate", "router/arbitrate",
+                                  "router/move"};
+    TrafficTrace wedge;
+    wedge.phases.push_back({});
+    wedge.phases[0].messages.push_back({10, 14, 256}); // XY crosses tile 12
+    wedge.phases[0].messages.push_back({0, 24, 256});
+    const auto run = [&] {
+        StoreForwardAdapter saf(StoreForwardSpec{}, FaultScenario::none(), 1);
+        WormholeSpec spec;
+        for (TileId t = 0; t < 25; ++t)
+            if (t != 12) spec.protect.push_back(t);
+        FaultScenario centre;
+        centre.p_tiles = 1.0; // only the unprotected centre dies.
+        WormholeAdapter worm(spec, centre, 1);
+        return std::pair{saf.run(corner_trace(), 400), worm.run(wedge, 400)};
+    };
+    const auto calls = [](const char* name) {
+        const auto stats = prof::snapshot();
+        const auto it = stats.find(name);
+        return it == stats.end() ? std::uint64_t{0} : it->second.calls;
+    };
+    // The dump minus its wall-clock readings: labels and call counts only.
+    const auto timeless_json = [] {
+        std::string json = prof::json_report();
+        for (std::size_t at = 0; (at = json.find("\"seconds\": ", at)) != std::string::npos;) {
+            at += 11;
+            const std::size_t end = json.find('}', at);
+            json.erase(at, end - at);
+        }
+        return json;
+    };
+
+    prof::reset();
+    run();
+    for (const char* name : stages) EXPECT_EQ(calls(name), 0u) << name;
+    EXPECT_EQ(calls("wormhole/step"), 0u);
+
+    prof::set_enabled(true);
+    const auto [saf, worm] = run();
+    prof::set_enabled(false);
+    ASSERT_TRUE(saf.completed);
+    for (const char* name : stages) EXPECT_EQ(calls(name), saf.rounds) << name;
+    EXPECT_FALSE(worm.completed);
+    EXPECT_EQ(worm.rounds, 400u);
+    EXPECT_GT(calls("wormhole/step"), 0u);
+    EXPECT_LT(calls("wormhole/step"), worm.rounds) << "frozen cycles were stepped";
+    const std::string first = timeless_json();
+    for (const char* name : {"router/arbitrate", "wormhole/step"})
+        EXPECT_NE(first.find(std::string("\"") + name + "\": {\"calls\": "),
+                  std::string::npos)
+            << name;
+
+    prof::reset();
+    prof::set_enabled(true);
+    run();
+    prof::set_enabled(false);
+    EXPECT_EQ(timeless_json(), first);
+    prof::reset();
+}
+
 } // namespace
 } // namespace snoc

@@ -88,12 +88,12 @@ public:
     router::PolicyKind kind() const override {
         return router::PolicyKind::DimensionOrder;
     }
-    std::vector<std::size_t> candidates(
+    router::PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const override {
         (void)from;
         (void)dead;
-        std::vector<std::size_t> out;
+        router::PortList out;
         if (at == dst) return out;
         const std::size_t x = topo.x_of(at), y = topo.y_of(at);
         const TileId east = topo.at((x + 1) % topo.width(), y);

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/expect.hpp"
 #include "common/rng.hpp"
+#include "fault/fault_model.hpp"
+#include "noc/traffic.hpp"
+#include "sim/backends.hpp"
+#include "telemetry/flight_recorder.hpp"
 
 namespace snoc::wormhole {
 namespace {
@@ -215,6 +223,158 @@ TEST(Wormhole, SingleFlitTransferPerLinkPerCycle) {
     // 20 packets * 5 flits = 100 flits over >= 100 cycles of link time.
     const auto& last = net.records().back();
     EXPECT_GE(*last.delivered_cycle, 100u);
+}
+
+// --- Fixed-point fast-forward ---------------------------------------------
+
+/// Tile 12 is the centre of the 5x5 mesh; XY worms along row 2 wedge on it.
+constexpr TileId kCentre = 12;
+constexpr std::size_t kLimit = 3000;
+
+/// Two phases: the first mixes worms that wedge on the dead centre with
+/// worms that route around it, so it never completes.
+TrafficTrace wedging_trace() {
+    TrafficTrace trace;
+    trace.phases.resize(2);
+    for (const auto& [src, dst] : std::vector<std::pair<TileId, TileId>>{
+             {10, 14}, {0, 24}, {14, 10}, {20, 4}, {11, 13}, {3, 3}})
+        trace.phases[0].messages.push_back({src, dst, 256});
+    trace.phases[1].messages.push_back({0, 4, 256});
+    return trace;
+}
+
+/// FNV-1a over the recorder's drained events, in order.
+std::uint64_t trace_digest(const FlightRecorder& recorder) {
+    std::ostringstream os;
+    for (const TraceEvent& e : recorder.drain())
+        os << e.round << ',' << static_cast<int>(e.kind) << ',' << e.tile << ','
+           << e.peer << ',' << e.message.origin << ',' << e.message.sequence << ';';
+    return key_of(os.str());
+}
+
+TEST(WormholeFastForward, AdapterMatchesAPlainStepLoop) {
+    // The adapter jumps the clock to the budget once the network freezes;
+    // stepping every cycle up to the same budget must be indistinguishable.
+    const TrafficTrace trace = wedging_trace();
+    WormholeSpec spec;
+    for (TileId t = 0; t < 25; ++t)
+        if (t != kCentre) spec.protect.push_back(t);
+    FaultScenario only_centre;
+    only_centre.p_tiles = 1.0; // every unprotected tile dies: just the centre.
+    WormholeAdapter adapter(spec, only_centre, 7);
+    FlightRecorder adapter_trace(1 << 16);
+    adapter.set_trace_sink(&adapter_trace);
+    const RunReport report = adapter.run(trace, kLimit);
+
+    Network net(5, 5, spec.config);
+    FlightRecorder loop_trace(1 << 16);
+    net.set_trace_sink(&loop_trace);
+    net.crash_router(kCentre);
+    std::size_t local = 0;
+    for (const auto& phase : trace.phases) {
+        std::size_t expected = net.delivered();
+        for (const auto& m : phase.messages) {
+            if (m.src == m.dst) {
+                ++local;
+                continue;
+            }
+            net.inject(m.src, m.dst);
+            ++expected;
+        }
+        while (net.delivered() < expected && net.cycle() < kLimit) net.step();
+        if (net.delivered() < expected) break;
+    }
+
+    EXPECT_FALSE(report.completed);
+    EXPECT_EQ(net.cycle(), kLimit) << "the worm must stay wedged to the budget";
+    EXPECT_EQ(report.rounds, net.cycle());
+    EXPECT_EQ(report.deliveries, net.delivered() + local);
+    EXPECT_EQ(report.transmissions, net.flit_hops());
+    EXPECT_GT(net.delivered(), 0u);
+    // Delivered events carry the delivery cycle, so equal digests mean
+    // equal latencies too.
+    EXPECT_EQ(adapter_trace.size(), loop_trace.size());
+    EXPECT_EQ(trace_digest(adapter_trace), trace_digest(loop_trace));
+}
+
+TEST(WormholeFastForward, RunSkipsFrozenCyclesExactly) {
+    const auto build = [] {
+        auto net = std::make_unique<Network>(5, 5, small_config());
+        net->crash_router(kCentre);
+        for (const auto& phase : wedging_trace().phases)
+            for (const auto& m : phase.messages)
+                if (m.src != m.dst) net->inject(m.src, m.dst);
+        return net;
+    };
+    auto fast = build();
+    FlightRecorder fast_trace(1 << 16);
+    fast->set_trace_sink(&fast_trace);
+    fast->run(kLimit);
+
+    auto slow = build();
+    FlightRecorder slow_trace(1 << 16);
+    slow->set_trace_sink(&slow_trace);
+    std::size_t frozen_steps = 0;
+    for (std::size_t c = 0; c < kLimit; ++c)
+        if (!slow->step()) ++frozen_steps;
+    EXPECT_GT(frozen_steps, kLimit / 2) << "the wedge must freeze most cycles";
+
+    EXPECT_EQ(fast->cycle(), slow->cycle());
+    EXPECT_EQ(fast->delivered(), slow->delivered());
+    EXPECT_EQ(fast->flit_hops(), slow->flit_hops());
+    EXPECT_EQ(fast->latencies().samples(), slow->latencies().samples());
+    EXPECT_EQ(trace_digest(fast_trace), trace_digest(slow_trace));
+}
+
+TEST(WormholeFastForward, InjectionAloneIsProgress) {
+    // A worm blocked at its source by a dead next hop still streams its
+    // flits into a deep local VC; once its tail is in, the next packet
+    // starts on the other VC and routes around.  The cycles in between
+    // move nothing, but they are not frozen.
+    Config c = small_config();
+    c.vc_buffer_flits = 8; // the whole blocked worm fits at its source
+    const auto run = [&](bool fast) {
+        Network net(5, 5, c);
+        net.crash_router(kCentre);
+        net.inject(11, 13); // first hop is the dead centre
+        net.inject(11, 1);  // southward, clear
+        if (fast) {
+            net.run(kLimit);
+        } else {
+            for (std::size_t i = 0; i < kLimit; ++i) net.step();
+        }
+        return std::pair{net.delivered(), net.latencies().samples()};
+    };
+    const auto fast = run(true);
+    EXPECT_EQ(fast.first, 1u);
+    EXPECT_EQ(fast, run(false));
+}
+
+TEST(WormholeFastForward, AFrozenStepIsAFixedPoint) {
+    Network net(5, 5, small_config());
+    net.crash_router(kCentre);
+    net.inject(10, 14); // wedges on the dead centre
+    FlightRecorder recorder(1 << 12);
+    net.set_trace_sink(&recorder);
+    std::size_t guard = 0;
+    while (net.step()) ASSERT_LT(++guard, kLimit) << "never froze";
+
+    const std::size_t cycle = net.cycle();
+    const std::size_t hops = net.flit_hops();
+    const std::size_t events = recorder.size();
+    const std::uint64_t digest = trace_digest(recorder);
+    EXPECT_FALSE(net.step()) << "a frozen network stays frozen";
+    EXPECT_EQ(net.cycle(), cycle + 1);
+    EXPECT_EQ(net.flit_hops(), hops);
+    EXPECT_EQ(net.delivered(), 0u);
+    EXPECT_EQ(recorder.size(), events);
+    EXPECT_EQ(trace_digest(recorder), digest);
+
+    // A new packet thaws it: skipping is legal again only after the next
+    // frozen step.
+    net.inject(0, 4);
+    EXPECT_THROW(net.skip_to(kLimit), ContractViolation);
+    EXPECT_TRUE(net.step());
 }
 
 } // namespace
