@@ -56,8 +56,7 @@ int main(int argc, char** argv) {
 
                 for (int mode = 0; mode < 2; ++mode) {
                     GossipConfig c = bench::config_with_p(mode == 0 ? 0.5 : 1.0, 20);
-                    GossipNetwork net(topo, c, FaultScenario::none(), seed,
-                                      bench::engine_select(opt));
+                    GossipNetwork net(topo, c, FaultScenario::none(), seed);
                     net.attach(kRoot, std::make_unique<Announcer>());
                     net.protect(kRoot);
                     net.force_exact_tile_crashes(k);

@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
                     s.p_upset = upset;
                     GossipConfig c = bench::config_with_p(0.5, 60);
                     c.link_protection = prot;
-                    GossipNetwork net(Topology::mesh(5, 5), c, s, seed,
-                                      bench::engine_select(opt));
+                    GossipNetwork net(Topology::mesh(5, 5), c, s, seed);
                     apps::PiDeployment d;
                     auto& master = apps::deploy_pi(net, d);
                     net.protect(d.master_tile);

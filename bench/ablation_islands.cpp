@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
             opt.repeats,
             [&](std::uint64_t seed) {
                 GossipNetwork net(Topology::mesh(5, 5), bench::config_with_p(0.5, 30),
-                                  FaultScenario::none(), seed,
-                                  bench::engine_select(opt));
+                                  FaultScenario::none(), seed);
                 apps::PiDeployment d;
                 auto& master = apps::deploy_pi(net, d);
                 net.protect(d.master_tile);

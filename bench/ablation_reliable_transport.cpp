@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
                 GossipConfig c = bench::config_with_p(0.5, 8);
 
                 Trial out{};
-                GossipNetwork raw(Topology::mesh(4, 4), c, s, seed,
-                                  bench::engine_select(opt));
+                GossipNetwork raw(Topology::mesh(4, 4), c, s, seed);
                 auto sink = std::make_unique<RawSink>();
                 const RawSink& rs = *sink;
                 raw.attach(kSrc, std::make_unique<RawSource>());
@@ -117,8 +116,7 @@ int main(int argc, char** argv) {
                 out.raw_pkts =
                     static_cast<double>(raw.metrics().packets_sent) / kItems;
 
-                GossipNetwork rel(Topology::mesh(4, 4), c, s, seed,
-                                  bench::engine_select(opt));
+                GossipNetwork rel(Topology::mesh(4, 4), c, s, seed);
                 auto rsink = std::make_unique<ReliableSink>();
                 auto rsrc = std::make_unique<ReliableSource>();
                 const ReliableSink& sink_ref = *rsink;

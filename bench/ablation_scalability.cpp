@@ -8,14 +8,13 @@
 // Flags beyond the uniform bench set:
 //   --sides 4,8,256     mesh sides to sweep (default 4,6,8,10,12,16)
 //   --ttl 40            rumor TTL (default 512; small TTLs keep the
-//                       active region a thin wavefront, the sparse
-//                       workload the --engine event executor skips idle
-//                       tiles on — scripts/bench_snapshot.sh drives a
-//                       1000x1000 mesh through it in seconds)
+//                       active region a thin wavefront, and the executor
+//                       skips the idle tiles around it —
+//                       scripts/bench_snapshot.sh drives a 1000x1000 mesh
+//                       through it in well under a second)
 // Each cell reports wall-clock seconds per trial next to the simulated
-// rounds, so lockstep-vs-event comparisons drop out of two runs; a trial
-// ends when the rumor has reached every tile or died out (quiescence),
-// and the coverage column tells which.
+// rounds; a trial ends when the rumor has reached every tile or died out
+// (quiescence), and the coverage column tells which.
 #include <chrono>
 #include <iostream>
 #include <memory>
@@ -61,11 +60,6 @@ int main(int argc, char** argv) {
     std::vector<std::size_t> sides = {4, 6, 8, 10, 12, 16};
     if (args.has("sides")) sides = parse_sides(args.get_string("sides", ""));
     const auto ttl = static_cast<std::uint16_t>(args.get_u64("ttl", 512));
-    // A single-trial cell (the mega-mesh configuration) shards its one
-    // network across --jobs strips; multi-trial cells keep one strip and
-    // let the trial fan-out fill the pool instead.
-    const EngineSelect engine =
-        bench::engine_select(opt, opt.repeats == 1 ? opt.jobs : 1);
     const Round cap = std::max<Round>(2000, 4 * static_cast<Round>(ttl));
 
     struct Trial {
@@ -84,13 +78,12 @@ int main(int argc, char** argv) {
             opt.repeats,
             [&](std::uint64_t seed) {
                 GossipConfig c = bench::config_with_p(kP, ttl);
-                GossipNetwork net(topo, c, FaultScenario::none(), seed, engine);
+                GossipNetwork net(topo, c, FaultScenario::none(), seed);
                 net.attach(0, std::make_unique<CornerSource>());
                 // Wall time measures the simulator, never the simulation:
                 // the duration feeds only this report column.  Timing
-                // starts after construction — building the tiles costs
-                // the same under either engine, and the column exists to
-                // compare the engines' round execution.
+                // starts after construction, so the column measures round
+                // execution only.
                 const auto t0 = std::chrono::steady_clock::now();
                 const MessageId rumor{0, 0};
                 // Stop at full coverage or at rumor death (quiescence) —
@@ -136,10 +129,7 @@ int main(int argc, char** argv) {
                        format_number(coverage.mean(), 1),
                        format_number(wall.mean(), 3)});
     }
-    bench::emit(table, opt,
-                std::string("Ablation: broadcast scalability vs mesh size "
-                            "(p=0.5, engine=") +
-                    to_string(opt.engine) + ")");
+    bench::emit(table, opt, "Ablation: broadcast scalability vs mesh size (p=0.5)");
     std::cout << "\nReading: rounds grow with the diameter (linear in the\n"
                  "side), per-tile per-round traffic stays flat - the locality\n"
                  "property that makes gossip viable at hundreds of IPs.\n";

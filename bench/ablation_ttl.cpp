@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
                 GossipConfig c = bench::config_with_p(0.5);
                 c.default_ttl = ttl;
                 GossipNetwork net(Topology::mesh(5, 5), c, FaultScenario::none(),
-                                  seed, bench::engine_select(opt));
+                                  seed);
                 auto sink = std::make_unique<CornerSink>();
                 const CornerSink& s = *sink;
                 net.attach(0, std::make_unique<CornerSource>());

@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
                 out.wf = wfnet.delivered();
 
                 GossipConfig gc = bench::config_with_p(0.5, 40);
-                GossipNetwork gnet(mesh, gc, FaultScenario::none(), seed,
-                                   bench::engine_select(opt));
+                GossipNetwork gnet(mesh, gc, FaultScenario::none(), seed);
                 TrafficTrace trace;
                 TrafficPhase phase;
                 for (const auto& [s, d] : flows) phase.messages.push_back({s, d, 256});

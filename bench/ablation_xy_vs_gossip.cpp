@@ -54,13 +54,11 @@ int main(int argc, char** argv) {
     gossip_spec.jobs = opt.jobs;
     gossip_spec.max_rounds = 1000;
     gossip_spec.telemetry = bench::tag_telemetry(opt.telemetry, "_gossip");
-    gossip_spec.engine = bench::engine_select(opt);
     gossip_spec.backend = [&](const SweepPoint& pt, std::uint64_t seed) {
         GossipSpec spec;
         spec.topology = mesh;
         spec.config = bench::config_with_p(0.5, 40);
         spec.protect = endpoints;
-        spec.engine = gossip_spec.engine;
         return std::make_unique<GossipAdapter>(
             std::move(spec), scenario_for(pt.value("p_tiles")), seed);
     };

@@ -47,6 +47,7 @@ inline std::string& prof_out_path() {
 /// the path under prof_out) — the hooks live here rather than in cli.cpp
 /// because snoc_common sits below the telemetry layer.
 inline BenchOptions options(int argc, char** argv, std::size_t default_repeats = 1) {
+    reject_engine_selector(CliArgs(argc, argv), argv[0]);
     BenchOptions parsed = parse_bench_options(argc, argv, default_repeats);
     if (parsed.prof) {
         prof::set_enabled(true);
@@ -58,16 +59,6 @@ inline BenchOptions options(int argc, char** argv, std::size_t default_repeats =
         }
     }
     return parsed;
-}
-
-/// The EngineSelect a bench should hand to GossipNetwork / GossipSpec /
-/// ExperimentSpec: the --engine kind, with `shards` intra-trial tile
-/// strips.  Benches that fan out repeats across --jobs keep the default
-/// single shard (trial parallelism already fills the pool); single-trial
-/// scaling runs pass their own shard count.
-inline EngineSelect engine_select(const BenchOptions& options,
-                                  std::size_t shards = 1) {
-    return EngineSelect{options.engine, shards};
 }
 
 /// Insert a tag before each export path's extension ("run.jsonl" ->
@@ -120,14 +111,12 @@ inline RunReport run_pi_once(const GossipConfig& config, const FaultScenario& sc
                              bool duplicate_slaves = true, Round max_rounds = 3000,
                              bool direct_addressing = false,
                              check::InvariantAuditor* auditor = nullptr,
-                             TraceSink* sink = nullptr,
-                             EngineSelect engine = {}) {
+                             TraceSink* sink = nullptr) {
     GossipSpec spec;
     spec.topology = Topology::mesh(5, 5);
     spec.config = config;
     spec.exact_tile_crashes = exact_tile_crashes;
     spec.drain = true;
-    spec.engine = engine;
     GossipAdapter net(std::move(spec), scenario, seed);
     net.set_auditor(auditor);
     net.set_trace_sink(sink);
@@ -149,14 +138,12 @@ inline RunReport run_fft_once(const GossipConfig& config, const FaultScenario& s
                               std::size_t exact_tile_crashes, std::uint64_t seed,
                               Round max_rounds = 3000,
                               check::InvariantAuditor* auditor = nullptr,
-                              TraceSink* sink = nullptr,
-                              EngineSelect engine = {}) {
+                              TraceSink* sink = nullptr) {
     GossipSpec spec;
     spec.topology = Topology::mesh(4, 4);
     spec.config = config;
     spec.exact_tile_crashes = exact_tile_crashes;
     spec.drain = true;
-    spec.engine = engine;
     GossipAdapter net(std::move(spec), scenario, seed);
     net.set_auditor(auditor);
     net.set_trace_sink(sink);

@@ -57,13 +57,10 @@ int main(int argc, char** argv) {
         spec.base_seed = opt.seed;
         spec.jobs = 1;
         spec.telemetry = opt.telemetry;
-        spec.engine = bench::engine_select(opt);
-        spec.backend = [engine = spec.engine](const SweepPoint&,
-                                              std::uint64_t seed) {
+        spec.backend = [](const SweepPoint&, std::uint64_t seed) {
             GossipSpec gs;
             gs.config = bench::config_with_p(0.5, 12);
             gs.drain = true;
-            gs.engine = engine;
             return std::make_unique<GossipAdapter>(std::move(gs),
                                                    FaultScenario::none(), seed);
         };

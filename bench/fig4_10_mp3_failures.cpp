@@ -30,13 +30,13 @@ struct SweepPoint {
 };
 
 SweepPoint run_point(const snoc::FaultScenario& scenario, std::size_t repeats,
-                     std::size_t jobs, snoc::EngineSelect engine) {
+                     std::size_t jobs) {
     using namespace snoc;
     const auto trials = run_trials(
         repeats,
         [&](std::uint64_t seed) -> double {
             GossipNetwork net(Topology::mesh(4, 4), bench::config_with_p(0.75, 50),
-                              scenario, seed, engine);
+                              scenario, seed);
             auto& output = apps::deploy_mp3(net, mp3_config());
             const auto r =
                 net.run_until([&output] { return output.complete(); }, 4000);
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     for (double drop : {0.0, 0.2, 0.4, 0.6, 0.7, 0.8, 0.9}) {
         FaultScenario s;
         s.p_overflow = drop;
-        const auto p = run_point(s, opt.repeats, opt.jobs, bench::engine_select(opt));
+        const auto p = run_point(s, opt.repeats, opt.jobs);
         overflow.add_row({format_number(drop * 100, 0),
                           p.completion > 0 ? format_number(p.latency, 0) : "DNF",
                           p.completion > 0 ? format_number(p.jitter, 1) : "-",
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     for (double sigma : {0.0, 0.1, 0.25, 0.5, 0.75, 1.0}) {
         FaultScenario s;
         s.sigma_synchr = sigma;
-        const auto p = run_point(s, opt.repeats, opt.jobs, bench::engine_select(opt));
+        const auto p = run_point(s, opt.repeats, opt.jobs);
         synchr.add_row({format_number(sigma * 100, 0),
                         p.completion > 0 ? format_number(p.latency, 0) : "DNF",
                         p.completion > 0 ? format_number(p.jitter, 1) : "-",

@@ -31,7 +31,7 @@ struct BitratePoint {
 };
 
 BitratePoint run_point(const snoc::FaultScenario& scenario, std::size_t repeats,
-                       std::size_t jobs, snoc::EngineSelect engine) {
+                       std::size_t jobs) {
     using namespace snoc;
     const auto cfg = streaming_config();
     struct Trial {
@@ -41,7 +41,7 @@ BitratePoint run_point(const snoc::FaultScenario& scenario, std::size_t repeats,
         repeats,
         [&](std::uint64_t seed) {
             GossipNetwork net(Topology::mesh(4, 4), bench::config_with_p(0.75, 50),
-                              scenario, seed, engine);
+                              scenario, seed);
             auto& output = apps::deploy_mp3(net, cfg);
             const auto r =
                 net.run_until([&output] { return output.complete(); }, 2000);
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     for (double drop : {0.0, 0.2, 0.4, 0.6, 0.8}) {
         FaultScenario s;
         s.p_overflow = drop;
-        const auto p = run_point(s, opt.repeats, opt.jobs, bench::engine_select(opt));
+        const auto p = run_point(s, opt.repeats, opt.jobs);
         if (drop == 0.0) base_rate = p.rate;
         if (drop == 0.6) rate_at_60 = p.rate;
         overflow.add_row({format_number(drop * 100, 0), format_sci(p.rate, 3),
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     for (double sigma : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
         FaultScenario s;
         s.sigma_synchr = sigma;
-        const auto p = run_point(s, opt.repeats, opt.jobs, bench::engine_select(opt));
+        const auto p = run_point(s, opt.repeats, opt.jobs);
         synchr.add_row({format_number(sigma * 100, 0), format_sci(p.rate, 3),
                         format_sci(p.jitter, 2), format_number(p.frames, 0)});
     }

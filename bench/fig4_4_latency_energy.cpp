@@ -31,18 +31,15 @@ int main(int argc, char** argv) {
         spec.jobs = opt.jobs;
         // The app passes share one flag set; tag their artifacts apart.
         spec.telemetry = bench::tag_telemetry(opt.telemetry, is_fft ? "_fft" : "_pi");
-        spec.engine = bench::engine_select(opt);
-        const EngineSelect engine = spec.engine;
-        spec.traced_trial = [is_fft, engine](const SweepPoint& pt,
-                                             std::uint64_t seed, TraceSink* sink) {
+        spec.traced_trial = [is_fft](const SweepPoint& pt, std::uint64_t seed,
+                                     TraceSink* sink) {
             const auto config = bench::config_with_p(pt.value("p"), 30);
             const auto crashes = static_cast<std::size_t>(pt.value("crashes"));
             return is_fft ? bench::run_fft_once(config, FaultScenario::none(),
-                                                crashes, seed, 3000, nullptr, sink,
-                                                engine)
+                                                crashes, seed, 3000, nullptr, sink)
                           : bench::run_pi_once(config, FaultScenario::none(),
                                                crashes, seed, true, 3000, false,
-                                               nullptr, sink, engine);
+                                               nullptr, sink);
         };
         const auto cells = ScenarioRunner(spec).run();
 

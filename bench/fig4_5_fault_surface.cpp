@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
                 [&](std::uint64_t seed) {
                     // Long TTL so heavily-upset rumors survive long enough.
                     return bench::run_pi_once(bench::config_with_p(0.5, 120), s,
-                                              crashes, seed, true, 5000, false,
-                                              nullptr, nullptr,
-                                              bench::engine_select(opt));
+                                              crashes, seed, true, 5000);
                 },
                 opt.repeats, opt.jobs);
             lat_row.push_back(avg.completion_rate > 0.0

@@ -50,15 +50,13 @@ int main(int argc, char** argv) {
     spec.jobs = opt.jobs;
     spec.max_attempts = 50;
     spec.retry_seed_stride = 100;
-    spec.engine = bench::engine_select(opt);
     spec.telemetry = opt.telemetry;
     spec.traced_trial = [&](const SweepPoint&, std::uint64_t seed, TraceSink* sink) {
         auto config = bench::config_with_p(0.5, kTunedTtl);
         config.stop_spread_on_delivery = true;
         return bench::run_pi_once(config, FaultScenario::none(), 0, seed,
                                   /*duplicate_slaves=*/false, 3000,
-                                  /*direct_addressing=*/true, nullptr, sink,
-                                  spec.engine);
+                                  /*direct_addressing=*/true, nullptr, sink);
     };
     const auto cells = ScenarioRunner(spec).run();
     const auto& runs = cells.front().reports;

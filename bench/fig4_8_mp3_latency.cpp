@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
                     FaultScenario s;
                     s.p_upset = upset;
                     GossipNetwork net(Topology::mesh(4, 4),
-                                      bench::config_with_p(p, 60), s, seed,
-                                      bench::engine_select(opt));
+                                      bench::config_with_p(p, 60), s, seed);
                     auto& output = apps::deploy_mp3(net, mp3_config());
                     const auto r = net.run_until(
                         [&output] { return output.complete(); }, kMaxRounds);

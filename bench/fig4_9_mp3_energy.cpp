@@ -36,8 +36,7 @@ int main(int argc, char** argv) {
             opt.repeats,
             [&](std::uint64_t seed) {
                 GossipNetwork net(Topology::mesh(4, 4), bench::config_with_p(p, 40),
-                                  FaultScenario::none(), seed,
-                                  bench::engine_select(opt));
+                                  FaultScenario::none(), seed);
                 auto& output = apps::deploy_mp3(net, cfg);
                 const auto r =
                     net.run_until([&output] { return output.complete(); }, 4000);

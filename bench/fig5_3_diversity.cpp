@@ -31,12 +31,10 @@ int main(int argc, char** argv) {
     spec.jobs = opt.jobs;
     spec.max_rounds = 20000;
     spec.telemetry = opt.telemetry;
-    spec.engine = bench::engine_select(opt);
     spec.backend = [&](const SweepPoint& pt, std::uint64_t seed) {
         return diversity::make_interconnect(kKinds[pt.index_of("arch")],
                                             bench::config_with_p(0.75, 40),
-                                            FaultScenario::none(), seed,
-                                            spec.engine);
+                                            FaultScenario::none(), seed);
     };
     spec.trace = [&](const SweepPoint& pt) {
         const auto arch =

@@ -11,6 +11,7 @@
 
 #include "apps/fft.hpp"
 #include "apps/mdct.hpp"
+#include "common/cli.hpp"
 #include "common/parallel.hpp"
 #include "core/engine.hpp"
 #include "noc/crc.hpp"
@@ -103,22 +104,21 @@ BENCHMARK(BM_GossipRoundRecorded)
 // Sparse-activity workload: a corner broadcast with a short TTL is a
 // travelling wavefront — a thin band of active tiles crossing an
 // otherwise idle mesh, the shape of the late gossip tail and the low-p
-// fault sweeps.  The lockstep engine pays O(tiles) every round; the
-// event engine pays O(active band).  Run both over the same seeds:
-// the ratio is the sparse speedup scripts/bench_snapshot.sh records.
-void sparse_broadcast_impl(benchmark::State& state, EngineKind kind) {
+// fault sweeps.  The executor pays O(active band) per round, so ns per
+// round should stay nearly flat as the mesh grows; scripts/bench_snapshot.sh
+// records the series.
+void BM_SparseBroadcast(benchmark::State& state) {
     const auto side = static_cast<std::size_t>(state.range(0));
     GossipConfig c;
     c.forward_p = 0.5;
     c.default_ttl = 20; // the rumor dies ~20 rounds in; the mesh does not
     std::int64_t rounds = 0;
     for (auto _ : state) {
-        // Construction, bootstrap and teardown are one-time O(tiles)
+        // Construction, start-up and teardown are one-time O(tiles)
         // costs, not round throughput — keep them off the timer.
         state.PauseTiming();
         auto net = std::make_unique<GossipNetwork>(Topology::mesh(side, side), c,
-                                                   FaultScenario::none(), 1,
-                                                   EngineSelect{kind, 1});
+                                                   FaultScenario::none(), 1);
         net->attach(0, std::make_unique<BroadcastSource>());
         net->step();
         state.ResumeTiming();
@@ -130,21 +130,7 @@ void sparse_broadcast_impl(benchmark::State& state, EngineKind kind) {
     }
     state.SetItemsProcessed(rounds); // items/s = simulated rounds/s
 }
-
-void BM_SparseBroadcastLockstep(benchmark::State& state) {
-    sparse_broadcast_impl(state, EngineKind::Lockstep);
-}
-BENCHMARK(BM_SparseBroadcastLockstep)
-    ->Arg(32)
-    ->Arg(64)
-    ->Arg(128)
-    ->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SparseBroadcastEvent(benchmark::State& state) {
-    sparse_broadcast_impl(state, EngineKind::Event);
-}
-BENCHMARK(BM_SparseBroadcastEvent)
+BENCHMARK(BM_SparseBroadcast)
     ->Arg(32)
     ->Arg(64)
     ->Arg(128)
@@ -234,6 +220,7 @@ void print_fanout_summary() {
 } // namespace
 
 int main(int argc, char** argv) {
+    reject_engine_selector(CliArgs(argc, argv), argv[0]);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     benchmark::RunSpecifiedBenchmarks();

@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# Engine performance snapshot: runs the sparse-broadcast microbenchmarks
-# (lockstep vs event, ns/round) and the two scalability anchor cells
-# (lockstep 256x256 full broadcast; event 1000x1000 sparse wavefront),
-# then writes BENCH_engine.json — machine info, git SHA, the per-side
-# ns/round table and the headline ratios.  It also times five end-to-end
-# runs (fig4_8_mp3_latency, fig4_5_fault_surface, a single-threaded
-# 128x128 dense broadcast under each engine and the wormhole-vs-gossip
-# ablation; median wall seconds and peak RSS of 3 runs each) into
-# the snapshot's `figures` block.  Given a baseline build dir (e.g. a
-# build of the parent commit), the same runs are timed there too,
-# interleaved with the current build's, and recorded as `before` next to
-# `after`, with the commit of the baseline's source tree (read from its
-# CMakeCache.txt) as `before_sha`.  Also runs the flow-control ablation (xy /
+# Engine performance snapshot: runs the sparse-broadcast microbenchmark
+# (ns/round per mesh side) and the two scalability anchor cells (256x256
+# full broadcast; 1000x1000 sparse wavefront), then writes
+# BENCH_engine.json — machine info, git SHA, the ns/round series and the
+# anchor cells.  It also times four end-to-end runs (fig4_8_mp3_latency,
+# fig4_5_fault_surface, a single-threaded 128x128 dense broadcast and the
+# wormhole-vs-gossip ablation; median wall seconds and peak RSS of 3 runs
+# each) into the snapshot's `figures` block.  Given a baseline build dir
+# (e.g. a build of the parent commit), every cell is measured there too
+# and recorded as `before` next to `after` (figure runs interleaved), with
+# the commit of the baseline's source tree (read from its CMakeCache.txt)
+# as `before_sha`.  A baseline that still has the `--engine` switch is
+# run under each engine named in BASELINE_ENGINES (space-separated, e.g.
+# "lockstep event"), and the faster one is recorded, with its name, as
+# `before`.  Also runs the flow-control ablation (xy /
 # wormhole / deflection / store-forward / cut-through / adaptive on the
 # fig4_6 pi workload) and writes BENCH_router.json.  Commit the refreshed
 # snapshots alongside engine- or router-performance changes so
@@ -21,9 +23,10 @@
 #
 # The snapshot asserts the acceptance figures and exits non-zero if any
 # regresses:
-#   * event >= 5x lockstep rounds/s on the largest sparse cell,
-#   * the event 1000x1000 cell completes in less wall time than the
-#     lockstep 256x256 broadcast,
+#   * ns/round on the largest sparse mesh is at most 5x the smallest's
+#     (a round costs O(active tiles), not O(tiles)),
+#   * the 1000x1000 sparse cell completes in less wall time than the
+#     256x256 broadcast,
 #   * cut-through needs fewer cycles than store-and-forward, and the
 #     fault-adaptive policy's faulted completion rate is no worse than
 #     the dimension-ordered schemes'.
@@ -32,6 +35,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 BASELINE_DIR="${2:-}"
+BASELINE_ENGINES="${BASELINE_ENGINES:-}"
 OUT="BENCH_engine.json"
 OUT_ROUTER="BENCH_router.json"
 
@@ -40,15 +44,13 @@ if [[ ! -x "$BUILD_DIR/bench/perf_microbench" ]]; then
     exit 1
 fi
 
-MICRO_JSON="$(mktemp)"
-SCAL_LOCKSTEP="$(mktemp)"
-SCAL_EVENT="$(mktemp)"
 ROUTER_JSON="$(mktemp)"
 FIGURES_JSON="$(mktemp)"
-trap 'rm -f "$MICRO_JSON" "$SCAL_LOCKSTEP" "$SCAL_EVENT" "$ROUTER_JSON" "$FIGURES_JSON"' EXIT
+trap 'rm -f "$ROUTER_JSON" "$FIGURES_JSON"' EXIT
 
 # --- End-to-end figure timings ------------------------------------------
-BUILD_DIR="$BUILD_DIR" BASELINE_DIR="$BASELINE_DIR" FIGURES_JSON="$FIGURES_JSON" \
+BUILD_DIR="$BUILD_DIR" BASELINE_DIR="$BASELINE_DIR" \
+BASELINE_ENGINES="$BASELINE_ENGINES" FIGURES_JSON="$FIGURES_JSON" \
 python3 - <<'PY'
 import json, os, platform, statistics, subprocess, sys, time
 
@@ -59,11 +61,8 @@ RUNS = 3  # per cell and side; the median wall time is recorded
 CELLS = [
     ("fig4_8_mp3_latency", "fig4_8_mp3_latency", []),
     ("fig4_5_fault_surface", "fig4_5_fault_surface", []),
-    ("lockstep_128x128_dense_broadcast", "ablation_scalability",
-     ["--sides", "128", "--repeats", "1", "--engine", "lockstep"]),
-    # One shard, so it compares like for like with the lockstep cell.
-    ("event_128x128_dense_broadcast", "ablation_scalability",
-     ["--sides", "128", "--repeats", "1", "--engine", "event", "--jobs", "1"]),
+    ("dense_128x128_broadcast", "ablation_scalability",
+     ["--sides", "128", "--repeats", "1", "--jobs", "1"]),
     # The wormhole router's cell: a load sweep plus crash sweeps whose
     # wedged worms run to the cycle budget.
     ("ablation_wormhole_vs_gossip", "ablation_wormhole_vs_gossip", []),
@@ -82,6 +81,12 @@ def timed(binary, args):
 def summary(samples):
     return {"wall_s": round(statistics.median(w for w, _ in samples), 3),
             "peak_rss_mb": round(max(r for _, r in samples), 1)}
+
+# Each side runs under its variants: extra arguments plus the engine name
+# recorded with the result (None: the plain arguments).
+ENGINES = os.environ["BASELINE_ENGINES"].split()
+VARIANTS = {"after": [(None, [])],
+            "before": [(e, ["--engine", e]) for e in ENGINES] or [(None, [])]}
 
 def source_sha(build):
     """Commit of the source tree `build` was configured from."""
@@ -117,13 +122,20 @@ except OSError:
 
 benches = {}
 for name, binary, args in CELLS:
-    samples = {side: [] for side, _ in sides}
+    samples = {(side, engine): [] for side, _ in sides
+               for engine, _ in VARIANTS[side]}
     for _ in range(RUNS):  # interleaved, so host drift hits both sides
         for side, build in sides:
-            samples[side].append(timed(os.path.join(build, "bench", binary), args))
+            for engine, extra in VARIANTS[side]:
+                samples[(side, engine)].append(
+                    timed(os.path.join(build, "bench", binary), [*args, *extra]))
     row = {"command": " ".join([binary, *args]), "runs": RUNS}
     for side, _ in sides:
-        row[side] = summary(samples[side])
+        best = min((summary(samples[(side, engine)]) | (
+                       {"engine": engine} if engine else {})
+                    for engine, _ in VARIANTS[side]),
+                   key=lambda s: s["wall_s"])
+        row[side] = best
     benches[name] = row
     line = f"{name}: {row['after']['wall_s']:.2f}s"
     if "before" in row:
@@ -201,42 +213,88 @@ PY
 
 # --- Engine snapshot ----------------------------------------------------
 
-"$BUILD_DIR/bench/perf_microbench" \
-    '--benchmark_filter=SparseBroadcast|GossipRound' \
-    --benchmark_format=json > "$MICRO_JSON"
-
 # Anchor cells: the full 256x256 broadcast is the classic dense workload
 # (everything active until the TTL drain); the 1000x1000 short-TTL
-# wavefront is the sparse one the event engine exists for.
-"$BUILD_DIR/bench/ablation_scalability" \
-    --sides 256 --repeats 1 --engine lockstep --json > "$SCAL_LOCKSTEP"
-"$BUILD_DIR/bench/ablation_scalability" \
-    --sides 1000 --ttl 40 --repeats 1 --engine event --json > "$SCAL_EVENT"
-
-MICRO_JSON="$MICRO_JSON" SCAL_LOCKSTEP="$SCAL_LOCKSTEP" SCAL_EVENT="$SCAL_EVENT" \
-FIGURES_JSON="$FIGURES_JSON" OUT="$OUT" python3 - <<'PY'
+# wavefront is the sparse one.
+BUILD_DIR="$BUILD_DIR" BASELINE_DIR="$BASELINE_DIR" \
+BASELINE_ENGINES="$BASELINE_ENGINES" FIGURES_JSON="$FIGURES_JSON" OUT="$OUT" \
+python3 - <<'PY'
 import json, os, platform, re, subprocess, sys
 
 def sh(*cmd):
     return subprocess.run(cmd, capture_output=True, text=True).stdout.strip()
 
-# perf_microbench appends its plain-text fan-out summary after the
-# benchmark JSON; raw_decode stops at the end of the JSON object.
-with open(os.environ["MICRO_JSON"]) as f:
-    micro, _ = json.JSONDecoder().raw_decode(f.read())
+def run(cmd):
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"bench_snapshot: {' '.join(cmd)} exited with status "
+                 f"{proc.returncode}")
+    return proc.stdout
 
-ns_per_round = {"lockstep": {}, "event": {}}
-gossip_round = {"detached": {}, "recorded": {}}
-for b in micro["benchmarks"]:
-    m = re.match(r"BM_SparseBroadcast(Lockstep|Event)/(\d+)", b["name"])
-    if m:
-        engine, side = m.group(1).lower(), int(m.group(2))
-        ns_per_round[engine][side] = 1e9 / b["items_per_second"]
-        continue
-    m = re.match(r"BM_GossipRound(Recorded)?/(\d+)$", b["name"])
-    if m:
-        variant = "recorded" if m.group(1) else "detached"
-        gossip_round[variant][int(m.group(2))] = 1e9 / b["items_per_second"]
+def microbench(build):
+    """Per-side ns/round of BM_SparseBroadcast, plus BM_GossipRound and
+    BM_GossipRoundRecorded ns/round.  A baseline that still has one
+    sparse benchmark per engine contributes its faster one per side."""
+    text = run([os.path.join(build, "bench", "perf_microbench"),
+                "--benchmark_filter=SparseBroadcast|GossipRound",
+                "--benchmark_format=json"])
+    # perf_microbench appends its plain-text fan-out summary after the
+    # benchmark JSON; raw_decode stops at the end of the JSON object.
+    micro, _ = json.JSONDecoder().raw_decode(text)
+    sparse = {}
+    gossip_round = {"detached": {}, "recorded": {}}
+    for b in micro["benchmarks"]:
+        ns = 1e9 / b["items_per_second"]
+        m = re.match(r"BM_SparseBroadcast\w*/(\d+)$", b["name"])
+        if m:
+            side = int(m.group(1))
+            sparse[side] = min(ns, sparse.get(side, ns))
+            continue
+        m = re.match(r"BM_GossipRound(Recorded)?/(\d+)$", b["name"])
+        if m:
+            variant = "recorded" if m.group(1) else "detached"
+            gossip_round[variant][int(m.group(2))] = ns
+    return sparse, gossip_round
+
+def wall_cell(build, args, engine=None):
+    extra = ["--engine", engine] if engine else []
+    text = run([os.path.join(build, "bench", "ablation_scalability"),
+                *args, "--repeats", "1", "--json", *extra])
+    # The table is pretty-printed as a "[" line, row lines, a "]" line —
+    # column names themselves contain brackets ("coverage [%]"), so slice
+    # on whole lines rather than the first bracket characters.
+    start = text.index("\n[\n") + 1
+    end = text.index("\n]", start) + 2
+    row = json.loads(text[start:end])[0]
+    return {
+        "mesh": row["mesh"],
+        "rounds": float(row["rounds"]),
+        "tiles_reached": float(row["tiles reached"]),
+        "coverage_pct": float(row["coverage [%]"]),
+        "wall_s": float(row["wall [s]"]),
+    }
+
+SCALABILITY = {
+    "broadcast_256x256": ["--sides", "256"],
+    "sparse_1000x1000": ["--sides", "1000", "--ttl", "40"],
+}
+
+build, baseline = os.environ["BUILD_DIR"], os.environ["BASELINE_DIR"]
+engines = os.environ["BASELINE_ENGINES"].split() or [None]
+
+ns_per_round, gossip_round = microbench(build)
+scalability = {name: wall_cell(build, args) for name, args in SCALABILITY.items()}
+# The short-TTL wavefront reaches a few hundred of a million tiles, which
+# rounds to 0.0%; the tile count is the anchor there.
+del scalability["sparse_1000x1000"]["coverage_pct"]
+ns_per_round_before = None
+if baseline:
+    ns_per_round_before, _ = microbench(baseline)
+    for name, args in SCALABILITY.items():
+        runs = [(wall_cell(baseline, args, e)["wall_s"], e) for e in engines]
+        wall, engine = min(runs, key=lambda r: r[0])
+        scalability[name]["before"] = {"wall_s": wall} | (
+            {"engine": engine} if engine else {})
 
 # Flight-recorder overhead: BM_GossipRoundRecorded vs BM_GossipRound,
 # per mesh side.  Budget is <= 5% (a ring write is one array store); the
@@ -247,32 +305,6 @@ recorder_overhead = {
     s: gossip_round["recorded"][s] / gossip_round["detached"][s]
     for s in sorted(set(gossip_round["detached"]) & set(gossip_round["recorded"]))
 }
-
-sides = sorted(set(ns_per_round["lockstep"]) & set(ns_per_round["event"]))
-speedup = {s: ns_per_round["lockstep"][s] / ns_per_round["event"][s] for s in sides}
-largest = max(sides)
-
-def wall_cell(path):
-    text = open(os.environ[path]).read()
-    # The table is pretty-printed as a "[" line, row lines, a "]" line —
-    # column names themselves contain brackets ("coverage [%]"), so slice
-    # on whole lines rather than the first bracket characters.
-    start = text.index("\n[\n") + 1
-    end = text.index("\n]", start) + 2
-    rows = json.loads(text[start:end])
-    return {
-        "mesh": rows[0]["mesh"],
-        "rounds": float(rows[0]["rounds"]),
-        "tiles_reached": float(rows[0]["tiles reached"]),
-        "coverage_pct": float(rows[0]["coverage [%]"]),
-        "wall_s": float(rows[0]["wall [s]"]),
-    }
-
-lockstep_cell = wall_cell("SCAL_LOCKSTEP")
-event_cell = wall_cell("SCAL_EVENT")
-# The short-TTL wavefront reaches a few hundred of a million tiles, which
-# rounds to 0.0%; the tile count is the anchor there.
-del event_cell["coverage_pct"]
 
 cpu = ""
 try:
@@ -295,29 +327,29 @@ snapshot = {
     "workload": "sparse corner broadcast, p=0.5, ttl=20 (microbench); "
                 "scalability anchor cells below",
     "ns_per_round": ns_per_round,
-    "sparse_speedup_event_over_lockstep": speedup,
     "gossip_round_ns": gossip_round,
     "flight_recorder_overhead": recorder_overhead,
-    "scalability": {
-        "lockstep_256x256_broadcast": lockstep_cell,
-        "event_1000x1000_sparse": event_cell,
-    },
+    "scalability": scalability,
     "figures": json.load(open(os.environ["FIGURES_JSON"])),
 }
+if ns_per_round_before:
+    snapshot["ns_per_round_before"] = ns_per_round_before
 with open(os.environ["OUT"], "w") as f:
     json.dump(snapshot, f, indent=2, sort_keys=True)
     f.write("\n")
 
-headline = speedup[largest]
+smallest, largest = min(ns_per_round), max(ns_per_round)
+growth = ns_per_round[largest] / ns_per_round[smallest]
+broadcast = scalability["broadcast_256x256"]["wall_s"]
+sparse = scalability["sparse_1000x1000"]["wall_s"]
 for side, ratio in recorder_overhead.items():
     note = "" if ratio <= 1.05 else "  (over the 5% budget)"
     print(f"flight-recorder overhead at {side}x{side}: "
           f"{(ratio - 1.0) * 100:+.1f}%{note}")
-print(f"sparse speedup at {largest}x{largest}: {headline:.1f}x "
-      f"(target >= 5x)")
-print(f"event 1000x1000: {event_cell['wall_s']:.2f}s vs "
-      f"lockstep 256x256: {lockstep_cell['wall_s']:.2f}s")
-ok = headline >= 5.0 and event_cell["wall_s"] < lockstep_cell["wall_s"]
+print(f"sparse ns/round {largest}x{largest} vs {smallest}x{smallest}: "
+      f"{growth:.1f}x (target <= 5x)")
+print(f"sparse 1000x1000: {sparse:.2f}s vs broadcast 256x256: {broadcast:.2f}s")
+ok = growth <= 5.0 and sparse < broadcast
 print(f"wrote {os.environ['OUT']}" + ("" if ok else " (TARGETS MISSED)"))
 sys.exit(0 if ok else 1)
 PY

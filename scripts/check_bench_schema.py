@@ -16,7 +16,7 @@ Usage:
     check_bench_schema.py --diff OLD.json NEW.json
 
 With no arguments, checks the repo-root snapshots relative to this
-script.  --diff compares two engine snapshots' ns_per_round tables and
+script.  --diff compares two engine snapshots' ns_per_round series and
 figure wall times and prints per-cell deltas — warn-only (always exits 0): CI uses it to
 surface perf drift in logs without holding PRs hostage to machine noise.
 """
@@ -51,6 +51,17 @@ def check_common(path, snap):
     return ok
 
 
+def check_numeric_map(path, snap, key):
+    cells = snap.get(key)
+    if not isinstance(cells, dict) or not cells:
+        return fail(path, f"{key} missing or empty")
+    ok = True
+    for cell, value in cells.items():
+        if not isinstance(value, (int, float)):
+            ok = fail(path, f"{key}[{cell}] is not a number")
+    return ok
+
+
 def check_numeric_table(path, snap, key, subkeys):
     ok = True
     table = snap.get(key)
@@ -69,26 +80,25 @@ def check_numeric_table(path, snap, key, subkeys):
 
 # Anchor cells and the keys each must carry.  The sparse wavefront reaches
 # a few hundred of a million tiles, so it reports the tile count only: a
-# coverage percentage would round to 0.0.
+# coverage percentage would round to 0.0.  A snapshot taken against a
+# baseline build also carries `before.wall_s` per cell.
 SCALABILITY_CELLS = {
-    "lockstep_256x256_broadcast": ("mesh", "rounds", "tiles_reached",
-                                   "coverage_pct", "wall_s"),
-    "event_1000x1000_sparse": ("mesh", "rounds", "tiles_reached", "wall_s"),
+    "broadcast_256x256": ("mesh", "rounds", "tiles_reached",
+                          "coverage_pct", "wall_s"),
+    "sparse_1000x1000": ("mesh", "rounds", "tiles_reached", "wall_s"),
 }
 
 
 def check_engine(path, snap):
     ok = check_common(path, snap)
-    ok &= check_numeric_table(path, snap, "ns_per_round",
-                              ("lockstep", "event"))
+    ok &= check_numeric_map(path, snap, "ns_per_round")
+    if "ns_per_round_before" in snap:
+        ok &= check_numeric_map(path, snap, "ns_per_round_before")
     ok &= check_numeric_table(path, snap, "gossip_round_ns",
                               ("detached", "recorded"))
     overhead = snap.get("flight_recorder_overhead")
     if not isinstance(overhead, dict) or not overhead:
         ok = fail(path, "flight_recorder_overhead missing or empty")
-    speedup = snap.get("sparse_speedup_event_over_lockstep")
-    if not isinstance(speedup, dict) or not speedup:
-        ok = fail(path, "sparse_speedup_event_over_lockstep missing or empty")
     scal = snap.get("scalability")
     if not isinstance(scal, dict):
         ok = fail(path, "scalability missing")
@@ -101,13 +111,18 @@ def check_engine(path, snap):
             for key in keys:
                 if key not in row:
                     ok = fail(path, f"scalability.{cell}.{key} missing")
+            before = row.get("before")
+            if before is not None and (
+                    not isinstance(before, dict) or
+                    not isinstance(before.get("wall_s"), (int, float))):
+                ok = fail(path, f"scalability.{cell}.before.wall_s "
+                                f"missing or not a number")
     ok &= check_figures(path, snap.get("figures"))
     return ok
 
 
 FIGURE_CELLS = ("fig4_8_mp3_latency", "fig4_5_fault_surface",
-                "lockstep_128x128_dense_broadcast",
-                "event_128x128_dense_broadcast")
+                "dense_128x128_broadcast")
 
 
 def check_figures(path, figures):
@@ -177,19 +192,16 @@ def diff_engine(old_path, new_path):
         old = json.load(f)
     with open(new_path) as f:
         new = json.load(f)
-    old_table = old.get("ns_per_round", {})
-    new_table = new.get("ns_per_round", {})
-    for engine in sorted(set(old_table) | set(new_table)):
-        old_cells = old_table.get(engine, {})
-        new_cells = new_table.get(engine, {})
-        for side in sorted(set(old_cells) & set(new_cells), key=int):
-            before, after = old_cells[side], new_cells[side]
-            if not before:
-                continue
-            delta = (after - before) / before * 100.0
-            marker = "  <-- regression?" if delta > 10.0 else ""
-            print(f"ns_per_round {engine}/{side}: {before:.0f} -> "
-                  f"{after:.0f} ns ({delta:+.1f}%){marker}")
+    old_cells = old.get("ns_per_round", {})
+    new_cells = new.get("ns_per_round", {})
+    for side in sorted(set(old_cells) & set(new_cells), key=int):
+        before, after = old_cells[side], new_cells[side]
+        if not before:
+            continue
+        delta = (after - before) / before * 100.0
+        marker = "  <-- regression?" if delta > 10.0 else ""
+        print(f"ns_per_round {side}: {before:.0f} -> "
+              f"{after:.0f} ns ({delta:+.1f}%){marker}")
     old_figs = old.get("figures", {}).get("benches", {})
     new_figs = new.get("figures", {}).get("benches", {})
     for cell in sorted(set(old_figs) & set(new_figs)):

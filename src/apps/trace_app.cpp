@@ -12,9 +12,7 @@ public:
 
     void on_round(TileContext& ctx) override {
         auto& s = *state_;
-        // Phase only moves during receive; within the compute phase this
-        // is a stable snapshot even when shards run tiles in parallel.
-        const std::size_t open = s.phase.load(std::memory_order_acquire);
+        const std::size_t open = s.phase;
         if (open >= s.trace.phases.size()) return;
         if (sent_phase_ == open) return; // already injected for this phase
         const auto& phase = s.trace.phases[open];
@@ -38,22 +36,16 @@ public:
         // Stale rumor from an earlier phase?  A *first* copy of a phase-k
         // message can never observe phase > k: the k -> k+1 transition
         // requires every phase-k message (this one included) counted.
-        if (phase != s.phase.load(std::memory_order_acquire)) return;
+        if (phase != s.phase) return;
         SNOC_EXPECT(phase < s.trace.phases.size());
         SNOC_EXPECT(index < s.trace.phases[phase].messages.size());
         if (s.trace.phases[phase].messages[index].dst != message.destination) return;
         const auto key = phase << 8 | index;
         if (!seen_.insert(key).second) return;
-        const std::size_t counted =
-            s.delivered_in_phase.fetch_add(1, std::memory_order_acq_rel) + 1;
-        s.total_delivered.fetch_add(
-            1, std::memory_order_relaxed); // relaxed[commutative-counter]
-        if (counted == s.trace.phases[phase].messages.size()) {
-            // Exactly one delivery completes the phase; no phase-(k+1)
-            // traffic can exist yet, so the reset below races with nothing.
-            s.delivered_in_phase.store(
-                0, std::memory_order_relaxed); // relaxed[pre-release-publish]
-            s.phase.fetch_add(1, std::memory_order_release);
+        ++s.total_delivered;
+        if (++s.delivered_in_phase == s.trace.phases[phase].messages.size()) {
+            s.delivered_in_phase = 0;
+            ++s.phase;
         }
     }
 

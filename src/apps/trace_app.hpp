@@ -8,7 +8,7 @@
 // pushed through the gossip NoC, the shared bus and the XY mesh.)
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <memory>
 
 #include "core/engine.hpp"
@@ -30,18 +30,14 @@ public:
     std::size_t delivered_messages() const { return state_->total_delivered; }
 
 private:
-    // The counters are shared by every replay IP and are atomic so the
-    // event engine may deliver to different tiles on parallel shards.
-    // The replay stays deterministic at any shard count because the
-    // updates commute: each trace message is counted exactly once (per-IP
-    // seen_ dedup), and the phase can only advance after every message of
-    // the open phase has been counted — so no phase-k delivery can race
-    // with the k -> k+1 transition it still gates.
+    // Shared by every replay IP of one network.  Each trace message is
+    // counted exactly once (per-IP seen_ dedup), and the phase advances
+    // only after every message of the open phase has been counted.
     struct State {
         TrafficTrace trace;
-        std::atomic<std::size_t> phase{0};
-        std::atomic<std::size_t> delivered_in_phase{0};
-        std::atomic<std::size_t> total_delivered{0};
+        std::size_t phase{0};
+        std::size_t delivered_in_phase{0};
+        std::size_t total_delivered{0};
     };
 
     class TraceIp;

@@ -129,12 +129,11 @@ void InvariantAuditor::check_monotonic(const CounterSnapshot& now) {
 void InvariantAuditor::check_round(const GossipNetwork& net) {
     ++rounds_audited_;
     check_conservation(net.ledger());
-    // Event engine only (trivially true under lockstep): the skip-idle
-    // optimisation is sound iff the active set is exactly the live tiles
-    // with non-empty send buffers.
-    if (!net.event_active_set_consistent())
-        violate("event-active-set",
-                "active-tile set diverged from live non-empty send buffers");
+    // Skipping idle tiles is sound iff the active list is exactly the
+    // live tiles with non-empty send buffers.
+    if (!net.active_set_consistent())
+        violate("active-set",
+                "active-tile list diverged from live non-empty send buffers");
 
     const auto& m = net.metrics();
     check_metrics(m, /*include_round_histogram=*/false);

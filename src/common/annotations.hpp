@@ -1,11 +1,11 @@
 // Clang thread-safety annotations + the annotated lock vocabulary.
 //
 // The simulator's shared-state concurrency — the ThreadPool behind
-// run_trials, the event engine's shard batches, the ScenarioRunner's
-// progress ledger, HeartbeatWriter, the prof registry — is protected by
-// mutexes whose *discipline* used to live only in comments and in
-// whatever races a TSan run happened to execute.  This header turns that
-// discipline into a compile-time contract: under Clang, `-Wthread-safety`
+// run_trials, the ScenarioRunner's progress ledger, HeartbeatWriter, the
+// prof registry — is protected by mutexes whose *discipline* used to
+// live only in comments and in whatever races a TSan run happened to
+// execute.  This header turns that discipline into a compile-time
+// contract: under Clang, `-Wthread-safety`
 // (the `SNOC_THREAD_SAFETY` CMake option, `-Werror` on the CI leg)
 // proves every access to a `SNOC_GUARDED_BY` member happens with its
 // capability held, every `SNOC_REQUIRES` function is called under the

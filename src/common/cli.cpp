@@ -72,27 +72,6 @@ std::size_t resolve_jobs(const CliArgs& args) {
     return jobs > 0 ? jobs : 1;
 }
 
-const char* to_string(EngineKind kind) {
-    return kind == EngineKind::Event ? "event" : "lockstep";
-}
-
-std::optional<EngineKind> engine_kind_from_string(std::string_view name) {
-    if (name == "lockstep") return EngineKind::Lockstep;
-    if (name == "event") return EngineKind::Event;
-    return std::nullopt;
-}
-
-EngineKind resolve_engine(const CliArgs& args) {
-    std::string name = args.get_string("engine", "");
-    if (name.empty()) {
-        if (const char* env = std::getenv("SNOC_ENGINE")) name = env;
-    }
-    if (name.empty()) return EngineKind::Lockstep;
-    const auto kind = engine_kind_from_string(name);
-    SNOC_EXPECT(kind.has_value()); // --engine must be lockstep or event
-    return *kind;
-}
-
 BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeats) {
     BenchOptions options;
     options.csv = args.has("csv");
@@ -103,7 +82,6 @@ BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeat
         repeats > 0 ? static_cast<std::size_t>(repeats) : default_repeats;
     options.jobs = resolve_jobs(args);
     options.seed = args.get_u64("seed", 0);
-    options.engine = resolve_engine(args);
     options.telemetry.trace_jsonl_out = args.get_string("trace-out", "");
     options.telemetry.chrome_out = args.get_string("chrome-out", "");
     options.telemetry.heatmap_out = args.get_string("heatmap-out", "");
@@ -149,6 +127,16 @@ void reject_telemetry_flags(const BenchOptions& options, std::string_view progra
         std::cerr << program << ": " << flag
                   << " is not supported by this bench (its trials do not run "
                      "through ScenarioRunner)\n";
+    std::exit(2);
+}
+
+void reject_engine_selector(const CliArgs& args, std::string_view program) {
+    const bool flag = args.has("engine");
+    const bool env = std::getenv("SNOC_ENGINE") != nullptr;
+    if (!flag && !env) return;
+    constexpr const char* why = " is not supported: one gossip executor runs every trial\n";
+    if (flag) std::cerr << program << ": --engine" << why;
+    if (env) std::cerr << program << ": SNOC_ENGINE" << why;
     std::exit(2);
 }
 

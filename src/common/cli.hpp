@@ -97,35 +97,9 @@ struct TelemetryOptions {
     std::vector<std::string> requested_flags() const;
 };
 
-/// Which round-execution engine drives a GossipNetwork.  A plain enum
-/// living below the core layer (same reasoning as TelemetryOptions above)
-/// so BenchOptions, ExperimentSpec and GossipSpec can carry the choice
-/// without a layering inversion; core/event_engine.hpp implements it.
-enum class EngineKind : std::uint8_t {
-    Lockstep, ///< reference engine: every tile visited every round.
-    Event,    ///< sparse active-set engine, optionally sharded.
-};
-
-const char* to_string(EngineKind kind);
-/// Parse "lockstep" / "event"; nullopt on anything else.
-std::optional<EngineKind> engine_kind_from_string(std::string_view name);
-
-/// Engine choice plus intra-trial shard workers for one GossipNetwork.
-/// `shards` only matters for the event engine: the mesh is partitioned
-/// into that many contiguous tile strips executed on the shared
-/// ThreadPool.  Results are byte-identical for any shard count.
-struct EngineSelect {
-    EngineKind kind{EngineKind::Lockstep};
-    std::size_t shards{1};
-};
-
-/// `--engine lockstep|event` beats the SNOC_ENGINE environment variable
-/// beats the lockstep default.  ContractViolation on unknown names.
-EngineKind resolve_engine(const CliArgs& args);
-
 /// The uniform flag set every bench binary accepts, parsed in exactly one
 /// place: --csv | --json (table output format), --repeats=N, --jobs=N,
-/// --seed=N, --engine=lockstep|event, plus the telemetry/profiling flags
+/// --seed=N, plus the telemetry/profiling flags
 /// (--trace-out=PATH, --chrome-out=PATH, --heatmap-out=PATH,
 /// --grid-width=N, --manifest, --prof).  Benches with extra flags
 /// construct CliArgs themselves and call the CliArgs overload.
@@ -135,8 +109,6 @@ struct BenchOptions {
     std::size_t repeats{1};   ///< --repeats, else the bench's default (> 0).
     std::size_t jobs{1};      ///< resolved worker count (resolve_jobs).
     std::uint64_t seed{0};    ///< --seed base seed for the sweep.
-    /// --engine: which engine gossip-backed runs construct (resolve_engine).
-    EngineKind engine{EngineKind::Lockstep};
     TelemetryOptions telemetry; ///< export destinations, off by default.
     bool prof{false};         ///< --prof: simulator wall-clock profile report.
     /// --prof-out: also dump the profile as deterministic-schema JSON
@@ -152,5 +124,11 @@ BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repe
 /// rejected, never silently dropped.  If any export was requested, print
 /// one line per flag to stderr and exit with status 2.
 void reject_telemetry_flags(const BenchOptions& options, std::string_view program);
+
+/// `--engine` and the SNOC_ENGINE environment variable used to pick one
+/// of two round executors; one executor runs every trial now.  If either
+/// is set, print one line per selector to stderr and exit with status 2
+/// rather than silently ignore it.
+void reject_engine_selector(const CliArgs& args, std::string_view program);
 
 } // namespace snoc

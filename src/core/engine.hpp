@@ -12,6 +12,12 @@
 //
 // Crashed tiles/links, data upsets, forced overflows and clock-skew
 // deferrals are applied exactly where they would strike on silicon.
+//
+// One serial executor runs every round (DESIGN.md §12).  It visits tiles
+// in ascending order, phase by phase, but only the tiles that can have
+// work: the active list (live tiles holding a rumor), the live IP-core
+// tiles, and the destinations of this round's arrivals.  Idle tiles cost
+// nothing, so a thin wavefront on a huge mesh runs in O(wavefront).
 #pragma once
 
 #include <array>
@@ -19,11 +25,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "check/ledger.hpp"
-#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "core/gossip_config.hpp"
@@ -37,18 +43,10 @@
 
 namespace snoc {
 
-class EventEngine;
-
 class GossipNetwork {
 public:
-    /// `engine` picks the round executor: the default lockstep engine
-    /// walks every tile every round; EngineKind::Event delegates rounds
-    /// to the sparse-activity EventEngine (core/event_engine.hpp), which
-    /// produces bit-identical metrics, traces and clocks for any shard
-    /// count (test_engine_equivalence proves it).
     GossipNetwork(Topology topology, GossipConfig config, FaultScenario scenario,
-                  std::uint64_t seed, EngineSelect engine = {});
-    ~GossipNetwork();
+                  std::uint64_t seed);
 
     /// Map an IP core onto a tile.  Must be called before the first round.
     void attach(TileId tile, std::unique_ptr<IpCore> core);
@@ -108,13 +106,11 @@ public:
     const CrashState& crashes();
     Round round() const { return round_; }
     double elapsed_seconds() const;
-    /// Which engine executes rounds (EngineSelect at construction).
-    EngineKind engine_kind() const;
-    /// Event engine only: true iff its active-tile set equals the set of
-    /// live tiles with non-empty send buffers (the invariant that makes
-    /// skipping sound).  Always true under lockstep.  O(N); the
+    /// True iff the active list holds exactly the live tiles with
+    /// non-empty send buffers, each once, in ascending order — the
+    /// invariant that makes skipping idle tiles sound.  O(N); the
     /// InvariantAuditor calls it per audited round.
-    bool event_active_set_consistent() const;
+    bool active_set_consistent() const;
 
     bool tile_alive(TileId t);
     std::size_t live_link_count();
@@ -129,7 +125,8 @@ public:
     /// benches to account for the full broadcast lifetime.
     void drain(Round max_extra_rounds = 1000);
     /// How many live tiles currently know (hold or held) message `id` —
-    /// the spread curve of Fig. 3-1.
+    /// the spread curve of Fig. 3-1.  O(1): every successful send-buffer
+    /// insert is one new knower, and crashes only roll at start.
     std::size_t tiles_knowing(const MessageId& id);
     const SendBuffer& send_buffer(TileId t) const;
 
@@ -169,31 +166,6 @@ private:
 
     class Context; // TileContext implementation.
 
-    /// Effect sink for one delivery / compute call: where scalar
-    /// counters, trace events and bookkeeping side-effects land.  The
-    /// lockstep engine points it straight at metrics_ / trace_; the event
-    /// engine hands per-shard sinks so parallel shards never write shared
-    /// state (deltas are merged serially, in ascending shard order, at
-    /// phase end — which keeps results byte-identical at any shard
-    /// count).
-    struct StepSink {
-        NetworkMetrics* metrics{nullptr};  ///< scalar counter target.
-        TraceSink* direct_trace{nullptr};  ///< emit here when not buffering.
-        std::vector<TraceEvent>* trace_buffer{nullptr}; ///< shard buffer.
-        bool tracing{false};               ///< any trace destination is on.
-        /// nullptr: stop-spread ids go straight into delivered_unicasts_.
-        std::vector<MessageId>* unicasts{nullptr};
-        /// Event-engine bookkeeping (all nullptr under lockstep): ids
-        /// successfully inserted into send buffers (knower accounting),
-        /// tiles whose buffer went empty -> non-empty (active-set
-        /// maintenance), and how many insertions evicted a victim.
-        std::vector<MessageId>* inserted{nullptr};
-        std::vector<TileId>* activated{nullptr};
-        std::size_t evictions{0};
-    };
-    /// The lockstep sink: counters to metrics_, events to trace_.
-    StepSink direct_sink();
-
     void ensure_started();
     bool tile_active_this_round(TileId t) const;
     void receive_phase();
@@ -207,18 +179,20 @@ private:
     /// drops.  True iff the arrival took an inbox slot and goes on to
     /// receive_arrival().
     bool admit_arrival(TileId dest, Arrival& arrival);
-    /// The rest of the receive phase for one admitted arrival, shared by
-    /// both engines.  An arrival without bytes is clean: a clean wire
-    /// always passes SECDED with zero corrections and the CRC, and
-    /// decodes to (body, ttl), so it is deduplicated or accepted straight
-    /// from the shared body.  Materialised bytes are FEC-stripped,
-    /// CRC-checked and decoded.  Consumes `arrival`; touches only
-    /// `tile`'s state and `sink`.
-    void receive_arrival(TileId tile, Arrival& arrival, StepSink& sink);
-    void ignore_duplicate(TileId tile, MessageId id, StepSink& sink);
-    void deliver_and_insert(TileId tile, HeldMessage message, StepSink& sink);
-    /// Run `tile`'s IP core hook with a Context wired to `sink`.
-    void core_round(TileId tile, StepSink& sink);
+    /// The rest of the receive phase for one admitted arrival.  An
+    /// arrival without bytes is clean: a clean wire always passes SECDED
+    /// with zero corrections and the CRC, and decodes to (body, ttl), so
+    /// it is deduplicated or accepted straight from the shared body.
+    /// Materialised bytes are FEC-stripped, CRC-checked and decoded.
+    /// Consumes `arrival`.
+    void receive_arrival(TileId tile, Arrival& arrival);
+    void deliver_and_insert(TileId tile, HeldMessage message);
+    /// Insert `message` into `tile`'s send buffer.  On success, trace
+    /// `kind` and keep the knower counts, the activation list and the
+    /// eviction tally in step.  True iff inserted.
+    bool hold(TileId tile, HeldMessage message, TraceEventKind kind);
+    /// Fold the tiles activated during a phase into the active list.
+    void merge_activations();
     /// Bytes on the wire for `body` under the configured link protection:
     /// Packet::wire_bytes, SECDED-expanded by fec::protected_bytes.
     std::size_t wire_size(const MessageBody& body) const;
@@ -230,8 +204,6 @@ private:
     void enqueue_transmission(TileId from, TileId to, LinkId link, const HeldMessage& m);
     void trace(TraceEventKind kind, TileId tile, TileId peer = kNoTile,
                MessageId message = MessageId{kNoTile, 0});
-    void sink_trace(StepSink& sink, TraceEventKind kind, TileId tile,
-                    TileId peer = kNoTile, MessageId message = MessageId{kNoTile, 0});
 
     Topology topology_;
     GossipConfig config_;
@@ -270,13 +242,31 @@ private:
     std::vector<std::byte> upset_wire_;
     NetworkMetrics metrics_;
     std::size_t packets_this_round_{0};
-    std::size_t sendbuf_overflow_snapshot_{0};
     TraceSink* trace_{nullptr};
-    /// Non-null iff constructed with EngineKind::Event; owns the sparse
-    /// round executor, which reaches back in through the friendship below.
-    std::unique_ptr<EventEngine> event_;
 
-    friend class EventEngine;
+    // --- The sparse schedule and its counters (DESIGN.md §12) ---------
+    /// Live tiles with non-empty send buffers, ascending, unique.
+    std::vector<TileId> active_;
+    /// Tiles whose buffer went empty -> non-empty during the current
+    /// phase; merged into active_ when the phase ends.
+    std::vector<TileId> newly_active_;
+    /// Live tiles hosting an IP core, ascending.
+    std::vector<TileId> cores_;
+    /// Tiles that took an inbox slot this receive phase.
+    std::vector<TileId> backlog_touched_;
+    /// Live tiles that ever held a given rumor.
+    std::unordered_map<MessageId, std::size_t> knowers_;
+    /// Send-buffer evictions so far vs. how many have been folded into
+    /// metrics_.overflow_drops.  The fold runs in the age phase, so the
+    /// metric trails the buffers by the part of a round after ageing.
+    std::size_t evictions_seen_{0};
+    std::size_t evictions_folded_{0};
+    /// sigma_synchr > 0 (a duration draw is owed every round) or a
+    /// clock-scale island exists (skew between domains can be non-zero):
+    /// advance every tile's clock.  Otherwise all clocks stay equal,
+    /// skew is 0 and elapsed time accumulates t_r per round.
+    bool dense_clocks_{false};
+    double elapsed_accum_{0.0};
 };
 
 } // namespace snoc

@@ -163,13 +163,11 @@ TrafficTrace beamforming_trace_for(const Architecture& arch, std::size_t frames)
 std::unique_ptr<Interconnect> make_interconnect(ArchitectureKind kind,
                                                 const GossipConfig& config,
                                                 const FaultScenario& scenario,
-                                                std::uint64_t seed,
-                                                EngineSelect engine) {
+                                                std::uint64_t seed) {
     const Architecture arch = make_architecture(kind);
     GossipSpec spec;
     spec.topology = arch.topology;
     spec.config = config;
-    spec.engine = engine;
     spec.customize = [arch](GossipNetwork& net) { install_architecture(arch, net); };
     // Route through the spec-to-adapter table (qualified: unqualified
     // lookup would stop at this overload set).

@@ -70,8 +70,7 @@ TrafficTrace beamforming_trace_for(const Architecture& arch, std::size_t frames)
 std::unique_ptr<Interconnect> make_interconnect(ArchitectureKind kind,
                                                 const GossipConfig& config,
                                                 const FaultScenario& scenario,
-                                                std::uint64_t seed,
-                                                EngineSelect engine = {});
+                                                std::uint64_t seed);
 
 /// Run the beamforming workload on an architecture and report the Fig. 5-3
 /// quantities.

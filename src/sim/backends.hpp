@@ -51,10 +51,6 @@ struct GossipSpec {
     /// route filters, forward capacities, clock scales (Ch. 5 hybrids).
     std::function<void(GossipNetwork&)> customize{};
     Technology tech{Technology::cmos_025um()};
-    /// Round executor (--engine): lockstep, or the sparse-activity
-    /// EventEngine with `engine.shards` intra-trial tile strips.  Results
-    /// are bit-identical either way (test_engine_equivalence).
-    EngineSelect engine{};
 };
 
 class GossipAdapter final : public Interconnect {

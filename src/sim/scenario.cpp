@@ -258,10 +258,6 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
                                      std::to_string(spec_.max_rounds));
         manifest.config.emplace_back("max_attempts",
                                      std::to_string(spec_.max_attempts));
-        manifest.config.emplace_back("engine", to_string(spec_.engine.kind));
-        if (spec_.engine.kind == EngineKind::Event)
-            manifest.config.emplace_back("shards",
-                                         std::to_string(spec_.engine.shards));
         if (!t.prof_out_ref.empty())
             manifest.config.emplace_back("prof_out", t.prof_out_ref);
         manifest.artifacts = artifacts;

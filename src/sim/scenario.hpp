@@ -105,13 +105,6 @@ struct ExperimentSpec {
 
     std::size_t jobs{0}; ///< trial fan-out workers; 0 = default_jobs().
 
-    /// Round executor for gossip-backed trials (--engine).  The runner
-    /// never builds networks itself — trial/backend lambdas must honour
-    /// this when constructing their GossipSpec/GossipNetwork — but
-    /// carrying it in the spec gives every bench one uniform plumbing
-    /// path and stamps the choice into run manifests.
-    EngineSelect engine{};
-
     /// Attach a fresh InvariantAuditor to every backend-flavour trial
     /// (each trial owns its own auditor, so parallel trials never share
     /// one) and report violation counts through

@@ -16,20 +16,17 @@
 // snapshot, manifest echo) followed by the last N events in the exact
 // JSONL dialect snoc_trace already reads.
 //
-// Sharded recordings: the event engine executes tile strips in parallel
-// and each strip buffers its events locally before the canonical serial
-// merge.  `lane(s)` exposes one ring per shard so a sharded producer can
-// record without cross-thread contention; drain() then merges lanes
-// deterministically — ascending round, ties broken by lane index then
-// intra-lane order — which equals the canonical ascending-tile-strip
-// order for any lane count.  A default recorder has a single lane and
-// behaves as a plain ring.
+// Multi-producer recordings: `lane(s)` exposes one ring per producer
+// thread so parallel producers record without cross-thread contention;
+// drain() then merges lanes deterministically — ascending round, ties
+// broken by lane index then intra-lane order.  A default recorder has a
+// single lane and behaves as a plain ring.
 //
 // Concurrency model (DESIGN.md §16): deliberately lock-free and
-// atomic-free.  Each lane is single-writer by contract (one shard), and
-// drain()/size()/postmortem dumps only run after the producing phase has
-// joined — the event engine's countdown barrier publishes every lane
-// write before the merger reads it.  There is therefore nothing for a
+// atomic-free.  Each lane is single-writer by contract (one producer),
+// and drain()/size()/postmortem dumps only run after the producers have
+// joined, which publishes every lane write before the merger reads it.
+// There is therefore nothing for a
 // mutex or an atomic to protect, and record() stays one store + one
 // increment (test_concurrency_stress hammers this contract under TSan).
 #pragma once
@@ -56,9 +53,9 @@ public:
     /// set_trace_sink uses.
     void record(const TraceEvent& event) override;
 
-    /// The sink for one shard's private lane.  Lanes never share state,
-    /// so parallel shards may record concurrently; drain() restores the
-    /// canonical order.
+    /// The sink for one producer's private lane.  Lanes never share
+    /// state, so parallel producers may record concurrently; drain()
+    /// restores the canonical order.
     TraceSink& lane(std::size_t lane);
 
     std::size_t capacity() const { return capacity_; }
@@ -70,8 +67,8 @@ public:
     std::size_t dropped() const;
     /// Running per-kind totals over *every* event ever recorded — the
     /// ring forgets old events, the totals do not.  Summed across lanes
-    /// at query time; each lane counts privately so concurrent shard
-    /// writers never share a cache line, let alone a counter.
+    /// at query time; each lane counts privately so concurrent writers
+    /// never share a cache line, let alone a counter.
     std::vector<std::size_t> kind_totals() const;
 
     /// The retained events in deterministic order: ascending round, ties

@@ -23,9 +23,7 @@ void write_fixed(std::ostream& os, double value) {
 }
 
 std::uint64_t registry_rounds() {
-    auto& reg = MetricsRegistry::global();
-    return reg.value(MetricId::EngineRoundsTotal) +
-           reg.value(MetricId::EventEngineRoundsTotal);
+    return MetricsRegistry::global().value(MetricId::EngineRoundsTotal);
 }
 
 /// Find `"key":` in a heartbeat line and return a pointer to the value

@@ -41,8 +41,6 @@ namespace snoc {
 #define SNOC_METRIC_LIST(X)                                                    \
     X(counter, EngineRoundsTotal, "snoc_engine_rounds_total",                  \
       "Gossip rounds executed by the dense engine")                            \
-    X(counter, EventEngineRoundsTotal, "snoc_event_engine_rounds_total",       \
-      "Gossip rounds executed by the event-driven engine")                     \
     X(counter, RouterPacketsCreatedTotal, "snoc_router_packets_created_total", \
       "Packets injected by the router core")                                   \
     X(counter, RouterPacketsTransmittedTotal,                                  \
@@ -110,7 +108,7 @@ inline constexpr std::size_t kMetricCount = std::size(kMetricDescs);
 
 // Mirror of the trace-kind static_assert: force a conscious audit of
 // emit sites, goldens and snoc_lint whenever the table changes.
-static_assert(kMetricCount == 18,
+static_assert(kMetricCount == 17,
               "SNOC_METRIC_LIST changed: update this count, add an emit "
               "site, and refresh the exposition goldens");
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/expect.hpp"
 
 namespace snoc {
@@ -119,6 +121,19 @@ TEST(BenchOptionsDeathTest, RejectedTelemetryFlagExitsTwoNamingTheFlag) {
     const auto opt = parse_bench_options(make({"--trace-out", "t.jsonl"}), 1);
     EXPECT_EXIT(reject_telemetry_flags(opt, "bench"), ::testing::ExitedWithCode(2),
                 "bench: --trace-out is not supported");
+}
+
+TEST(BenchOptionsDeathTest, RetiredEngineFlagExitsTwoNamingIt) {
+    EXPECT_EXIT(reject_engine_selector(make({"--engine", "event"}), "bench"),
+                ::testing::ExitedWithCode(2), "bench: --engine is not supported");
+    // The statement runs in the death test's child, so the variable never
+    // reaches this process.
+    EXPECT_EXIT(
+        {
+            setenv("SNOC_ENGINE", "lockstep", 1);
+            reject_engine_selector(make({}), "bench");
+        },
+        ::testing::ExitedWithCode(2), "bench: SNOC_ENGINE is not supported");
 }
 
 } // namespace

@@ -136,14 +136,14 @@ TEST(ConcurrencyStress, RunTrialsFeedsSharedRegistryExactly) {
         kThreads * 4,
         [&reg](std::uint64_t trial) {
             for (std::size_t i = 0; i < 1'000; ++i)
-                reg.inc(MetricId::EventEngineRoundsTotal);
+                reg.inc(MetricId::TrialsTotal);
             return trial;
         },
         kThreads);
     ASSERT_EQ(results.size(), kThreads * 4);
     for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i], i);
-    EXPECT_EQ(reg.value(MetricId::EventEngineRoundsTotal),
+    EXPECT_EQ(reg.value(MetricId::TrialsTotal),
               kThreads * 4 * 1'000);
 }
 

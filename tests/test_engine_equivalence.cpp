@@ -1,25 +1,19 @@
-// Byte-free clean transmissions, the in-flight ring buffer and the whole
-// event-driven engine are pure optimisations: for any fixed seed the
-// network must behave exactly as if every transmission serialised its own
-// packet and every arrival were FEC-stripped, CRC-checked and decoded
-// from those bytes (the reference_encode_path knob, the byte-level
-// oracle) and exactly as if every tile were walked every round (the
-// lockstep engine).  These tests run the same scenario through each
-// variant and require NetworkMetrics, per-kind trace counts and elapsed
-// local time to match field-for-field (against the byte-level oracle,
-// the whole trace too) — any divergence means a clean shortcut decided
-// differently from the bytes, a shared body leaked a mutation, an RNG
-// draw moved, a ring bucket aliased a live round, or the event engine's
-// active set skipped a tile that still had work.
-//
-// Backend-level equivalence (every BackendKind run under --engine event,
-// lint-enforced) lives in test_event_engine.cpp.
+// Byte-free clean transmissions and the in-flight ring buffer are pure
+// optimisations: for any fixed seed the network must behave exactly as if
+// every transmission serialised its own packet and every arrival were
+// FEC-stripped, CRC-checked and decoded from those bytes (the
+// reference_encode_path knob, the byte-level oracle).  These tests run
+// the same scenario both ways and require NetworkMetrics, the whole trace
+// and elapsed local time to match — any divergence means a clean shortcut
+// decided differently from the bytes, a shared body leaked a mutation, an
+// RNG draw moved or a ring bucket aliased a live round.
 //
 // The same scenario grid is also pinned against golden captures
 // (tests/golden/engine_<scenario>.golden): full metrics JSON plus digests
 // of the per-round/per-tile/per-link series and of the complete trace
-// JSONL, for each engine.  Equivalence alone cannot catch a change that
-// moves both engines the same way; the goldens can.  Regenerating is only
+// JSONL.  The oracle comparison cannot catch a change that moves both
+// paths the same way (an active tile skipped, a phase reordered); the
+// goldens can.  Regenerating is only
 // legitimate for a deliberate behaviour change (e.g. a new draw sequence
 // on one RNG stream), never to paper over an accidental divergence:
 //   SNOC_UPDATE_GOLDEN=1 build/tests/test_engine_equivalence
@@ -35,7 +29,6 @@
 
 #include "apps/master_slave_pi.hpp"
 #include "core/engine.hpp"
-#include "core/event_engine.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -169,11 +162,10 @@ RunOutput collect(const GossipNetwork& net, const Telemetry& telemetry) {
     return out;
 }
 
-RunOutput run_scenario(const Scenario& s, std::uint64_t seed,
-                       bool reference_encode, EngineSelect engine = {}) {
+RunOutput run_scenario(const Scenario& s, std::uint64_t seed, bool reference_encode) {
     GossipConfig config = s.config;
     config.reference_encode_path = reference_encode;
-    GossipNetwork net(Topology::mesh(4, 4), config, s.faults, seed, engine);
+    GossipNetwork net(Topology::mesh(4, 4), config, s.faults, seed);
     Telemetry telemetry;
     net.set_trace_sink(&telemetry);
     net.attach(0, std::make_unique<BroadcastSource>());
@@ -196,11 +188,10 @@ RunOutput run_scenario(const Scenario& s, std::uint64_t seed,
     return out;
 }
 
-RunOutput run_pi_scenario(const Scenario& s, std::uint64_t seed,
-                          bool reference_encode, EngineSelect engine = {}) {
+RunOutput run_pi_scenario(const Scenario& s, std::uint64_t seed, bool reference_encode) {
     GossipConfig config = s.config;
     config.reference_encode_path = reference_encode;
-    GossipNetwork net(Topology::mesh(5, 5), config, s.faults, seed, engine);
+    GossipNetwork net(Topology::mesh(5, 5), config, s.faults, seed);
     Telemetry telemetry;
     net.set_trace_sink(&telemetry);
     apps::PiDeployment d;
@@ -211,10 +202,9 @@ RunOutput run_pi_scenario(const Scenario& s, std::uint64_t seed,
     return collect(net, telemetry);
 }
 
-RunOutput run_output(const Scenario& s, std::uint64_t seed,
-                     bool reference_encode, EngineSelect engine = {}) {
-    return s.use_pi_app ? run_pi_scenario(s, seed, reference_encode, engine)
-                        : run_scenario(s, seed, reference_encode, engine);
+RunOutput run_output(const Scenario& s, std::uint64_t seed, bool reference_encode) {
+    return s.use_pi_app ? run_pi_scenario(s, seed, reference_encode)
+                        : run_scenario(s, seed, reference_encode);
 }
 
 void expect_metrics_equal(const NetworkMetrics& a, const NetworkMetrics& b,
@@ -256,32 +246,6 @@ TEST(EngineEquivalence, SharedWireMatchesReferenceEncodePath) {
             const auto reference = run_output(s, seed, true);
             expect_outputs_equal(shared, reference, label);
             EXPECT_EQ(shared.trace_jsonl, reference.trace_jsonl) << label;
-            // The event engine materialises bytes in its serial replay.
-            const EngineSelect event{EngineKind::Event, 2};
-            const auto event_shared = run_output(s, seed, false, event);
-            const auto event_reference = run_output(s, seed, true, event);
-            expect_outputs_equal(event_shared, event_reference, label + " event");
-            EXPECT_EQ(event_shared.trace_jsonl, event_reference.trace_jsonl)
-                << label << " event";
-        }
-    }
-}
-
-TEST(EngineEquivalence, EventEngineMatchesLockstep) {
-    // The tentpole contract: the sparse-activity engine reproduces the
-    // lockstep engine bit-for-bit — metrics, trace counts, elapsed local
-    // time and the spread curve — at every shard count.
-    for (const Scenario& s : scenarios()) {
-        for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
-            const auto lockstep = run_output(s, seed, false);
-            for (std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                       std::size_t{8}}) {
-                const auto label = s.name + " seed=" + std::to_string(seed) +
-                                   " shards=" + std::to_string(shards);
-                const auto event = run_output(
-                    s, seed, false, EngineSelect{EngineKind::Event, shards});
-                expect_outputs_equal(lockstep, event, label);
-            }
         }
     }
 }
@@ -328,21 +292,13 @@ std::string golden_section(const RunOutput& out) {
     return os.str();
 }
 
-/// Both engines (the event engine sharded, so the shard merge is pinned
-/// too) over two seeds.  The engines' trace streams order a round's
-/// events differently (the event engine merges shard buffers at phase
-/// end), so each engine has its own sections.
+/// Two seeds.  The section headers keep the `engine=lockstep` label the
+/// captures were first taken under, so the files stay byte-identical.
 std::string golden_image(const Scenario& s) {
     std::ostringstream os;
-    for (const bool event : {false, true}) {
-        for (const std::uint64_t seed : {1ull, 7ull}) {
-            const EngineSelect engine =
-                event ? EngineSelect{EngineKind::Event, 2} : EngineSelect{};
-            os << "# engine=" << (event ? "event shards=2" : "lockstep")
-               << " seed=" << seed << '\n'
-               << golden_section(run_output(s, seed, false, engine));
-        }
-    }
+    for (const std::uint64_t seed : {1ull, 7ull})
+        os << "# engine=lockstep seed=" << seed << '\n'
+           << golden_section(run_output(s, seed, false));
     return os.str();
 }
 

@@ -3,9 +3,16 @@
 // driving the underlying backend by hand with the same seed, because the
 // adapters reproduce the benches' exact construction order and RNG
 // derivation.  These are the backend-parity tests the refactor rests on.
+//
+// engine-equivalence-backends: gossip bus xy wormhole deflection storeforward cutthrough adaptive
+// (snoc_lint cross-checks that marker against the BackendKind enum:
+// adding a backend without extending Factory.EveryBackendIsDeterministic
+// below — and this list — is a lint error.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 
 #include "apps/trace_app.hpp"
 #include "bus/bus.hpp"
@@ -14,6 +21,7 @@
 #include "core/engine.hpp"
 #include "fault/injector.hpp"
 #include "sim/backends.hpp"
+#include "telemetry/export.hpp"
 
 namespace snoc {
 namespace {
@@ -265,6 +273,36 @@ TEST(Factory, BackendsRunTheSameTrace) {
         EXPECT_TRUE(report.completed) << to_string(kind);
         EXPECT_EQ(report.messages, 4u) << to_string(kind);
         EXPECT_EQ(report.deliveries, 4u) << to_string(kind);
+    }
+}
+
+std::string serialize_report(const RunReport& r) {
+    std::ostringstream os;
+    os << r.completed << ' ' << r.rounds << ' '
+       << std::hexfloat << r.seconds << std::defaultfloat << ' '
+       << r.transmissions << ' ' << r.bits << ' ' << r.messages << ' '
+       << r.deliveries << ' ' << r.dropped << ' '
+       << std::hexfloat << r.joules << std::defaultfloat << ' '
+       << r.seed << ' ' << r.attempts << '\n';
+    write_metrics_json(r.metrics, os);
+    return os.str();
+}
+
+/// Every BackendKind, built twice through the make_interconnect path the
+/// runner uses, completes the trace with byte-identical reports.  Keep
+/// the loop and the file-header marker list in sync when adding a
+/// BackendKind — snoc_lint enforces the marker.
+TEST(Factory, EveryBackendIsDeterministic) {
+    const auto trace = corner_trace();
+    for (const BackendKind kind : kBackendKinds) {
+        const auto a = make_interconnect(kind, FaultScenario::none(), 5);
+        const auto b = make_interconnect(kind, FaultScenario::none(), 5);
+        ASSERT_NE(a, nullptr) << to_string(kind);
+        ASSERT_EQ(a->kind(), kind);
+        const RunReport ra = a->run(trace, 2000);
+        const RunReport rb = b->run(trace, 2000);
+        EXPECT_EQ(serialize_report(ra), serialize_report(rb)) << to_string(kind);
+        EXPECT_TRUE(ra.completed) << to_string(kind);
     }
 }
 

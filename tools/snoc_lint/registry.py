@@ -21,9 +21,8 @@ lock-step with the code that feeds them.
   wire name means the expositions drifted from the table.
 * Every `BackendKind` enumerator must appear in an
   `engine-equivalence-backends:` marker inside tests/ — the marker names
-  the backends the engine-equivalence suites exercise, so a backend
-  registered without joining them escapes the lockstep-vs-event and
-  shard-invariance proofs.
+  the backends the determinism suite exercises, so a backend registered
+  without joining it escapes the run-twice, byte-identical-report check.
 """
 
 from __future__ import annotations
