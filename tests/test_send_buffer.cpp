@@ -110,5 +110,21 @@ TEST(SendBuffer, DistinctOriginsSameSequenceCoexist) {
     EXPECT_EQ(b.size(), 2u);
 }
 
+TEST(SendBuffer, RemembersEveryIdAcrossManyGrowths) {
+    // Thousands of ids force the membership table through repeated
+    // growth, and evictions keep the buffer itself small: every id ever
+    // held stays known, no other id does, and none can come back.
+    SendBuffer b(4);
+    for (std::uint32_t seq = 0; seq < 3000; ++seq)
+        ASSERT_TRUE(b.insert(msg(seq % 7, seq)));
+    EXPECT_EQ(b.size(), 4u);
+    EXPECT_EQ(b.overflow_drops(), 2996u);
+    for (std::uint32_t seq = 0; seq < 3000; ++seq) {
+        EXPECT_TRUE(b.knows(MessageId{seq % 7, seq})) << seq;
+        EXPECT_FALSE(b.knows(MessageId{seq % 7 + 7, seq})) << seq;
+        EXPECT_FALSE(b.insert(msg(seq % 7, seq))) << seq;
+    }
+}
+
 } // namespace
 } // namespace snoc
