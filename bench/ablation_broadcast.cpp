@@ -29,62 +29,62 @@ public:
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 15);
-    reject_telemetry_flags(opt, argv[0]);
     const auto topo = Topology::mesh(5, 5);
     constexpr TileId kRoot = 12;
+    const std::vector<double> kCrashed{0, 1, 2, 4, 6};
 
-    struct Trial {
-        double tree_reach, tree_tx;
-        double reach[2], tx[2]; // 0: gossip p=.5, 1: flooding
+    // One cell per (crash count, scheme).  A report's deliveries are the
+    // tiles reached, its transmissions the broadcast's cost.
+    auto spec = bench::sweep(opt, "ablation_broadcast");
+    spec.axes = {{"crashed", kCrashed}, {"scheme", {0, 1, 2}}}; // tree, gossip, flood
+    spec.trial = [&](const SweepPoint& pt, std::uint64_t seed, TraceSink* sink) {
+        const auto k = static_cast<std::size_t>(pt.value("crashed"));
+        const std::size_t scheme = pt.index_of("scheme");
+        if (scheme == 0) {
+            RngPool pool(seed);
+            FaultInjector inj(FaultScenario::none(), pool);
+            const auto t =
+                tree_broadcast(topo, kRoot, inj.roll_exact_tile_crashes(topo, k, {kRoot}));
+            RunReport report;
+            report.completed = true;
+            report.deliveries = t.reached;
+            report.transmissions = t.transmissions;
+            return report;
+        }
+        GossipSpec gs;
+        gs.topology = topo;
+        gs.config = bench::config_with_p(scheme == 1 ? 0.5 : 1.0, 20);
+        gs.protect = {kRoot};
+        gs.exact_tile_crashes = k;
+        GossipAdapter adapter(std::move(gs), FaultScenario::none(), seed);
+        adapter.set_trace_sink(sink);
+        GossipNetwork& net = adapter.network();
+        net.attach(kRoot, std::make_unique<Announcer>());
+        // Spread to quiescence, at most 100 rounds.
+        RunReport report = adapter.run_until([&net] { return net.quiescent(); }, 100);
+        report.deliveries = net.tiles_knowing({kRoot, 0});
+        return report;
     };
+    const auto cells = ScenarioRunner(std::move(spec)).run();
 
     Table table({"crashed tiles", "tree reach [%]", "gossip reach [%]",
                  "flood reach [%]", "tree tx", "gossip tx", "flood tx"});
-    for (std::size_t k : {0u, 1u, 2u, 4u, 6u}) {
-        const auto trials = run_trials(
-            opt.repeats,
-            [&](std::uint64_t seed) {
-                RngPool pool(seed);
-                FaultInjector inj(FaultScenario::none(), pool);
-                const auto crashes = inj.roll_exact_tile_crashes(topo, k, {kRoot});
-                const double live = static_cast<double>(25 - crashes.dead_tile_count());
-
-                Trial out{};
-                const auto t = tree_broadcast(topo, kRoot, crashes);
-                out.tree_reach = 100.0 * static_cast<double>(t.reached) / live;
-                out.tree_tx = static_cast<double>(t.transmissions);
-
-                for (int mode = 0; mode < 2; ++mode) {
-                    GossipConfig c = bench::config_with_p(mode == 0 ? 0.5 : 1.0, 20);
-                    GossipNetwork net(topo, c, FaultScenario::none(), seed);
-                    net.attach(kRoot, std::make_unique<Announcer>());
-                    net.protect(kRoot);
-                    net.force_exact_tile_crashes(k);
-                    net.drain(100);
-                    out.reach[mode] = 100.0 *
-                                      static_cast<double>(net.tiles_knowing({kRoot, 0})) /
-                                      live;
-                    out.tx[mode] = static_cast<double>(net.metrics().packets_sent);
-                }
-                return out;
-            },
-            opt.jobs);
-        Accumulator tree_reach, tree_tx;
-        Accumulator reach[2], tx[2];
-        for (const Trial& t : trials) {
-            tree_reach.add(t.tree_reach);
-            tree_tx.add(t.tree_tx);
-            for (int mode = 0; mode < 2; ++mode) {
-                reach[mode].add(t.reach[mode]);
-                tx[mode].add(t.tx[mode]);
-            }
+    for (std::size_t c = 0; c < kCrashed.size(); ++c) {
+        const auto live = 25.0 - kCrashed[c];
+        std::vector<std::string> reach, tx;
+        for (std::size_t scheme = 0; scheme < 3; ++scheme) {
+            const CellResult& cell = cells[3 * c + scheme];
+            const auto reached = bench::accumulate(cell, [live](const RunReport& r) {
+                return 100.0 * static_cast<double>(r.deliveries) / live;
+            });
+            const auto sent = bench::accumulate(cell, [](const RunReport& r) {
+                return static_cast<double>(r.transmissions);
+            });
+            reach.push_back(format_number(reached.mean(), 1));
+            tx.push_back(format_number(sent.mean(), 0));
         }
-        table.add_row({std::to_string(k), format_number(tree_reach.mean(), 1),
-                       format_number(reach[0].mean(), 1),
-                       format_number(reach[1].mean(), 1),
-                       format_number(tree_tx.mean(), 0),
-                       format_number(tx[0].mean(), 0),
-                       format_number(tx[1].mean(), 0)});
+        table.add_row({std::to_string(static_cast<std::size_t>(kCrashed[c])), reach[0],
+                       reach[1], reach[2], tx[0], tx[1], tx[2]});
     }
     bench::emit(table, opt,
                 "Ablation: spanning tree vs gossip vs flooding broadcast "

@@ -13,69 +13,51 @@
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 10);
-    reject_telemetry_flags(opt, argv[0]);
 
-    struct Trial {
-        bool completed{false};
-        double latency{0.0}, loss{0.0}, bits{0.0};
+    auto spec = bench::sweep(opt, "ablation_fec_vs_crc");
+    spec.axes = {{"p_upset", {0.0, 0.2, 0.4, 0.6, 0.8, 0.9}}, {"secded", {0, 1}}};
+    spec.trial = [](const SweepPoint& pt, std::uint64_t seed, TraceSink* sink) {
+        FaultScenario s;
+        s.p_upset = pt.value("p_upset");
+        GossipSpec gs;
+        gs.config = bench::config_with_p(0.5, 60);
+        gs.config.link_protection = pt.index_of("secded") == 0
+                                        ? LinkProtection::CrcDetect
+                                        : LinkProtection::SecdedCorrect;
+        gs.drain = true;
+        GossipAdapter net(std::move(gs), s, seed);
+        net.set_trace_sink(sink);
+        apps::PiDeployment d;
+        auto& master = apps::deploy_pi(net.network(), d);
+        net.network().protect(d.master_tile);
+        return net.run_until([&master] { return master.done(); }, 3000);
     };
+    const auto cells = ScenarioRunner(std::move(spec)).run();
 
     Table table({"p_upset", "CRC latency", "FEC latency", "CRC loss [%]",
                  "FEC loss [%]", "CRC bits", "FEC bits"});
-    for (double upset : {0.0, 0.2, 0.4, 0.6, 0.8, 0.9}) {
-        struct Stats {
-            Accumulator latency, loss, bits;
-            std::size_t completed{0};
-        };
-        Stats stats[2];
-        for (int mode = 0; mode < 2; ++mode) {
-            const auto prot = mode == 0 ? LinkProtection::CrcDetect
-                                        : LinkProtection::SecdedCorrect;
-            const auto trials = run_trials(
-                opt.repeats,
-                [&](std::uint64_t seed) {
-                    FaultScenario s;
-                    s.p_upset = upset;
-                    GossipConfig c = bench::config_with_p(0.5, 60);
-                    c.link_protection = prot;
-                    GossipNetwork net(Topology::mesh(5, 5), c, s, seed);
-                    apps::PiDeployment d;
-                    auto& master = apps::deploy_pi(net, d);
-                    net.protect(d.master_tile);
-                    const auto r =
-                        net.run_until([&master] { return master.done(); }, 3000);
-                    Trial out;
-                    if (!r.completed) return out;
-                    out.completed = true;
-                    out.latency = static_cast<double>(r.rounds);
-                    net.drain();
-                    const auto& m = net.metrics();
-                    out.loss = 100.0 *
-                               static_cast<double>(m.crc_drops + m.fec_uncorrectable) /
-                               static_cast<double>(m.packets_sent);
-                    out.bits = static_cast<double>(m.bits_sent);
-                    return out;
-                },
-                opt.jobs);
-            for (const Trial& t : trials) {
-                if (!t.completed) continue;
-                ++stats[mode].completed;
-                stats[mode].latency.add(t.latency);
-                stats[mode].loss.add(t.loss);
-                stats[mode].bits.add(t.bits);
+    for (std::size_t c = 0; c < cells.size(); c += 2) {
+        std::vector<std::string> latency, loss, bits;
+        for (const CellResult* cell : {&cells[c], &cells[c + 1]}) {
+            if (cell->stats.completion_rate == 0.0) {
+                for (auto* col : {&latency, &loss, &bits}) col->push_back("DNF");
+                continue;
             }
+            const auto lost = bench::accumulate(
+                *cell,
+                [](const RunReport& r) {
+                    const auto& m = r.metrics;
+                    return 100.0 *
+                           static_cast<double>(m.crc_drops + m.fec_uncorrectable) /
+                           static_cast<double>(m.packets_sent);
+                },
+                true);
+            latency.push_back(format_number(cell->stats.rounds, 1));
+            loss.push_back(format_number(lost.mean(), 1));
+            bits.push_back(format_sci(cell->stats.bits, 2));
         }
-        auto cell = [](const Stats& s, auto f) {
-            return s.completed ? f() : std::string("DNF");
-        };
-        table.add_row(
-            {format_number(upset, 2),
-             cell(stats[0], [&] { return format_number(stats[0].latency.mean(), 1); }),
-             cell(stats[1], [&] { return format_number(stats[1].latency.mean(), 1); }),
-             cell(stats[0], [&] { return format_number(stats[0].loss.mean(), 1); }),
-             cell(stats[1], [&] { return format_number(stats[1].loss.mean(), 1); }),
-             cell(stats[0], [&] { return format_sci(stats[0].bits.mean(), 2); }),
-             cell(stats[1], [&] { return format_sci(stats[1].bits.mean(), 2); })});
+        table.add_row({format_number(cells[c].point.value("p_upset"), 2), latency[0],
+                       latency[1], loss[0], loss[1], bits[0], bits[1]});
     }
     bench::emit(table, opt,
                 "Ablation: CRC-drop vs SECDED link protection (Master-Slave, p=0.5)");

@@ -22,7 +22,6 @@
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 3);
-    const auto tech = Technology::cmos_025um();
 
     auto trace = apps::pi_trace(apps::PiDeployment{});
     // The pi deployment is compact (master ringed by its slaves), so a
@@ -102,17 +101,14 @@ int main(int argc, char** argv) {
 
     for (const bool faulted : {false, true}) {
         const FaultScenario& scenario = faulted ? crashy : healthy;
-        ExperimentSpec spec;
-        spec.name = faulted ? "flow-control faulted" : "flow-control healthy";
+        auto spec =
+            bench::sweep(opt, faulted ? "flow-control faulted" : "flow-control healthy");
         spec.axes = {{"backend", [] {
                           std::vector<double> v;
                           for (std::size_t i = 0; i < kKindCount; ++i)
                               v.push_back(static_cast<double>(i));
                           return v;
                       }()}};
-        spec.repeats = opt.repeats;
-        spec.base_seed = opt.seed;
-        spec.jobs = opt.jobs;
         spec.max_rounds = 20000;
         spec.audit = true;
         spec.telemetry =

@@ -28,38 +28,36 @@ std::vector<snoc::TileId> outer_ring() {
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 10);
-    reject_telemetry_flags(opt, argv[0]);
     const auto tech = Technology::cmos_025um();
     const auto ring = outer_ring();
 
-    struct Trial {
-        bool completed{false};
-        double rounds{0.0}, uniform_energy{0.0}, island_energy{0.0};
+    auto spec = bench::sweep(opt, "ablation_islands");
+    spec.axes = {{"slowdown", {1.0, 1.5, 2.0, 3.0, 4.0}}};
+    spec.trial = [&ring](const SweepPoint& pt, std::uint64_t seed, TraceSink* sink) {
+        GossipSpec gs;
+        gs.config = bench::config_with_p(0.5, 30);
+        gs.drain = true;
+        gs.customize = [&ring, scale = pt.value("slowdown")](GossipNetwork& net) {
+            for (TileId t : ring) net.set_clock_scale(t, scale);
+        };
+        GossipAdapter net(std::move(gs), FaultScenario::none(), seed);
+        net.set_trace_sink(sink);
+        apps::PiDeployment d;
+        auto& master = apps::deploy_pi(net.network(), d);
+        net.network().protect(d.master_tile);
+        return net.run_until([&master] { return master.done(); }, 2000);
     };
+    const auto cells = ScenarioRunner(std::move(spec)).run();
 
     Table table({"ring slowdown", "latency [rounds]", "completion [%]",
                  "energy, uniform Ebit [J]", "energy, island-aware [J]"});
-    for (double scale : {1.0, 1.5, 2.0, 3.0, 4.0}) {
-        const auto trials = run_trials(
-            opt.repeats,
-            [&](std::uint64_t seed) {
-                GossipNetwork net(Topology::mesh(5, 5), bench::config_with_p(0.5, 30),
-                                  FaultScenario::none(), seed);
-                apps::PiDeployment d;
-                auto& master = apps::deploy_pi(net, d);
-                net.protect(d.master_tile);
-                for (TileId t : ring) net.set_clock_scale(t, scale);
-                const auto r = net.run_until([&master] { return master.done(); }, 2000);
-                Trial out;
-                if (!r.completed) return out;
-                out.completed = true;
-                out.rounds = static_cast<double>(r.rounds);
-                net.drain();
-                const auto& m = net.metrics();
-                out.uniform_energy =
-                    static_cast<double>(m.bits_sent) * tech.link_ebit_joules;
-                // Island-aware: V ~ f, E_bit ~ V^2 => E_bit / scale^2 in the
-                // slow island.
+    for (const CellResult& cell : cells) {
+        const double scale = cell.point.value("slowdown");
+        // Island-aware: V ~ f, E_bit ~ V^2 => E_bit / scale^2 in the slow
+        // island.
+        const auto island = bench::accumulate(
+            cell,
+            [&](const RunReport& r) {
                 double joules = 0.0;
                 for (TileId t = 0; t < 25; ++t) {
                     const bool in_ring =
@@ -67,26 +65,17 @@ int main(int argc, char** argv) {
                     const double ebit = in_ring
                                             ? tech.link_ebit_joules / (scale * scale)
                                             : tech.link_ebit_joules;
-                    joules += static_cast<double>(m.bits_sent_by_tile[t]) * ebit;
+                    joules += static_cast<double>(r.metrics.bits_sent_by_tile[t]) * ebit;
                 }
-                out.island_energy = joules;
-                return out;
+                return joules;
             },
-            opt.jobs);
-        Accumulator rounds, uniform_energy, island_energy;
-        std::size_t completed = 0;
-        for (const Trial& t : trials) {
-            if (!t.completed) continue;
-            ++completed;
-            rounds.add(t.rounds);
-            uniform_energy.add(t.uniform_energy);
-            island_energy.add(t.island_energy);
-        }
+            true);
+        const bool completed = cell.stats.completion_rate > 0.0;
         table.add_row({format_number(scale, 1),
-                       completed ? format_number(rounds.mean(), 1) : "DNF",
-                       format_number(100.0 * completed / opt.repeats, 0),
-                       completed ? format_sci(uniform_energy.mean(), 2) : "-",
-                       completed ? format_sci(island_energy.mean(), 2) : "-"});
+                       completed ? format_number(cell.stats.rounds, 1) : "DNF",
+                       format_number(bench::completion_pct(cell), 0),
+                       completed ? format_sci(cell.stats.joules, 2) : "-",
+                       completed ? format_sci(island.mean(), 2) : "-"});
     }
     bench::emit(table, opt,
                 "Ablation: voltage/frequency island on the outer ring "

@@ -86,66 +86,70 @@ private:
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 10);
-    reject_telemetry_flags(opt, argv[0]);
 
-    struct Trial {
-        double raw_del, raw_pkts, rel_del, rel_pkts, rel_rounds;
+    // One cell per (p_upset, channel).  A report's deliveries are the items
+    // the sink received.
+    auto spec = bench::sweep(opt, "ablation_reliable_transport");
+    spec.axes = {{"p_upset", {0.0, 0.3, 0.5, 0.7, 0.85}}, {"reliable", {0, 1}}};
+    spec.trial = [](const SweepPoint& pt, std::uint64_t seed, TraceSink* sink) {
+        FaultScenario s;
+        s.p_upset = pt.value("p_upset");
+        const bool reliable = pt.index_of("reliable") == 1;
+        GossipSpec gs;
+        gs.topology = Topology::mesh(4, 4);
+        // Deliberately undersized TTL: raw gossip struggles, the reliable
+        // channel escalates its way through.
+        gs.config = bench::config_with_p(0.5, 8);
+        gs.drain = !reliable;
+        GossipAdapter net(std::move(gs), s, seed);
+        net.set_trace_sink(sink);
+        if (!reliable) {
+            auto raw_sink = std::make_unique<RawSink>();
+            const RawSink& rs = *raw_sink;
+            net.network().attach(kSrc, std::make_unique<RawSource>());
+            net.network().attach(kDst, std::move(raw_sink));
+            // A fixed 120-round window, then the TTL drain.
+            RunReport report = net.run_until([] { return false; }, 120);
+            report.deliveries = rs.received();
+            return report;
+        }
+        auto rsink = std::make_unique<ReliableSink>();
+        auto rsrc = std::make_unique<ReliableSource>();
+        const ReliableSink& sink_ref = *rsink;
+        const ReliableSource& src_ref = *rsrc;
+        net.network().attach(kSrc, std::move(rsrc));
+        net.network().attach(kDst, std::move(rsink));
+        RunReport report = net.run_until(
+            [&] { return sink_ref.received() >= kItems && src_ref.sender().idle(); },
+            8000);
+        report.deliveries = sink_ref.received();
+        return report;
     };
+    const auto cells = ScenarioRunner(std::move(spec)).run();
 
+    const auto mean = [](const CellResult& cell, auto f) {
+        return bench::accumulate(cell, f).mean();
+    };
+    const auto delivered_pct = [](const RunReport& r) {
+        return 100.0 * static_cast<double>(r.deliveries) / kItems;
+    };
+    const auto packets_per_item = [](const RunReport& r) {
+        return static_cast<double>(r.transmissions) / kItems;
+    };
     Table table({"p_upset", "raw delivery [%]", "reliable delivery [%]",
                  "raw pkts/item", "reliable pkts/item", "reliable rounds"});
-    for (double upset : {0.0, 0.3, 0.5, 0.7, 0.85}) {
-        const auto trials = run_trials(
-            opt.repeats,
-            [&](std::uint64_t seed) {
-                FaultScenario s;
-                s.p_upset = upset;
-                // Deliberately undersized TTL: raw gossip struggles, the
-                // reliable channel escalates its way through.
-                GossipConfig c = bench::config_with_p(0.5, 8);
-
-                Trial out{};
-                GossipNetwork raw(Topology::mesh(4, 4), c, s, seed);
-                auto sink = std::make_unique<RawSink>();
-                const RawSink& rs = *sink;
-                raw.attach(kSrc, std::make_unique<RawSource>());
-                raw.attach(kDst, std::move(sink));
-                for (int i = 0; i < 120; ++i) raw.step();
-                raw.drain();
-                out.raw_del = 100.0 * static_cast<double>(rs.received()) / kItems;
-                out.raw_pkts =
-                    static_cast<double>(raw.metrics().packets_sent) / kItems;
-
-                GossipNetwork rel(Topology::mesh(4, 4), c, s, seed);
-                auto rsink = std::make_unique<ReliableSink>();
-                auto rsrc = std::make_unique<ReliableSource>();
-                const ReliableSink& sink_ref = *rsink;
-                const ReliableSource& src_ref = *rsrc;
-                rel.attach(kSrc, std::move(rsrc));
-                rel.attach(kDst, std::move(rsink));
-                const auto run = rel.run_until(
-                    [&] { return sink_ref.received() >= kItems && src_ref.sender().idle(); },
-                    8000);
-                out.rel_del = 100.0 * static_cast<double>(sink_ref.received()) / kItems;
-                out.rel_pkts =
-                    static_cast<double>(rel.metrics().packets_sent) / kItems;
-                out.rel_rounds = static_cast<double>(run.rounds);
-                return out;
-            },
-            opt.jobs);
-        Accumulator raw_del, rel_del, raw_pkts, rel_pkts, rel_rounds;
-        for (const Trial& t : trials) {
-            raw_del.add(t.raw_del);
-            raw_pkts.add(t.raw_pkts);
-            rel_del.add(t.rel_del);
-            rel_pkts.add(t.rel_pkts);
-            rel_rounds.add(t.rel_rounds);
-        }
-        table.add_row({format_number(upset, 2), format_number(raw_del.mean(), 1),
-                       format_number(rel_del.mean(), 1),
-                       format_number(raw_pkts.mean(), 0),
-                       format_number(rel_pkts.mean(), 0),
-                       format_number(rel_rounds.mean(), 0)});
+    for (std::size_t c = 0; c < cells.size(); c += 2) {
+        const CellResult& raw = cells[c];
+        const CellResult& rel = cells[c + 1];
+        table.add_row(
+            {format_number(raw.point.value("p_upset"), 2),
+             format_number(mean(raw, delivered_pct), 1),
+             format_number(mean(rel, delivered_pct), 1),
+             format_number(mean(raw, packets_per_item), 0),
+             format_number(mean(rel, packets_per_item), 0),
+             format_number(
+                 mean(rel, [](const RunReport& r) { return static_cast<double>(r.rounds); }),
+                 0)});
     }
     bench::emit(table, opt,
                 "Ablation: raw gossip vs reliable transport (TTL 8, p=0.5, "

@@ -33,15 +33,15 @@ public:
     void on_message(const snoc::Message&, snoc::TileContext&) override {}
 };
 
-std::vector<std::size_t> parse_sides(const std::string& csv) {
-    std::vector<std::size_t> sides;
+std::vector<double> parse_sides(const std::string& csv) {
+    std::vector<double> sides;
     std::size_t pos = 0;
     while (pos < csv.size()) {
         const auto comma = csv.find(',', pos);
         const auto token = csv.substr(
             pos, comma == std::string::npos ? std::string::npos : comma - pos);
         const auto side = static_cast<std::size_t>(std::strtoull(token.c_str(), nullptr, 10));
-        if (side >= 2) sides.push_back(side);
+        if (side >= 2) sides.push_back(static_cast<double>(side));
         if (comma == std::string::npos) break;
         pos = comma + 1;
     }
@@ -54,80 +54,76 @@ int main(int argc, char** argv) {
     using namespace snoc;
     const CliArgs args(argc, argv);
     const auto opt = bench::options(argc, argv, 10);
-    reject_telemetry_flags(opt, argv[0]);
     constexpr double kP = 0.5;
 
-    std::vector<std::size_t> sides = {4, 6, 8, 10, 12, 16};
+    std::vector<double> sides = {4, 6, 8, 10, 12, 16};
     if (args.has("sides")) sides = parse_sides(args.get_string("sides", ""));
     const auto ttl = static_cast<std::uint16_t>(args.get_u64("ttl", 512));
     const Round cap = std::max<Round>(2000, 4 * static_cast<Round>(ttl));
 
-    struct Trial {
-        bool completed{false}; ///< the rumor reached every tile.
-        double rounds{0.0}, packets{0.0}, reached{0.0}, coverage{0.0}, wall_s{0.0};
+    // A report's deliveries are the tiles that heard the rumor, complete
+    // when that is every tile; extras[0] is the trial's wall seconds.
+    auto spec = bench::sweep(opt, "ablation_scalability");
+    spec.axes = {{"side", sides}};
+    spec.trial = [&](const SweepPoint& pt, std::uint64_t seed, TraceSink* sink) {
+        const auto side = static_cast<std::size_t>(pt.value("side"));
+        GossipSpec gs;
+        gs.topology = Topology::mesh(side, side);
+        gs.config = bench::config_with_p(kP, ttl);
+        GossipAdapter adapter(std::move(gs), FaultScenario::none(), seed);
+        adapter.set_trace_sink(sink);
+        GossipNetwork& net = adapter.network();
+        const std::size_t n = side * side;
+        net.attach(0, std::make_unique<CornerSource>());
+        // Wall time measures the simulator, never the simulation: the
+        // duration feeds only this report column.  Timing starts after
+        // construction, so the column measures round execution only.
+        const auto t0 = std::chrono::steady_clock::now();
+        const MessageId rumor{0, 0};
+        // Stop at full coverage or at rumor death (quiescence) — with a
+        // small TTL the broadcast is a travelling wavefront that dies
+        // before reaching the far corner, and the run should end with it.
+        RunReport report = adapter.run_until(
+            [&net, &rumor, n] {
+                return net.tiles_knowing(rumor) == n || net.quiescent();
+            },
+            cap);
+        report.deliveries = net.tiles_knowing(rumor);
+        report.completed = report.deliveries == n;
+        report.extras = {
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                .count()};
+        return report;
     };
+    const auto cells = ScenarioRunner(std::move(spec)).run();
 
     Table table({"mesh", "tiles", "rounds", "diameter/p + slack",
                  "Pittel (full graph)", "packets/tile", "tiles reached",
                  "coverage [%]", "wall [s]"});
-    for (std::size_t side : sides) {
-        const auto topo = Topology::mesh(side, side);
-        const std::size_t n = topo.node_count();
-        const std::size_t diameter = 2 * (side - 1);
-        const auto trials = run_trials(
-            opt.repeats,
-            [&](std::uint64_t seed) {
-                GossipConfig c = bench::config_with_p(kP, ttl);
-                GossipNetwork net(topo, c, FaultScenario::none(), seed);
-                net.attach(0, std::make_unique<CornerSource>());
-                // Wall time measures the simulator, never the simulation:
-                // the duration feeds only this report column.  Timing
-                // starts after construction, so the column measures round
-                // execution only.
-                const auto t0 = std::chrono::steady_clock::now();
-                const MessageId rumor{0, 0};
-                // Stop at full coverage or at rumor death (quiescence) —
-                // with a small TTL the broadcast is a travelling wavefront
-                // that dies before reaching the far corner, and the run
-                // should end with it.
-                const auto r = net.run_until(
-                    [&net, &rumor, n]() mutable {
-                        return net.tiles_knowing(rumor) == n || net.quiescent();
-                    },
-                    cap);
-                Trial out;
-                const std::size_t knowing = net.tiles_knowing(rumor);
-                out.completed = knowing == n;
-                out.rounds = static_cast<double>(r.rounds);
-                out.reached = static_cast<double>(knowing);
-                out.coverage =
-                    100.0 * static_cast<double>(knowing) / static_cast<double>(n);
-                if (r.rounds > 0)
-                    out.packets = static_cast<double>(net.metrics().packets_sent) /
-                                  static_cast<double>(n) /
-                                  static_cast<double>(r.rounds);
-                out.wall_s = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-                return out;
-            },
-            opt.jobs);
-        Accumulator rounds, packets, reached, coverage, wall;
-        for (const Trial& t : trials) {
-            rounds.add(t.rounds);
-            packets.add(t.packets);
-            reached.add(t.reached);
-            coverage.add(t.coverage);
-            wall.add(t.wall_s);
-        }
+    for (const CellResult& cell : cells) {
+        const auto side = static_cast<std::size_t>(cell.point.value("side"));
+        const std::size_t n = side * side;
+        const auto mean = [&cell](auto f) { return bench::accumulate(cell, f).mean(); };
+        const double rounds =
+            mean([](const RunReport& r) { return static_cast<double>(r.rounds); });
+        const double packets = mean([n](const RunReport& r) {
+            return r.rounds > 0 ? static_cast<double>(r.transmissions) /
+                                      static_cast<double>(n) /
+                                      static_cast<double>(r.rounds)
+                                : 0.0;
+        });
+        const double reached =
+            mean([](const RunReport& r) { return static_cast<double>(r.deliveries); });
+        const double coverage = mean([n](const RunReport& r) {
+            return 100.0 * static_cast<double>(r.deliveries) / static_cast<double>(n);
+        });
+        const double wall = mean([](const RunReport& r) { return r.extras[0]; });
         table.add_row({std::to_string(side) + "x" + std::to_string(side),
-                       std::to_string(n), format_number(rounds.mean(), 1),
-                       std::to_string(estimate_ttl(diameter, kP)),
+                       std::to_string(n), format_number(rounds, 1),
+                       std::to_string(estimate_ttl(2 * (side - 1), kP)),
                        format_number(analytic::pittel_rounds(n), 1),
-                       format_number(packets.mean(), 2),
-                       format_number(reached.mean(), 1),
-                       format_number(coverage.mean(), 1),
-                       format_number(wall.mean(), 3)});
+                       format_number(packets, 2), format_number(reached, 1),
+                       format_number(coverage, 1), format_number(wall, 3)});
     }
     bench::emit(table, opt, "Ablation: broadcast scalability vs mesh size (p=0.5)");
     std::cout << "\nReading: rounds grow with the diameter (linear in the\n"

@@ -31,60 +31,44 @@ private:
 
 } // namespace
 
-namespace {
-
-struct TtlTrial {
-    bool delivered{false};
-    snoc::Round latency{0};
-    std::size_t packets{0};
-};
-
-} // namespace
-
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 40);
-    reject_telemetry_flags(opt, argv[0]);
+
+    // A report is complete when the corner sink heard the rumor; its
+    // rounds are then the round it did.
+    auto spec = bench::sweep(opt, "ablation_ttl");
+    spec.axes = {{"ttl", {2, 4, 6, 8, 12, 16, 24, 32}}};
+    spec.trial = [](const SweepPoint& pt, std::uint64_t seed, TraceSink* sink) {
+        GossipSpec gs;
+        gs.config = bench::config_with_p(0.5);
+        gs.config.default_ttl = static_cast<std::uint16_t>(pt.value("ttl"));
+        gs.drain = true;
+        GossipAdapter net(std::move(gs), FaultScenario::none(), seed);
+        net.set_trace_sink(sink);
+        auto corner = std::make_unique<CornerSink>();
+        const CornerSink& s = *corner;
+        net.network().attach(0, std::make_unique<CornerSource>());
+        net.network().attach(24, std::move(corner));
+        RunReport report = net.run_until([&s] { return s.round().has_value(); }, 200);
+        // Judged after the drain: the sink may still hear the rumor there.
+        report.completed = s.round().has_value();
+        report.rounds = s.round().value_or(0);
+        return report;
+    };
+    const auto cells = ScenarioRunner(std::move(spec)).run();
 
     Table table({"TTL", "delivery [%]", "avg packets", "avg latency [rounds]"});
-    for (std::uint16_t ttl : {2, 4, 6, 8, 12, 16, 24, 32}) {
-        // Independent Monte-Carlo trials: each builds its own network from
-        // its seed, so the fan-out is bit-identical to the serial loop.
-        const auto trials = run_trials(
-            opt.repeats,
-            [&](std::uint64_t seed) {
-                GossipConfig c = bench::config_with_p(0.5);
-                c.default_ttl = ttl;
-                GossipNetwork net(Topology::mesh(5, 5), c, FaultScenario::none(),
-                                  seed);
-                auto sink = std::make_unique<CornerSink>();
-                const CornerSink& s = *sink;
-                net.attach(0, std::make_unique<CornerSource>());
-                net.attach(24, std::move(sink));
-                net.run_until([&s] { return s.round().has_value(); }, 200);
-                net.drain();
-                TtlTrial out;
-                out.packets = net.metrics().packets_sent;
-                if (s.round()) {
-                    out.delivered = true;
-                    out.latency = *s.round();
-                }
-                return out;
-            },
-            opt.jobs);
-        std::size_t delivered = 0;
-        Accumulator packets, latency;
-        for (const TtlTrial& t : trials) {
-            packets.add(static_cast<double>(t.packets));
-            if (t.delivered) {
-                ++delivered;
-                latency.add(static_cast<double>(t.latency));
-            }
-        }
-        table.add_row({std::to_string(ttl),
-                       format_number(100.0 * delivered / opt.repeats, 1),
+    for (const CellResult& cell : cells) {
+        const auto packets = bench::accumulate(cell, [](const RunReport& r) {
+            return static_cast<double>(r.transmissions);
+        });
+        table.add_row({std::to_string(static_cast<int>(cell.point.value("ttl"))),
+                       format_number(bench::completion_pct(cell), 1),
                        format_number(packets.mean(), 0),
-                       delivered ? format_number(latency.mean(), 1) : "-"});
+                       cell.stats.completion_rate > 0.0
+                           ? format_number(cell.stats.rounds, 1)
+                           : "-"});
     }
     bench::emit(table, opt,
                 "Ablation: TTL vs delivery probability / bandwidth / latency "

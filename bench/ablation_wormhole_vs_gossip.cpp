@@ -11,21 +11,20 @@
 // backs up behind the blocked worm; gossip routes around the corpse.
 #include <iostream>
 
-#include "apps/trace_app.hpp"
 #include "bench_util.hpp"
 #include "wormhole/router.hpp"
 
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 15);
-    reject_telemetry_flags(opt, argv[0]);
 
     // ---- Part 1: saturation curve.
     wormhole::Config wc;
     Table saturation({"offered load", "avg latency [cycles]", "throughput",
                       "delivered [%]"});
     for (double load : {0.02, 0.05, 0.1, 0.2, 0.35, 0.5}) {
-        const auto p = wormhole::run_uniform_load(8, wc, load, 300, 1500, 7);
+        const auto p =
+            wormhole::run_uniform_load(8, wc, load, 300, 1500, opt.seed + 7);
         saturation.add_row({format_number(load, 2), format_number(p.avg_latency, 1),
                             format_number(p.throughput, 3),
                             format_number(100.0 * p.delivered_fraction, 1)});
@@ -38,69 +37,64 @@ int main(int argc, char** argv) {
     const std::vector<std::pair<TileId, TileId>> flows{{0, 24}, {4, 20}, {20, 4},
                                                        {24, 0}, {2, 22}, {10, 14}};
 
-    struct Trial {
-        std::size_t worm{0}, wf{0}, gossip{0};
+    std::vector<TileId> protected_tiles;
+    for (const auto& [s, d] : flows) {
+        protected_tiles.push_back(s);
+        protected_tiles.push_back(d);
+    }
+    TrafficTrace trace;
+    TrafficPhase phase;
+    for (const auto& [s, d] : flows) phase.messages.push_back({s, d, 256});
+    trace.phases.push_back(phase);
+
+    // One cell per (crash count, network); a report's deliveries are the
+    // flows that arrived.
+    const std::vector<double> kCrashed{0, 1, 2, 4, 6};
+    auto spec = bench::sweep(opt, "ablation_wormhole_vs_gossip");
+    spec.axes = {{"crashed", kCrashed}, {"net", {0, 1, 2}}}; // XY, west-first, gossip
+    spec.trial = [&](const SweepPoint& pt, std::uint64_t seed, TraceSink* sink) {
+        const auto k = static_cast<std::size_t>(pt.value("crashed"));
+        const std::size_t net = pt.index_of("net");
+        if (net == 2) {
+            GossipSpec gs;
+            gs.topology = mesh;
+            gs.config = bench::config_with_p(0.5, 40);
+            gs.protect = protected_tiles;
+            gs.exact_tile_crashes = k;
+            GossipAdapter gossip(std::move(gs), FaultScenario::none(), seed);
+            gossip.set_trace_sink(sink);
+            return gossip.run(trace, 500);
+        }
+        // Both wormhole routings see the same seed-derived crash pattern
+        // (the endpoints protected).
+        RngPool pool(seed);
+        FaultInjector inj(FaultScenario::none(), pool);
+        const auto crashes = inj.roll_exact_tile_crashes(mesh, k, protected_tiles);
+        wormhole::Config config = wc;
+        if (net == 1) config.routing = wormhole::Routing::WestFirst;
+        wormhole::Network wnet(5, 5, config);
+        wnet.set_trace_sink(sink);
+        for (TileId t = 0; t < 25; ++t)
+            if (crashes.dead_tiles[t]) wnet.crash_router(t);
+        for (const auto& [s, d] : flows) wnet.inject(s, d);
+        wnet.run(3000);
+        RunReport report;
+        report.deliveries = wnet.delivered();
+        return report;
     };
+    const auto cells = ScenarioRunner(std::move(spec)).run();
 
     Table crash({"crashed tiles", "wormhole XY [%]", "wormhole west-first [%]",
                  "gossip delivery [%]"});
-    for (std::size_t k : {0u, 1u, 2u, 4u, 6u}) {
-        const auto trials = run_trials(
-            opt.repeats,
-            [&](std::uint64_t seed) {
-                // Shared crash pattern (protect the endpoints).
-                RngPool pool(seed);
-                FaultInjector inj(FaultScenario::none(), pool);
-                std::vector<TileId> protected_tiles;
-                for (const auto& [s, d] : flows) {
-                    protected_tiles.push_back(s);
-                    protected_tiles.push_back(d);
-                }
-                const auto crashes =
-                    inj.roll_exact_tile_crashes(mesh, k, protected_tiles);
-
-                Trial out;
-                wormhole::Network wnet(5, 5, wc);
-                for (TileId t = 0; t < 25; ++t)
-                    if (crashes.dead_tiles[t]) wnet.crash_router(t);
-                for (const auto& [s, d] : flows) wnet.inject(s, d);
-                wnet.run(3000);
-                out.worm = wnet.delivered();
-
-                wormhole::Config wfc = wc;
-                wfc.routing = wormhole::Routing::WestFirst;
-                wormhole::Network wfnet(5, 5, wfc);
-                for (TileId t = 0; t < 25; ++t)
-                    if (crashes.dead_tiles[t]) wfnet.crash_router(t);
-                for (const auto& [s, d] : flows) wfnet.inject(s, d);
-                wfnet.run(3000);
-                out.wf = wfnet.delivered();
-
-                GossipConfig gc = bench::config_with_p(0.5, 40);
-                GossipNetwork gnet(mesh, gc, FaultScenario::none(), seed);
-                TrafficTrace trace;
-                TrafficPhase phase;
-                for (const auto& [s, d] : flows) phase.messages.push_back({s, d, 256});
-                trace.phases.push_back(phase);
-                apps::TraceDriver driver(gnet, trace);
-                for (TileId t : protected_tiles) gnet.protect(t);
-                gnet.force_exact_tile_crashes(k);
-                gnet.run_until([&driver] { return driver.complete(); }, 500);
-                out.gossip = driver.delivered_messages();
-                return out;
-            },
-            opt.jobs);
-        std::size_t worm_delivered = 0, wf_delivered = 0, gossip_delivered = 0;
-        for (const Trial& t : trials) {
-            worm_delivered += t.worm;
-            wf_delivered += t.wf;
-            gossip_delivered += t.gossip;
+    const double total = static_cast<double>(opt.repeats * flows.size());
+    for (std::size_t c = 0; c < kCrashed.size(); ++c) {
+        std::vector<std::string> row{std::to_string(static_cast<std::size_t>(kCrashed[c]))};
+        for (std::size_t net = 0; net < 3; ++net) {
+            std::size_t delivered = 0;
+            for (const RunReport& r : cells[3 * c + net].reports) delivered += r.deliveries;
+            row.push_back(format_number(100.0 * delivered / total, 1));
         }
-        const double total = static_cast<double>(opt.repeats * flows.size());
-        crash.add_row({std::to_string(k),
-                       format_number(100.0 * worm_delivered / total, 1),
-                       format_number(100.0 * wf_delivered / total, 1),
-                       format_number(100.0 * gossip_delivered / total, 1)});
+        crash.add_row(row);
     }
     bench::emit(crash, opt,
                 "Crash sensitivity: wormhole XY / west-first vs gossip "

@@ -33,12 +33,8 @@ int main(int argc, char** argv) {
         return s;
     };
 
-    ExperimentSpec xy_spec;
-    xy_spec.name = "ablation xy";
+    auto xy_spec = bench::sweep(opt, "ablation xy");
     xy_spec.axes = {{"p_tiles", kPTiles}};
-    xy_spec.repeats = opt.repeats;
-    xy_spec.base_seed = opt.seed;
-    xy_spec.jobs = opt.jobs;
     xy_spec.telemetry = bench::tag_telemetry(opt.telemetry, "_xy");
     xy_spec.backend = [&](const SweepPoint& pt, std::uint64_t seed) {
         return std::make_unique<XyAdapter>(XySpec{mesh, endpoints},
@@ -46,12 +42,8 @@ int main(int argc, char** argv) {
     };
     xy_spec.trace = [&](const SweepPoint&) { return trace; };
 
-    ExperimentSpec gossip_spec;
-    gossip_spec.name = "ablation gossip";
+    auto gossip_spec = bench::sweep(opt, "ablation gossip");
     gossip_spec.axes = {{"p_tiles", kPTiles}};
-    gossip_spec.repeats = opt.repeats;
-    gossip_spec.base_seed = opt.seed;
-    gossip_spec.jobs = opt.jobs;
     gossip_spec.max_rounds = 1000;
     gossip_spec.telemetry = bench::tag_telemetry(opt.telemetry, "_gossip");
     gossip_spec.backend = [&](const SweepPoint& pt, std::uint64_t seed) {

@@ -4,8 +4,11 @@
 // ASCII table with the same rows/series the thesis plots, and (c) the same
 // table as CSV (--csv) or JSON (--json) on request, for replotting.
 // Flag parsing lives in common/cli.hpp (BenchOptions); sweep/repeat/retry
-// execution lives in sim/scenario.hpp (ScenarioRunner); this header only
-// keeps the two case-study app deployments and the Eq. 3 shortcut.
+// execution lives in sim/scenario.hpp (ScenarioRunner), and every bench
+// sweep runs through it: sweep() maps the uniform flags onto an
+// ExperimentSpec, accumulate()/completion_pct() read a cell's reports
+// back.  The rest is the two case-study app deployments and the Eq. 3
+// shortcut.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +22,6 @@
 #include "apps/master_slave_pi.hpp"
 #include "check/invariant_auditor.hpp"
 #include "common/cli.hpp"
-#include "common/parallel.hpp"
 #include "common/prof.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -59,6 +61,36 @@ inline BenchOptions options(int argc, char** argv, std::size_t default_repeats =
         }
     }
     return parsed;
+}
+
+/// An ExperimentSpec carrying the uniform flags: --repeats, --seed (the
+/// sweep's base seed), --jobs and the telemetry exports.  Every bench
+/// sweep starts from this, so none can drop a flag on the floor.
+inline ExperimentSpec sweep(const BenchOptions& opt, std::string name) {
+    ExperimentSpec spec;
+    spec.name = std::move(name);
+    spec.repeats = opt.repeats;
+    spec.base_seed = opt.seed;
+    spec.jobs = opt.jobs;
+    spec.telemetry = opt.telemetry;
+    return spec;
+}
+
+/// Accumulate `f(report)` over a cell's repeats in repeat order — every
+/// repeat, or only the completed ones (CellStats' convention for means).
+template <typename F>
+Accumulator accumulate(const CellResult& cell, F&& f, bool completed_only = false) {
+    Accumulator acc;
+    for (const RunReport& r : cell.reports)
+        if (r.completed || !completed_only) acc.add(f(r));
+    return acc;
+}
+
+/// Completed repeats in percent, evaluated as 100 * completed / repeats.
+inline double completion_pct(const CellResult& cell) {
+    std::size_t completed = 0;
+    for (const RunReport& r : cell.reports) completed += r.completed ? 1 : 0;
+    return 100.0 * completed / cell.reports.size();
 }
 
 /// Insert a tag before each export path's extension ("run.jsonl" ->
@@ -153,16 +185,6 @@ inline RunReport run_fft_once(const GossipConfig& config, const FaultScenario& s
     net.network().protect(d.root_tile);
     for (TileId t : d.worker_tiles) net.network().protect(t);
     return net.run_until([&root] { return root.done(); }, max_rounds);
-}
-
-/// Average a RunReport-producing callable over seeds 0..repeats-1, fanning
-/// the independent trials across `jobs` worker threads (0 = default; see
-/// common/parallel.hpp).  `run_one(seed)` must derive all randomness from
-/// its seed argument — the results are bit-identical for any job count.
-/// (Sweeps should prefer ScenarioRunner; this remains for one-off cells.)
-template <typename F>
-CellStats average_runs(F&& run_one, std::size_t repeats, std::size_t jobs = 0) {
-    return aggregate(run_trials(repeats, run_one, jobs));
 }
 
 /// Eq. 3 energy per useful bit for an averaged run.

@@ -18,25 +18,30 @@ int main(int argc, char** argv) {
 
     const auto model = analytic::informed_curve(kNodes, kRounds);
 
-    const auto curves = run_trials(
-        opt.repeats,
-        [&](std::uint64_t seed) {
-            RngStream rng(splitmix64(seed));
-            auto curve = analytic::simulate_push_gossip(kNodes, rng, kRounds);
-            curve.resize(kRounds + 1, kNodes);
-            return curve;
-        },
-        opt.jobs);
-    std::vector<Accumulator> mc(kRounds + 1);
-    for (const auto& curve : curves)
-        for (std::size_t t = 0; t <= kRounds; ++t)
-            mc[t].add(static_cast<double>(curve[t]));
+    // The Monte-Carlo is analytic too (no network, nothing to trace): each
+    // trial's informed curve rides in RunReport::extras, and the telemetry
+    // flags go to the traced companion below.
+    auto spec = bench::sweep(opt, "fig3_1");
+    spec.telemetry = {};
+    spec.trial = [&](const SweepPoint&, std::uint64_t seed, TraceSink*) {
+        RngStream rng(splitmix64(seed));
+        auto curve = analytic::simulate_push_gossip(kNodes, rng, kRounds);
+        curve.resize(kRounds + 1, kNodes);
+        RunReport report;
+        report.completed = true;
+        report.extras.assign(curve.begin(), curve.end());
+        return report;
+    };
+    const auto mc = ScenarioRunner(std::move(spec)).run().front();
 
     Table table({"round", "model I(t)", "monte-carlo mean", "mc min", "mc max"});
     for (std::size_t t = 0; t <= kRounds; ++t) {
+        const auto informed =
+            bench::accumulate(mc, [t](const RunReport& r) { return r.extras[t]; });
         table.add_row({std::to_string(t), format_number(model[t], 1),
-                       format_number(mc[t].mean(), 1), format_number(mc[t].min(), 0),
-                       format_number(mc[t].max(), 0)});
+                       format_number(informed.mean(), 1),
+                       format_number(informed.min(), 0),
+                       format_number(informed.max(), 0)});
     }
     bench::emit(table, opt,
                 "Fig. 3-1: rumor spreading, 1000-node fully connected network");
@@ -52,11 +57,9 @@ int main(int argc, char** argv) {
     // one-source rumor spreading, realised as a tile-0 scatter on a 5x5
     // gossip mesh.  This is the small traced run CI exercises.
     if (!opt.telemetry.requested_flags().empty()) {
-        ExperimentSpec spec;
-        spec.name = "fig3_1 traced companion";
-        spec.base_seed = opt.seed;
+        auto spec = bench::sweep(opt, "fig3_1 traced companion");
+        spec.repeats = 1;
         spec.jobs = 1;
-        spec.telemetry = opt.telemetry;
         spec.backend = [](const SweepPoint&, std::uint64_t seed) {
             GossipSpec gs;
             gs.config = bench::config_with_p(0.5, 12);

@@ -23,40 +23,48 @@ snoc::apps::Mp3Config mp3_config() {
     return c;
 }
 
-struct SweepPoint {
-    double latency{0.0};
-    double jitter{0.0};
-    double completion{0.0};
-};
-
-SweepPoint run_point(const snoc::FaultScenario& scenario, std::size_t repeats,
-                     std::size_t jobs) {
+/// One panel: the MP3 encoder under one fault kind (`field`), swept over
+/// `levels`.  The panels share one flag set, so their artifacts are tagged
+/// apart by the axis name.
+std::vector<snoc::CellResult> run_panel(const snoc::BenchOptions& opt,
+                                        const std::string& axis,
+                                        double snoc::FaultScenario::*field,
+                                        std::vector<double> levels) {
     using namespace snoc;
-    const auto trials = run_trials(
-        repeats,
-        [&](std::uint64_t seed) -> double {
-            GossipNetwork net(Topology::mesh(4, 4), bench::config_with_p(0.75, 50),
-                              scenario, seed);
-            auto& output = apps::deploy_mp3(net, mp3_config());
-            const auto r =
-                net.run_until([&output] { return output.complete(); }, 4000);
-            return r.completed ? static_cast<double>(r.rounds) : -1.0;
-        },
-        jobs);
-    Accumulator rounds;
-    std::size_t completed = 0;
-    for (double r : trials) {
-        if (r < 0.0) continue;
-        ++completed;
-        rounds.add(r);
+    auto spec = bench::sweep(opt, "fig4_10 " + axis);
+    spec.telemetry = bench::tag_telemetry(opt.telemetry, "_" + axis);
+    spec.axes = {{axis, std::move(levels)}};
+    spec.trial = [axis, field](const SweepPoint& pt, std::uint64_t seed,
+                               TraceSink* sink) {
+        FaultScenario s;
+        s.*field = pt.value(axis);
+        GossipSpec gs;
+        gs.topology = Topology::mesh(4, 4);
+        gs.config = bench::config_with_p(0.75, 50);
+        GossipAdapter net(std::move(gs), s, seed);
+        net.set_trace_sink(sink);
+        auto& output = apps::deploy_mp3(net.network(), mp3_config());
+        return net.run_until([&output] { return output.complete(); }, 4000);
+    };
+    return ScenarioRunner(std::move(spec)).run();
+}
+
+/// Latency, jitter (std-dev across completed runs) and completion rows.
+snoc::Table panel_table(const std::string& level_header,
+                        const std::vector<snoc::CellResult>& cells) {
+    using namespace snoc;
+    Table table({level_header, "latency [rounds]", "jitter", "completion"});
+    for (const CellResult& cell : cells) {
+        const double completion = cell.stats.completion_rate;
+        const auto rounds = bench::accumulate(
+            cell, [](const RunReport& r) { return static_cast<double>(r.rounds); },
+            true);
+        table.add_row({format_number(cell.point.coords[0].value * 100, 0),
+                       completion > 0 ? format_number(cell.stats.rounds, 0) : "DNF",
+                       completion > 0 ? format_number(rounds.stddev(), 1) : "-",
+                       format_number(completion * 100, 0) + "%"});
     }
-    SweepPoint p;
-    p.completion = static_cast<double>(completed) / static_cast<double>(repeats);
-    if (completed) {
-        p.latency = rounds.mean();
-        p.jitter = rounds.stddev();
-    }
-    return p;
+    return table;
 }
 
 } // namespace
@@ -64,34 +72,17 @@ SweepPoint run_point(const snoc::FaultScenario& scenario, std::size_t repeats,
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 6);
-    reject_telemetry_flags(opt, argv[0]);
 
     // Left panel: buffer overflows.
-    Table overflow({"dropped packets [%]", "latency [rounds]", "jitter", "completion"});
-    for (double drop : {0.0, 0.2, 0.4, 0.6, 0.7, 0.8, 0.9}) {
-        FaultScenario s;
-        s.p_overflow = drop;
-        const auto p = run_point(s, opt.repeats, opt.jobs);
-        overflow.add_row({format_number(drop * 100, 0),
-                          p.completion > 0 ? format_number(p.latency, 0) : "DNF",
-                          p.completion > 0 ? format_number(p.jitter, 1) : "-",
-                          format_number(p.completion * 100, 0) + "%"});
-    }
-    bench::emit(overflow, opt,
-                "Fig. 4-10 (left): MP3 latency vs buffer overflow drops");
+    bench::emit(panel_table("dropped packets [%]",
+                            run_panel(opt, "p_overflow", &FaultScenario::p_overflow,
+                                      {0.0, 0.2, 0.4, 0.6, 0.7, 0.8, 0.9})),
+                opt, "Fig. 4-10 (left): MP3 latency vs buffer overflow drops");
 
     // Right panel: synchronisation errors.
-    Table synchr({"sigma_synchr [% of T_R]", "latency [rounds]", "jitter", "completion"});
-    for (double sigma : {0.0, 0.1, 0.25, 0.5, 0.75, 1.0}) {
-        FaultScenario s;
-        s.sigma_synchr = sigma;
-        const auto p = run_point(s, opt.repeats, opt.jobs);
-        synchr.add_row({format_number(sigma * 100, 0),
-                        p.completion > 0 ? format_number(p.latency, 0) : "DNF",
-                        p.completion > 0 ? format_number(p.jitter, 1) : "-",
-                        format_number(p.completion * 100, 0) + "%"});
-    }
-    bench::emit(synchr, opt,
-                "Fig. 4-10 (right): MP3 latency vs synchronisation errors");
+    bench::emit(panel_table("sigma_synchr [% of T_R]",
+                            run_panel(opt, "sigma_synchr", &FaultScenario::sigma_synchr,
+                                      {0.0, 0.1, 0.25, 0.5, 0.75, 1.0})),
+                opt, "Fig. 4-10 (right): MP3 latency vs synchronisation errors");
     return 0;
 }

@@ -23,15 +23,11 @@ int main(int argc, char** argv) {
     const auto fft_useful = apps::fft2d_trace(apps::FftDeployment{}).useful_bits();
 
     for (const bool is_fft : {true, false}) {
-        ExperimentSpec spec;
-        spec.name = is_fft ? "fig4_4 fft" : "fig4_4 pi";
+        auto spec = bench::sweep(opt, is_fft ? "fig4_4 fft" : "fig4_4 pi");
         spec.axes = {{"crashes", kCrashes}, {"p", kPs}};
-        spec.repeats = opt.repeats;
-        spec.base_seed = opt.seed;
-        spec.jobs = opt.jobs;
         // The app passes share one flag set; tag their artifacts apart.
         spec.telemetry = bench::tag_telemetry(opt.telemetry, is_fft ? "_fft" : "_pi");
-        spec.traced_trial = [is_fft](const SweepPoint& pt, std::uint64_t seed,
+        spec.trial = [is_fft](const SweepPoint& pt, std::uint64_t seed,
                                      TraceSink* sink) {
             const auto config = bench::config_with_p(pt.value("p"), 30);
             const auto crashes = static_cast<std::size_t>(pt.value("crashes"));

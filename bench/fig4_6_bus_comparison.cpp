@@ -43,15 +43,10 @@ int main(int argc, char** argv) {
     // (averages over) completed runs — the runner's retry policy re-rolls
     // an incomplete run from a far-away seed, with a hard attempt cap
     // instead of the old unbounded `seed += 100` spin.
-    ExperimentSpec spec;
-    spec.name = "fig4_6 NoC";
-    spec.repeats = opt.repeats;
-    spec.base_seed = opt.seed;
-    spec.jobs = opt.jobs;
+    auto spec = bench::sweep(opt, "fig4_6 NoC");
     spec.max_attempts = 50;
     spec.retry_seed_stride = 100;
-    spec.telemetry = opt.telemetry;
-    spec.traced_trial = [&](const SweepPoint&, std::uint64_t seed, TraceSink* sink) {
+    spec.trial = [&](const SweepPoint&, std::uint64_t seed, TraceSink* sink) {
         auto config = bench::config_with_p(0.5, kTunedTtl);
         config.stop_spread_on_delivery = true;
         return bench::run_pi_once(config, FaultScenario::none(), 0, seed,

@@ -27,44 +27,37 @@ snoc::apps::Mp3Config mp3_config() {
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 5);
-    reject_telemetry_flags(opt, argv[0]);
     const std::vector<double> kPs{0.1, 0.25, 0.5, 0.75, 1.0};
     const std::vector<double> kUpsets{0.0, 0.2, 0.4, 0.6, 0.8};
-    constexpr Round kMaxRounds = 4000;
+
+    auto spec = bench::sweep(opt, "fig4_8");
+    spec.axes = {{"p", kPs}, {"p_upset", kUpsets}};
+    spec.trial = [](const SweepPoint& pt, std::uint64_t seed, TraceSink* sink) {
+        FaultScenario s;
+        s.p_upset = pt.value("p_upset");
+        GossipSpec gs;
+        gs.topology = Topology::mesh(4, 4);
+        gs.config = bench::config_with_p(pt.value("p"), 60);
+        GossipAdapter net(std::move(gs), s, seed);
+        net.set_trace_sink(sink);
+        auto& output = apps::deploy_mp3(net.network(), mp3_config());
+        return net.run_until([&output] { return output.complete(); }, 4000);
+    };
+    const auto cells = ScenarioRunner(std::move(spec)).run();
 
     std::vector<std::string> headers{"p \\ p_upset"};
     for (double u : kUpsets) headers.push_back(format_number(u, 1));
     Table latency(headers);
     Table completion(headers);
-
-    for (double p : kPs) {
-        std::vector<std::string> lat_row{format_number(p, 2)};
-        std::vector<std::string> comp_row{format_number(p, 2)};
-        for (double upset : kUpsets) {
-            const auto trials = run_trials(
-                opt.repeats,
-                [&](std::uint64_t seed) -> double {
-                    FaultScenario s;
-                    s.p_upset = upset;
-                    GossipNetwork net(Topology::mesh(4, 4),
-                                      bench::config_with_p(p, 60), s, seed);
-                    auto& output = apps::deploy_mp3(net, mp3_config());
-                    const auto r = net.run_until(
-                        [&output] { return output.complete(); }, kMaxRounds);
-                    return r.completed ? static_cast<double>(r.rounds) : -1.0;
-                },
-                opt.jobs);
-            Accumulator rounds;
-            std::size_t completed = 0;
-            for (double r : trials) {
-                if (r < 0.0) continue;
-                ++completed;
-                rounds.add(r);
-            }
-            lat_row.push_back(completed > 0 ? format_number(rounds.mean(), 0)
-                                            : std::string("DNF"));
-            comp_row.push_back(
-                format_number(100.0 * completed / opt.repeats, 0) + "%");
+    for (std::size_t p = 0; p < kPs.size(); ++p) {
+        std::vector<std::string> lat_row{format_number(kPs[p], 2)};
+        std::vector<std::string> comp_row = lat_row;
+        for (std::size_t u = 0; u < kUpsets.size(); ++u) {
+            const CellResult& cell = cells[p * kUpsets.size() + u];
+            lat_row.push_back(cell.stats.completion_rate > 0.0
+                                  ? format_number(cell.stats.rounds, 0)
+                                  : std::string("DNF"));
+            comp_row.push_back(format_number(bench::completion_pct(cell), 0) + "%");
         }
         latency.add_row(lat_row);
         completion.add_row(comp_row);

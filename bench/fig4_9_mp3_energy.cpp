@@ -12,8 +12,6 @@
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 5);
-    reject_telemetry_flags(opt, argv[0]);
-    const auto tech = Technology::cmos_025um();
     const std::vector<double> kPs{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 
     apps::Mp3Config cfg;
@@ -24,51 +22,36 @@ int main(int argc, char** argv) {
     cfg.frame_budget_bits = 400;
     cfg.reservoir_capacity = 800;
 
+    auto spec = bench::sweep(opt, "fig4_9");
+    spec.axes = {{"p", kPs}};
+    spec.trial = [&cfg](const SweepPoint& pt, std::uint64_t seed, TraceSink* sink) {
+        GossipSpec gs;
+        gs.topology = Topology::mesh(4, 4);
+        gs.config = bench::config_with_p(pt.value("p"), 40);
+        gs.drain = true; // energy runs until every rumor's TTL expires
+        GossipAdapter net(std::move(gs), FaultScenario::none(), seed);
+        net.set_trace_sink(sink);
+        auto& output = apps::deploy_mp3(net.network(), cfg);
+        return net.run_until([&output] { return output.complete(); }, 4000);
+    };
+    const auto cells = ScenarioRunner(std::move(spec)).run();
+
     Table table({"p", "energy [J]", "packets", "latency [rounds]", "completion"});
     double first_energy = 0.0, last_energy = 0.0;
     Regression linearity;
-    struct Trial {
-        bool completed{false};
-        double rounds{0.0}, joules{0.0}, packets{0.0};
-    };
-    for (double p : kPs) {
-        const auto trials = run_trials(
-            opt.repeats,
-            [&](std::uint64_t seed) {
-                GossipNetwork net(Topology::mesh(4, 4), bench::config_with_p(p, 40),
-                                  FaultScenario::none(), seed);
-                auto& output = apps::deploy_mp3(net, cfg);
-                const auto r =
-                    net.run_until([&output] { return output.complete(); }, 4000);
-                Trial out;
-                if (!r.completed) return out;
-                out.completed = true;
-                out.rounds = static_cast<double>(r.rounds);
-                net.drain(); // energy runs until every rumor's TTL expires
-                out.joules = static_cast<double>(net.metrics().bits_sent) *
-                             tech.link_ebit_joules;
-                out.packets = static_cast<double>(net.metrics().packets_sent);
-                return out;
-            },
-            opt.jobs);
-        Accumulator joules, packets, rounds;
-        std::size_t completed = 0;
-        for (const Trial& t : trials) {
-            if (!t.completed) continue;
-            ++completed;
-            rounds.add(t.rounds);
-            joules.add(t.joules);
-            packets.add(t.packets);
-        }
+    for (const CellResult& cell : cells) {
+        const CellStats& s = cell.stats;
+        const bool completed = s.completion_rate > 0.0;
+        const double p = cell.point.value("p");
         table.add_row({format_number(p, 1),
-                       completed ? format_sci(joules.mean(), 3) : "-",
-                       completed ? format_number(packets.mean(), 0) : "-",
-                       completed ? format_number(rounds.mean(), 0) : "DNF",
-                       format_number(100.0 * completed / opt.repeats, 0) + "%"});
+                       completed ? format_sci(s.joules, 3) : "-",
+                       completed ? format_number(s.transmissions, 0) : "-",
+                       completed ? format_number(s.rounds, 0) : "DNF",
+                       format_number(bench::completion_pct(cell), 0) + "%"});
         if (completed) {
-            if (first_energy == 0.0) first_energy = joules.mean();
-            last_energy = joules.mean();
-            linearity.add(p, joules.mean());
+            if (first_energy == 0.0) first_energy = s.joules;
+            last_energy = s.joules;
+            linearity.add(p, s.joules);
         }
     }
     bench::emit(table, opt, "Fig. 4-9: MP3 energy dissipation vs p");

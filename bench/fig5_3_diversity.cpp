@@ -23,14 +23,9 @@ int main(int argc, char** argv) {
 
     // The declarative flavour: one axis enumerating the architectures, a
     // backend factory per cell, the beamforming trace mapped per cell.
-    ExperimentSpec spec;
-    spec.name = "fig5_3";
+    auto spec = bench::sweep(opt, "fig5_3");
     spec.axes = {{"arch", {0, 1, 2, 3}}};
-    spec.repeats = opt.repeats;
-    spec.base_seed = opt.seed;
-    spec.jobs = opt.jobs;
     spec.max_rounds = 20000;
-    spec.telemetry = opt.telemetry;
     spec.backend = [&](const SweepPoint& pt, std::uint64_t seed) {
         return diversity::make_interconnect(kKinds[pt.index_of("arch")],
                                             bench::config_with_p(0.75, 40),

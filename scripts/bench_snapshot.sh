@@ -10,10 +10,7 @@
 # (e.g. a build of the parent commit), every cell is measured there too
 # and recorded as `before` next to `after` (figure runs interleaved), with
 # the commit of the baseline's source tree (read from its CMakeCache.txt)
-# as `before_sha`.  A baseline that still has the `--engine` switch is
-# run under each engine named in BASELINE_ENGINES (space-separated, e.g.
-# "lockstep event"), and the faster one is recorded, with its name, as
-# `before`.  Also runs the flow-control ablation (xy /
+# as `before_sha`.  Also runs the flow-control ablation (xy /
 # wormhole / deflection / store-forward / cut-through / adaptive on the
 # fig4_6 pi workload) and writes BENCH_router.json.  Commit the refreshed
 # snapshots alongside engine- or router-performance changes so
@@ -35,7 +32,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 BASELINE_DIR="${2:-}"
-BASELINE_ENGINES="${BASELINE_ENGINES:-}"
 OUT="BENCH_engine.json"
 OUT_ROUTER="BENCH_router.json"
 
@@ -49,8 +45,7 @@ FIGURES_JSON="$(mktemp)"
 trap 'rm -f "$ROUTER_JSON" "$FIGURES_JSON"' EXIT
 
 # --- End-to-end figure timings ------------------------------------------
-BUILD_DIR="$BUILD_DIR" BASELINE_DIR="$BASELINE_DIR" \
-BASELINE_ENGINES="$BASELINE_ENGINES" FIGURES_JSON="$FIGURES_JSON" \
+BUILD_DIR="$BUILD_DIR" BASELINE_DIR="$BASELINE_DIR" FIGURES_JSON="$FIGURES_JSON" \
 python3 - <<'PY'
 import json, os, platform, statistics, subprocess, sys, time
 
@@ -81,12 +76,6 @@ def timed(binary, args):
 def summary(samples):
     return {"wall_s": round(statistics.median(w for w, _ in samples), 3),
             "peak_rss_mb": round(max(r for _, r in samples), 1)}
-
-# Each side runs under its variants: extra arguments plus the engine name
-# recorded with the result (None: the plain arguments).
-ENGINES = os.environ["BASELINE_ENGINES"].split()
-VARIANTS = {"after": [(None, [])],
-            "before": [(e, ["--engine", e]) for e in ENGINES] or [(None, [])]}
 
 def source_sha(build):
     """Commit of the source tree `build` was configured from."""
@@ -122,20 +111,13 @@ except OSError:
 
 benches = {}
 for name, binary, args in CELLS:
-    samples = {(side, engine): [] for side, _ in sides
-               for engine, _ in VARIANTS[side]}
+    samples = {side: [] for side, _ in sides}
     for _ in range(RUNS):  # interleaved, so host drift hits both sides
         for side, build in sides:
-            for engine, extra in VARIANTS[side]:
-                samples[(side, engine)].append(
-                    timed(os.path.join(build, "bench", binary), [*args, *extra]))
+            samples[side].append(timed(os.path.join(build, "bench", binary), args))
     row = {"command": " ".join([binary, *args]), "runs": RUNS}
     for side, _ in sides:
-        best = min((summary(samples[(side, engine)]) | (
-                       {"engine": engine} if engine else {})
-                    for engine, _ in VARIANTS[side]),
-                   key=lambda s: s["wall_s"])
-        row[side] = best
+        row[side] = summary(samples[side])
     benches[name] = row
     line = f"{name}: {row['after']['wall_s']:.2f}s"
     if "before" in row:
@@ -217,7 +199,7 @@ PY
 # (everything active until the TTL drain); the 1000x1000 short-TTL
 # wavefront is the sparse one.
 BUILD_DIR="$BUILD_DIR" BASELINE_DIR="$BASELINE_DIR" \
-BASELINE_ENGINES="$BASELINE_ENGINES" FIGURES_JSON="$FIGURES_JSON" OUT="$OUT" \
+FIGURES_JSON="$FIGURES_JSON" OUT="$OUT" \
 python3 - <<'PY'
 import json, os, platform, re, subprocess, sys
 
@@ -256,10 +238,9 @@ def microbench(build):
             gossip_round[variant][int(m.group(2))] = ns
     return sparse, gossip_round
 
-def wall_cell(build, args, engine=None):
-    extra = ["--engine", engine] if engine else []
+def wall_cell(build, args):
     text = run([os.path.join(build, "bench", "ablation_scalability"),
-                *args, "--repeats", "1", "--json", *extra])
+                *args, "--repeats", "1", "--json"])
     # The table is pretty-printed as a "[" line, row lines, a "]" line —
     # column names themselves contain brackets ("coverage [%]"), so slice
     # on whole lines rather than the first bracket characters.
@@ -280,7 +261,6 @@ SCALABILITY = {
 }
 
 build, baseline = os.environ["BUILD_DIR"], os.environ["BASELINE_DIR"]
-engines = os.environ["BASELINE_ENGINES"].split() or [None]
 
 ns_per_round, gossip_round = microbench(build)
 scalability = {name: wall_cell(build, args) for name, args in SCALABILITY.items()}
@@ -291,10 +271,7 @@ ns_per_round_before = None
 if baseline:
     ns_per_round_before, _ = microbench(baseline)
     for name, args in SCALABILITY.items():
-        runs = [(wall_cell(baseline, args, e)["wall_s"], e) for e in engines]
-        wall, engine = min(runs, key=lambda r: r[0])
-        scalability[name]["before"] = {"wall_s": wall} | (
-            {"engine": engine} if engine else {})
+        scalability[name]["before"] = {"wall_s": wall_cell(baseline, args)["wall_s"]}
 
 # Flight-recorder overhead: BM_GossipRoundRecorded vs BM_GossipRound,
 # per mesh side.  Budget is <= 5% (a ring write is one array store); the

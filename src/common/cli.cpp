@@ -120,16 +120,6 @@ std::vector<std::string> TelemetryOptions::requested_flags() const {
     return flags;
 }
 
-void reject_telemetry_flags(const BenchOptions& options, std::string_view program) {
-    const auto flags = options.telemetry.requested_flags();
-    if (flags.empty()) return;
-    for (const auto& flag : flags)
-        std::cerr << program << ": " << flag
-                  << " is not supported by this bench (its trials do not run "
-                     "through ScenarioRunner)\n";
-    std::exit(2);
-}
-
 void reject_engine_selector(const CliArgs& args, std::string_view program) {
     const bool flag = args.has("engine");
     const bool env = std::getenv("SNOC_ENGINE") != nullptr;

@@ -119,12 +119,6 @@ struct BenchOptions {
 BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeats);
 BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repeats);
 
-/// For benches whose trials do not run through ScenarioRunner, which is
-/// what honours the telemetry exports: an accepted flag is honoured or
-/// rejected, never silently dropped.  If any export was requested, print
-/// one line per flag to stderr and exit with status 2.
-void reject_telemetry_flags(const BenchOptions& options, std::string_view program);
-
 /// `--engine` and the SNOC_ENGINE environment variable used to pick one
 /// of two round executors; one executor runs every trial now.  If either
 /// is set, print one line per selector to stderr and exit with status 2

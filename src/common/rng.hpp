@@ -111,8 +111,6 @@ public:
     /// Raw 64 random bits.
     std::uint64_t bits() { return engine_(); }
 
-    std::mt19937_64& engine() { return engine_; }
-
 private:
     std::mt19937_64 engine_;
     double bernoulli_p_{-1.0};

@@ -111,6 +111,10 @@ struct RunReport {
     /// attached (ScenarioRunner stamps it; empty otherwise).  Indexed by
     /// static_cast<size_t>(TraceEventKind).
     std::vector<std::size_t> trace_counts;
+    /// Bench-defined per-trial values no field above can hold (a spread
+    /// curve, a bit-rate report, ...).  Backends leave it empty and
+    /// aggregate() ignores it; the bench that fills it reads it back.
+    std::vector<double> extras;
 };
 
 /// A communication backend under test.  Construction is adapter-specific

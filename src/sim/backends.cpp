@@ -17,7 +17,9 @@ namespace snoc {
 GossipAdapter::GossipAdapter(GossipSpec spec, const FaultScenario& scenario,
                              std::uint64_t seed)
     : spec_(std::move(spec)),
-      net_(spec_.topology, spec_.config, scenario, seed),
+      // The network owns the only copy of the topology (a 128x128 mesh
+      // is megabytes); nothing reads spec_.topology after this.
+      net_(std::move(spec_.topology), spec_.config, scenario, seed),
       seed_(seed) {
     for (TileId t : spec_.protect) net_.protect(t);
     if (spec_.exact_tile_crashes) net_.force_exact_tile_crashes(*spec_.exact_tile_crashes);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -11,6 +12,7 @@
 #include "common/annotations.hpp"
 #include "common/expect.hpp"
 #include "common/parallel.hpp"
+#include "common/prof.hpp"
 #include "common/stats.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -95,17 +97,10 @@ CellStats aggregate(const std::vector<RunReport>& reports) {
 ScenarioRunner::ScenarioRunner(ExperimentSpec spec) : spec_(std::move(spec)) {
     SNOC_EXPECT(spec_.max_attempts >= 1);
     const bool has_trial = static_cast<bool>(spec_.trial);
-    const bool has_traced = static_cast<bool>(spec_.traced_trial);
     const bool has_backend =
         static_cast<bool>(spec_.backend) && static_cast<bool>(spec_.trace);
-    SNOC_EXPECT((has_trial + has_traced + has_backend) == 1 &&
-                "set exactly one of trial, traced_trial or backend+trace");
-    // A plain `trial` body has no way to receive the recorder (or the
-    // flight recorder a post-mortem bundle drains), so asking for either
-    // there is a spec bug, not a silent no-op.
-    SNOC_EXPECT((!spec_.telemetry.observes_trials() || !has_trial) &&
-                "telemetry exports and post-mortem bundles need the "
-                "traced_trial or backend flavour");
+    SNOC_EXPECT(has_trial != has_backend &&
+                "set exactly one of trial or backend+trace");
     for (const auto& axis : spec_.axes) SNOC_EXPECT(!axis.values.empty());
 }
 
@@ -161,49 +156,45 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
         // concatenation of every failed try.
         telemetry.clear();
         recorder.clear();
+        SNOC_PROF("scenario/trial");
+        // Construct the backend first (its name belongs in the bundle
+        // header), then arm the post-mortem hook for exactly the scope
+        // where detectors can fire: the run itself.
+        std::unique_ptr<Interconnect> backend;
+        if (spec_.backend) {
+            backend = spec_.backend(point, seed);
+            SNOC_ENSURE(backend != nullptr);
+            backend_name = backend->name();
+        }
+        std::optional<PostmortemDumper> dumper;
+        if (postmortem) {
+            PostmortemInfo info;
+            info.experiment = point.label().empty() ? spec_.name : point.label();
+            info.backend = backend_name;
+            info.seed = seed;
+            dumper.emplace(trial_path(spec_.telemetry.postmortem_out, cell,
+                                      repeat, single_trial),
+                           &recorder, std::move(info));
+            if (backend) dumper->set_live_metrics(backend->live_metrics());
+        }
+        TeeSink tee;
+        if (record) tee.add(&telemetry);
+        if (postmortem) tee.add(&recorder);
+        TraceSink* sink =
+            (record || postmortem) ? static_cast<TraceSink*>(&tee) : nullptr;
         if (spec_.trial) {
-            report = spec_.trial(point, seed);
+            report = spec_.trial(point, seed, sink);
         } else {
-            // Construct the backend first (its name belongs in the
-            // bundle header), then arm the post-mortem hook for exactly
-            // the scope where detectors can fire: the run itself.
-            std::unique_ptr<Interconnect> backend;
-            if (spec_.backend) {
-                backend = spec_.backend(point, seed);
-                SNOC_ENSURE(backend != nullptr);
-                backend_name = backend->name();
-            }
-            std::optional<PostmortemDumper> dumper;
-            if (postmortem) {
-                PostmortemInfo info;
-                info.experiment = point.label().empty() ? spec_.name
-                                                        : point.label();
-                info.backend = backend_name;
-                info.seed = seed;
-                dumper.emplace(trial_path(spec_.telemetry.postmortem_out,
-                                          cell, repeat, single_trial),
-                               &recorder, std::move(info));
-                if (backend) dumper->set_live_metrics(backend->live_metrics());
-            }
-            TeeSink tee;
-            if (record) tee.add(&telemetry);
-            if (postmortem) tee.add(&recorder);
-            TraceSink* sink =
-                (record || postmortem) ? static_cast<TraceSink*>(&tee) : nullptr;
-            if (spec_.traced_trial) {
-                report = spec_.traced_trial(point, seed, sink);
-            } else {
-                // Per-trial auditor: trials run in parallel, so the auditor
-                // must be private to this trial; its violation count lands in
-                // report.audit_violations (stamped by the adapter).
-                check::InvariantAuditor auditor;
-                if (spec_.audit) backend->set_auditor(&auditor);
-                if (sink) backend->set_trace_sink(sink);
-                report = backend->run(spec_.trace(point), spec_.max_rounds);
-                // The backend dies with this scope; a detector firing
-                // later in the attempt must not chase its counters.
-                if (dumper) dumper->set_live_metrics(nullptr);
-            }
+            // Per-trial auditor: trials run in parallel, so the auditor
+            // must be private to this trial; its violation count lands in
+            // report.audit_violations (stamped by the adapter).
+            check::InvariantAuditor auditor;
+            if (spec_.audit) backend->set_auditor(&auditor);
+            if (sink) backend->set_trace_sink(sink);
+            report = backend->run(spec_.trace(point), spec_.max_rounds);
+            // The backend dies with this scope; a detector firing later
+            // in the attempt must not chase its counters.
+            if (dumper) dumper->set_live_metrics(nullptr);
         }
         report.seed = seed;
         report.attempts = attempt + 1;
@@ -306,7 +297,7 @@ std::vector<CellResult> ScenarioRunner::run() {
     // Flatten (cell, repeat) onto the trial index so the whole sweep
     // shares one fan-out; results land in deterministic slots.
     const bool single_trial = n_trials == 1;
-    const auto reports = run_trials(
+    auto reports = run_trials(
         n_trials,
         [&](std::uint64_t i) {
             const std::size_t cell = static_cast<std::size_t>(i) / spec_.repeats;
@@ -349,9 +340,11 @@ std::vector<CellResult> ScenarioRunner::run() {
     for (std::size_t c = 0; c < points.size(); ++c) {
         CellResult cell;
         cell.point = points[c];
-        cell.reports.assign(reports.begin() + static_cast<std::ptrdiff_t>(c * spec_.repeats),
-                            reports.begin() +
-                                static_cast<std::ptrdiff_t>((c + 1) * spec_.repeats));
+        const auto first =
+            reports.begin() + static_cast<std::ptrdiff_t>(c * spec_.repeats);
+        cell.reports.assign(
+            std::make_move_iterator(first),
+            std::make_move_iterator(first + static_cast<std::ptrdiff_t>(spec_.repeats)));
         cell.stats = aggregate(cell.reports);
         results.push_back(std::move(cell));
     }

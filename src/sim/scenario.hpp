@@ -3,9 +3,8 @@
 // Every paper figure and every ablation is the same shape: a cartesian
 // sweep over a few parameter axes (forward_p, TTL, defect count, p_upset,
 // ...), a Monte-Carlo repeat per sweep cell, sometimes a retry when a
-// TTL-tuned run dies before completing, and a table at the end.  The
-// benches used to re-implement that loop by hand, each slightly
-// differently (one of them could even retry forever).  ExperimentSpec
+// TTL-tuned run dies before completing, and a table at the end.  Every
+// bench sweep runs through this one harness.  ExperimentSpec
 // describes the experiment; ScenarioRunner executes it through the
 // shared ThreadPool (common/parallel.hpp) with deterministic per-trial
 // seeding — results are bit-identical for any --jobs value — and returns
@@ -114,25 +113,21 @@ struct ExperimentSpec {
 
     /// Telemetry exports (see common/cli.hpp).  When any destination is
     /// set, every trial runs with a private Telemetry recorder attached
-    /// (backend flavour: via set_trace_sink; traced_trial flavour: as the
-    /// sink argument), its per-kind totals land in
-    /// RunReport::trace_counts, and each trial's recording is exported
-    /// under a per-trial name — the exact configured path for a single
-    /// (cell, repeat), with a `_c<cell>_r<repeat>` suffix once the sweep
-    /// has more than one trial.  --manifest adds one run manifest per
-    /// trial next to its artifacts.  Plain-`trial` specs cannot attach a
-    /// sink and assert that telemetry stays off.
+    /// (backend flavour: via set_trace_sink; trial flavour: as the sink
+    /// argument), its per-kind totals land in RunReport::trace_counts,
+    /// and each trial's recording is exported under a per-trial name —
+    /// the exact configured path for a single (cell, repeat), with a
+    /// `_c<cell>_r<repeat>` suffix once the sweep has more than one
+    /// trial.  --manifest adds one run manifest per trial next to its
+    /// artifacts.
     TelemetryOptions telemetry;
 
-    /// Arbitrary trial body: must derive all randomness from `seed`.
-    std::function<RunReport(const SweepPoint&, std::uint64_t seed)> trial;
-
-    /// Like `trial`, but observable: the runner's Telemetry recorder (or
-    /// nullptr when telemetry is off) is handed in for the trial to attach
-    /// wherever its engine lives.
+    /// Arbitrary trial body: must derive all randomness from `seed`.  The
+    /// runner's recorder (nullptr when telemetry is off) is handed in for
+    /// the trial to attach wherever its network lives.
     std::function<RunReport(const SweepPoint&, std::uint64_t seed,
                             TraceSink* sink)>
-        traced_trial;
+        trial;
 
     /// Declarative flavour: build a fresh backend per trial, run `trace`.
     std::function<std::unique_ptr<Interconnect>(const SweepPoint&,

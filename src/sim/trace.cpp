@@ -14,32 +14,6 @@ std::optional<TraceEventKind> trace_kind_from_string(std::string_view name) {
     return std::nullopt;
 }
 
-void CountingSink::record(const TraceEvent& event) {
-    ++counts_[static_cast<std::size_t>(event.kind)];
-}
-
-std::size_t CountingSink::count(TraceEventKind kind) const {
-    return counts_[static_cast<std::size_t>(kind)];
-}
-
-std::size_t CountingSink::total() const {
-    std::size_t sum = 0;
-    for (std::size_t i = 0; i < kTraceEventKinds; ++i) sum += counts_[i];
-    return sum;
-}
-
-RingBufferSink::RingBufferSink(std::size_t capacity) : capacity_(capacity) {
-    SNOC_EXPECT(capacity > 0);
-}
-
-void RingBufferSink::record(const TraceEvent& event) {
-    if (events_.size() == capacity_) {
-        events_.pop_front();
-        ++dropped_;
-    }
-    events_.push_back(event);
-}
-
 std::string format_event(const TraceEvent& event) {
     std::ostringstream os;
     os << 'r' << event.round << ' ' << to_string(event.kind) << " tile "

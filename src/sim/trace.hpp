@@ -2,14 +2,14 @@
 //
 // The engine emits one TraceEvent per interesting happening (creation,
 // transmission, delivery, each drop cause, TTL expiry, skew deferral);
-// sinks decide what to do with them: count, keep the last N for post-
-// mortems, or stream human-readable lines.  Tracing is off unless a sink
+// sinks decide what to do with them: stream human-readable lines here;
+// count, export and keep the last N for post-mortems in the telemetry
+// layer (Telemetry, FlightRecorder).  Tracing is off unless a sink
 // is attached, and sinks are engine-agnostic (pure data in, no calls
 // back), so they cannot perturb a simulation.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <iterator>
 #include <optional>
@@ -23,7 +23,7 @@ namespace snoc {
 
 /// The single source of truth for event kinds.  Enumerator, wire name and
 /// count are all generated from this table, so adding a kind cannot
-/// desynchronize CountingSink's array, to_string, from_string or any
+/// desynchronize Telemetry's per-kind totals, to_string, from_string or any
 /// exporter — extend the list and everything follows.
 #define SNOC_TRACE_EVENT_KIND_LIST(X)                                          \
     X(MessageCreated, "created")     /* a fresh rumor entered a send buffer */ \
@@ -85,31 +85,6 @@ class TraceSink {
 public:
     virtual ~TraceSink() = default;
     virtual void record(const TraceEvent& event) = 0;
-};
-
-/// Per-kind counters.
-class CountingSink final : public TraceSink {
-public:
-    void record(const TraceEvent& event) override;
-    std::size_t count(TraceEventKind kind) const;
-    std::size_t total() const;
-
-private:
-    std::size_t counts_[kTraceEventKinds] = {};
-};
-
-/// Keeps the newest `capacity` events (post-mortem flight recorder).
-class RingBufferSink final : public TraceSink {
-public:
-    explicit RingBufferSink(std::size_t capacity);
-    void record(const TraceEvent& event) override;
-    const std::deque<TraceEvent>& events() const { return events_; }
-    std::size_t dropped() const { return dropped_; }
-
-private:
-    std::size_t capacity_;
-    std::deque<TraceEvent> events_;
-    std::size_t dropped_{0};
 };
 
 /// Streams one formatted line per event.

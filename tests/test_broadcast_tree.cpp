@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/telemetry.hpp"
+
 namespace snoc {
 namespace {
 
@@ -73,7 +75,7 @@ TEST(TreeBroadcast, SharedAccountingEmitsTraceAndHistograms) {
     const auto topo = Topology::mesh(4, 4);
     auto crashes = none(topo);
     crashes.dead_tiles[10] = true;
-    RingBufferSink sink(1024);
+    Telemetry sink;
     const auto r = tree_broadcast(topo, 0, crashes, &sink, 64);
     EXPECT_EQ(r.metrics.deliveries, r.reached);
     EXPECT_EQ(r.metrics.packets_sent, r.transmissions);

@@ -117,12 +117,6 @@ TEST(BenchOptions, RequestedFlagsNameEveryTelemetryExport) {
     EXPECT_EQ(opt.telemetry.requested_flags(), expected);
 }
 
-TEST(BenchOptionsDeathTest, RejectedTelemetryFlagExitsTwoNamingTheFlag) {
-    const auto opt = parse_bench_options(make({"--trace-out", "t.jsonl"}), 1);
-    EXPECT_EXIT(reject_telemetry_flags(opt, "bench"), ::testing::ExitedWithCode(2),
-                "bench: --trace-out is not supported");
-}
-
 TEST(BenchOptionsDeathTest, RetiredEngineFlagExitsTwoNamingIt) {
     EXPECT_EXIT(reject_engine_selector(make({"--engine", "event"}), "bench"),
                 ::testing::ExitedWithCode(2), "bench: --engine is not supported");

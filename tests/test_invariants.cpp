@@ -17,6 +17,7 @@
 
 #include "core/engine.hpp"
 #include "sim/trace.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace snoc {
 namespace {
@@ -38,20 +39,9 @@ private:
     std::size_t tiles_;
 };
 
-struct Recorded {
-    RingBufferSink ring{1 << 20};
-    CountingSink counts;
-    TeeSink tee;
-    Recorded() {
-        tee.add(&ring);
-        tee.add(&counts);
-    }
-};
-
 struct InvariantRun {
     NetworkMetrics metrics;
-    std::deque<TraceEvent> events;
-    CountingSink counts;
+    Telemetry trace; ///< every event, plus per-kind totals.
 };
 
 InvariantRun run_random(std::uint64_t seed, FaultScenario scenario, double p) {
@@ -59,17 +49,13 @@ InvariantRun run_random(std::uint64_t seed, FaultScenario scenario, double p) {
     c.forward_p = p;
     c.default_ttl = 10;
     GossipNetwork net(Topology::mesh(4, 4), c, scenario, seed);
-    Recorded rec;
-    net.set_trace_sink(&rec.tee);
+    InvariantRun out;
+    net.set_trace_sink(&out.trace);
     for (TileId t = 0; t < 16; ++t)
         net.attach(t, std::make_unique<RandomChatter>(16));
     for (int i = 0; i < 30; ++i) net.step();
     net.drain(200);
-    InvariantRun out;
     out.metrics = net.metrics();
-    out.events = rec.ring.events();
-    out.counts = rec.counts;
-    EXPECT_EQ(rec.ring.dropped(), 0u) << "ring too small for the property check";
     return out;
 }
 
@@ -88,7 +74,7 @@ TEST_P(InvariantSweep, ConservationLaws) {
     std::map<MessageId, Round> created;
     std::map<MessageId, std::size_t> delivered;
     std::set<MessageId> expired;
-    for (const auto& e : run.events) {
+    for (const auto& e : run.trace.events()) {
         switch (e.kind) {
         case TraceEventKind::MessageCreated:
             EXPECT_FALSE(created.contains(e.message)) << format_event(e);
@@ -119,11 +105,11 @@ TEST_P(InvariantSweep, ConservationLaws) {
             << "message (" << id.origin << "," << id.sequence << ") never expired";
     // 4. accounting.
     const auto& m = run.metrics;
-    EXPECT_EQ(run.counts.count(TraceEventKind::Transmitted), m.packets_sent);
-    EXPECT_EQ(run.counts.count(TraceEventKind::Delivered), m.deliveries);
-    EXPECT_EQ(run.counts.count(TraceEventKind::MessageCreated), m.messages_created);
-    EXPECT_EQ(run.counts.count(TraceEventKind::CrcDrop), m.crc_drops);
-    EXPECT_EQ(run.counts.count(TraceEventKind::TtlExpired), m.ttl_expired);
+    EXPECT_EQ(run.trace.count(TraceEventKind::Transmitted), m.packets_sent);
+    EXPECT_EQ(run.trace.count(TraceEventKind::Delivered), m.deliveries);
+    EXPECT_EQ(run.trace.count(TraceEventKind::MessageCreated), m.messages_created);
+    EXPECT_EQ(run.trace.count(TraceEventKind::CrcDrop), m.crc_drops);
+    EXPECT_EQ(run.trace.count(TraceEventKind::TtlExpired), m.ttl_expired);
     std::size_t per_round_sum = 0;
     for (auto n : m.packets_per_round) per_round_sum += n;
     EXPECT_EQ(per_round_sum, m.packets_sent);
@@ -142,7 +128,7 @@ TEST(Invariants, FloodingDeliversEverythingOnHealthyChip) {
     // With p = 1 and no faults, every unicast is delivered exactly once.
     const auto run = run_random(11, FaultScenario::none(), 1.0);
     std::size_t created = 0, delivered = 0;
-    for (const auto& e : run.events) {
+    for (const auto& e : run.trace.events()) {
         if (e.kind == TraceEventKind::MessageCreated) ++created;
         if (e.kind == TraceEventKind::Delivered) ++delivered;
     }

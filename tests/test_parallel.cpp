@@ -92,43 +92,5 @@ TEST(RunTrials, AppTrialsAreBitIdenticalAcrossJobCounts) {
     }
 }
 
-TEST(AverageRuns, ZeroRepeatsIsSafe) {
-    // Used to divide by zero (NaN completion rate); now a well-defined
-    // empty average.
-    const auto avg = bench::average_runs(
-        [](std::uint64_t) { return RunReport{}; }, 0);
-    EXPECT_EQ(avg.completion_rate, 0.0);
-    EXPECT_EQ(avg.rounds, 0.0);
-    EXPECT_EQ(avg.transmissions, 0.0);
-}
-
-TEST(AverageRuns, CountsOnlyCompletedRuns) {
-    const auto avg = bench::average_runs(
-        [](std::uint64_t seed) {
-            RunReport r;
-            r.completed = seed % 2 == 0;
-            r.rounds = 10;
-            r.transmissions = 100;
-            return r;
-        },
-        8, 2);
-    EXPECT_DOUBLE_EQ(avg.completion_rate, 0.5);
-    EXPECT_DOUBLE_EQ(avg.rounds, 10.0);
-    EXPECT_DOUBLE_EQ(avg.transmissions, 100.0);
-}
-
-TEST(AverageRuns, SameMeansForAnyJobCount) {
-    auto trial = [](std::uint64_t seed) {
-        return bench::run_pi_once(bench::config_with_p(0.75, 30),
-                                  FaultScenario::none(), 0, seed);
-    };
-    const auto serial = bench::average_runs(trial, 4, 1);
-    const auto parallel = bench::average_runs(trial, 4, 4);
-    EXPECT_DOUBLE_EQ(serial.rounds, parallel.rounds);
-    EXPECT_DOUBLE_EQ(serial.transmissions, parallel.transmissions);
-    EXPECT_DOUBLE_EQ(serial.bits, parallel.bits);
-    EXPECT_DOUBLE_EQ(serial.completion_rate, parallel.completion_rate);
-}
-
 } // namespace
 } // namespace snoc

@@ -9,6 +9,7 @@
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "noc/topology.hpp"
+#include "telemetry/telemetry.hpp"
 #include "router/policy.hpp"
 #include "router/ports.hpp"
 #include "sim/trace.hpp"
@@ -169,7 +170,7 @@ TEST(RouterCore, LoneAdaptivePacketTakesTheFirstLiveCandidateEveryHop) {
                 c.max_hops = 40;
                 RouterCore core(topo, c);
                 core.apply_crashes(crashes);
-                RingBufferSink sink(4096);
+                Telemetry sink;
                 core.set_trace_sink(&sink);
                 core.inject(src, dst, 160);
                 core.run(2000);
@@ -224,7 +225,7 @@ TEST(RouterCore, ManyToOneAllDeliveredAndCountersAgree) {
 }
 
 TEST(RouterCore, TraceEventsMatchCounters) {
-    RingBufferSink sink(4096);
+    Telemetry sink;
     RouterCore core(Topology::mesh(4, 4), config(FlowControl::CutThrough));
     core.set_trace_sink(&sink);
     core.inject(0, 15, 160);

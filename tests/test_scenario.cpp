@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 #include "sim/backends.hpp"
 #include "sim/scenario.hpp"
 
@@ -26,7 +27,7 @@ TrafficTrace small_trace() {
 
 ExperimentSpec trivial_spec() {
     ExperimentSpec spec;
-    spec.trial = [](const SweepPoint&, std::uint64_t seed) {
+    spec.trial = [](const SweepPoint&, std::uint64_t seed, TraceSink*) {
         RunReport r;
         r.completed = true;
         r.rounds = static_cast<Round>(seed);
@@ -93,7 +94,7 @@ TEST(ScenarioRunner, RetryPolicyRederivesSeedsAndStops) {
     spec.base_seed = 5;
     spec.max_attempts = 10;
     spec.retry_seed_stride = 100;
-    spec.trial = [](const SweepPoint&, std::uint64_t seed) {
+    spec.trial = [](const SweepPoint&, std::uint64_t seed, TraceSink*) {
         RunReport r;
         r.completed = seed >= 205;
         return r;
@@ -110,7 +111,7 @@ TEST(ScenarioRunner, RetryCapBoundsAttempts) {
     // The old fig4_6 loop retried forever; the runner must stop at the cap.
     ExperimentSpec spec;
     spec.max_attempts = 7;
-    spec.trial = [](const SweepPoint&, std::uint64_t) {
+    spec.trial = [](const SweepPoint&, std::uint64_t, TraceSink*) {
         return RunReport{}; // never completes.
     };
     const auto cells = ScenarioRunner(spec).run();
@@ -118,6 +119,58 @@ TEST(ScenarioRunner, RetryCapBoundsAttempts) {
     EXPECT_FALSE(r.completed);
     EXPECT_EQ(r.attempts, 7u);
     EXPECT_DOUBLE_EQ(cells[0].stats.completion_rate, 0.0);
+}
+
+TEST(ScenarioRunner, ExtrasSurviveRetriesAndAggregateIgnoresThem) {
+    // Each repeat completes on its third attempt; the reported attempt's
+    // bench-defined extras must reach the cell untouched.
+    ExperimentSpec spec;
+    spec.repeats = 2;
+    spec.max_attempts = 3;
+    spec.trial = [](const SweepPoint&, std::uint64_t seed, TraceSink*) {
+        RunReport r;
+        r.completed = seed >= 200;
+        r.rounds = 4;
+        r.transmissions = 10 + seed;
+        r.extras = {static_cast<double>(seed), 0.5};
+        return r;
+    };
+    const auto cells = ScenarioRunner(spec).run();
+    const auto& reports = cells[0].reports;
+    ASSERT_EQ(reports.size(), 2u);
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        EXPECT_EQ(reports[i].attempts, 3u);
+        EXPECT_EQ(reports[i].extras,
+                  (std::vector<double>{200.0 + static_cast<double>(i), 0.5}));
+    }
+
+    std::vector<RunReport> scrambled = reports;
+    for (auto& r : scrambled) r.extras = {1e9, -1e9, 7.0};
+    const CellStats with = aggregate(reports);
+    const CellStats without = aggregate(scrambled);
+    EXPECT_EQ(with.completion_rate, without.completion_rate);
+    EXPECT_EQ(with.rounds, without.rounds);
+    EXPECT_EQ(with.transmissions, without.transmissions);
+    EXPECT_EQ(with.attempts, without.attempts);
+    EXPECT_DOUBLE_EQ(cells[0].stats.transmissions, 210.5);
+}
+
+TEST(ScenarioRunner, ProfScopeTimesEveryAttempt) {
+    ExperimentSpec spec;
+    spec.repeats = 2;
+    spec.max_attempts = 3;
+    spec.jobs = 1;
+    spec.trial = [](const SweepPoint&, std::uint64_t, TraceSink*) {
+        return RunReport{}; // never completes: 3 attempts per repeat.
+    };
+    prof::reset();
+    (void)ScenarioRunner(spec).run();
+    EXPECT_EQ(prof::snapshot().count("scenario/trial"), 0u) << "recorded while off";
+    prof::set_enabled(true);
+    (void)ScenarioRunner(spec).run();
+    prof::set_enabled(false);
+    EXPECT_EQ(prof::snapshot()["scenario/trial"].calls, 6u);
+    prof::reset();
 }
 
 TEST(Aggregate, MeansAreOverCompletedRunsOnly) {

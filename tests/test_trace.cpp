@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace snoc {
 namespace {
@@ -27,31 +28,6 @@ public:
     void on_message(const Message&, TileContext&) override {}
 };
 
-TEST(TraceSinks, CountingSinkTallies) {
-    CountingSink sink;
-    sink.record({0, TraceEventKind::Transmitted, 1, 2, MessageId{1, 0}});
-    sink.record({0, TraceEventKind::Transmitted, 1, 3, MessageId{1, 0}});
-    sink.record({1, TraceEventKind::Delivered, 2, kNoTile, MessageId{1, 0}});
-    EXPECT_EQ(sink.count(TraceEventKind::Transmitted), 2u);
-    EXPECT_EQ(sink.count(TraceEventKind::Delivered), 1u);
-    EXPECT_EQ(sink.count(TraceEventKind::CrcDrop), 0u);
-    EXPECT_EQ(sink.total(), 3u);
-}
-
-TEST(TraceSinks, RingBufferKeepsNewest) {
-    RingBufferSink sink(3);
-    for (Round r = 0; r < 5; ++r)
-        sink.record({r, TraceEventKind::Transmitted, 0, 1, MessageId{0, 0}});
-    EXPECT_EQ(sink.events().size(), 3u);
-    EXPECT_EQ(sink.dropped(), 2u);
-    EXPECT_EQ(sink.events().front().round, 2u);
-    EXPECT_EQ(sink.events().back().round, 4u);
-}
-
-TEST(TraceSinks, RingBufferRejectsZeroCapacity) {
-    EXPECT_THROW(RingBufferSink(0), ContractViolation);
-}
-
 TEST(TraceSinks, FormatIsHumanReadable) {
     EXPECT_EQ(format_event({12, TraceEventKind::Transmitted, 5, 6, MessageId{5, 0}}),
               "r12 transmitted tile 5 -> 6 msg (5,0)");
@@ -68,7 +44,7 @@ TEST(TraceSinks, StreamSinkWritesLines) {
 }
 
 TEST(TraceSinks, TeeFansOut) {
-    CountingSink a, b;
+    Telemetry a, b;
     TeeSink tee;
     tee.add(&a);
     tee.add(&b);
@@ -89,7 +65,7 @@ TEST(EngineTracing, CountsMatchMetrics) {
     FaultScenario s;
     s.p_upset = 0.3;
     GossipNetwork net(Topology::mesh(4, 4), flood(), s, 1);
-    CountingSink sink;
+    Telemetry sink;
     net.set_trace_sink(&sink);
     net.attach(5, std::make_unique<OneShot>(11));
     for (int i = 0; i < 20; ++i) net.step();
@@ -112,7 +88,7 @@ TEST(EngineTracing, NoSinkMeansNoOverheadPath) {
 TEST(EngineTracing, TracingDoesNotPerturbTheRun) {
     auto run_packets = [](bool traced) {
         GossipNetwork net(Topology::mesh(4, 4), flood(), FaultScenario::none(), 3);
-        CountingSink sink;
+        Telemetry sink;
         if (traced) net.set_trace_sink(&sink);
         net.attach(5, std::make_unique<OneShot>(11));
         for (int i = 0; i < 15; ++i) net.step();
@@ -123,7 +99,7 @@ TEST(EngineTracing, TracingDoesNotPerturbTheRun) {
 
 TEST(EngineTracing, DeliveryEventCarriesMessageId) {
     GossipNetwork net(Topology::mesh(4, 4), flood(), FaultScenario::none(), 4);
-    RingBufferSink sink(4096);
+    Telemetry sink;
     net.set_trace_sink(&sink);
     net.attach(5, std::make_unique<OneShot>(11));
     net.attach(11, std::make_unique<NullSink>());
