@@ -3,10 +3,11 @@
 # (ns/round per mesh side) and the two scalability anchor cells (256x256
 # full broadcast; 1000x1000 sparse wavefront), then writes
 # BENCH_engine.json — machine info, git SHA, the ns/round series and the
-# anchor cells.  It also times four end-to-end runs (fig4_8_mp3_latency,
-# fig4_5_fault_surface, a single-threaded 128x128 dense broadcast and the
-# wormhole-vs-gossip ablation; median wall seconds and peak RSS of 3 runs
-# each) into the snapshot's `figures` block.  Given a baseline build dir
+# anchor cells.  It also times five end-to-end runs (fig4_8_mp3_latency,
+# fig4_5_fault_surface, the FEC-vs-CRC ablation, a single-threaded
+# 128x128 dense broadcast and the wormhole-vs-gossip ablation; median wall
+# seconds and peak RSS of 3 runs each) into the snapshot's `figures`
+# block.  Given a baseline build dir
 # (e.g. a build of the parent commit), every cell is measured there too
 # and recorded as `before` next to `after` (figure runs interleaved), with
 # the commit of the baseline's source tree (read from its CMakeCache.txt)
@@ -56,6 +57,8 @@ RUNS = 3  # per cell and side; the median wall time is recorded
 CELLS = [
     ("fig4_8_mp3_latency", "fig4_8_mp3_latency", []),
     ("fig4_5_fault_surface", "fig4_5_fault_surface", []),
+    # SECDED next to CRC-only: the upset-verdict cell with FEC repairs.
+    ("ablation_fec_vs_crc", "ablation_fec_vs_crc", []),
     ("dense_128x128_broadcast", "ablation_scalability",
      ["--sides", "128", "--repeats", "1", "--jobs", "1"]),
     # The wormhole router's cell: a load sweep plus crash sweeps whose

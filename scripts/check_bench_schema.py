@@ -122,7 +122,7 @@ def check_engine(path, snap):
 
 
 FIGURE_CELLS = ("fig4_8_mp3_latency", "fig4_5_fault_surface",
-                "dense_128x128_broadcast")
+                "ablation_fec_vs_crc", "dense_128x128_broadcast")
 
 
 def check_figures(path, figures):

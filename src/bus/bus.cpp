@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 
 namespace snoc {
 
@@ -30,6 +31,7 @@ SharedBus::SharedBus(std::size_t modules, Technology tech)
 }
 
 BusRunResult SharedBus::run(const TrafficTrace& trace) {
+    SNOC_PROF("bus/run");
     BusRunResult result;
     // Message ids for tracing: origin = source module, sequence = that
     // module's injection count, mirroring the gossip engine's scheme.

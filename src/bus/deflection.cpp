@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 #include "router/accounting.hpp"
 #include "router/policy.hpp"
 
@@ -45,6 +46,7 @@ std::uint32_t Network::inject(TileId source, TileId destination) {
 std::size_t Network::in_flight() const { return flying_.size(); }
 
 void Network::step() {
+    SNOC_PROF("deflection/step");
     // Per tile: collect resident packets, then assign output ports —
     // productive first, deflections for the rest.  A link carries one
     // packet per cycle per direction.  Tiles are visited in ascending

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 #include "router/accounting.hpp"
 #include "router/policy.hpp"
 #include "router/ports.hpp"
@@ -44,6 +45,7 @@ TileId first_dead_tile(const Topology& mesh, const std::vector<TileId>& path,
 
 XyRunResult run_xy_trace(const Topology& mesh, const TrafficTrace& trace,
                          const CrashState& crashes, TraceSink* sink) {
+    SNOC_PROF("xy/replay");
     using router::emit;
     SNOC_EXPECT(crashes.dead_tiles.size() == mesh.node_count());
     SNOC_EXPECT(crashes.dead_links.size() == mesh.link_count());

@@ -58,8 +58,9 @@ void write_json_report(const std::string& path);
 
 class Scope {
 public:
+    /// A null `name` records nothing.
     explicit Scope(const char* name) {
-        if (enabled()) {
+        if (name != nullptr && enabled()) {
             name_ = name;
             start_ = std::chrono::steady_clock::now();
         }
@@ -70,6 +71,8 @@ public:
         detail::record(name_,
                        std::chrono::duration<double>(elapsed).count());
     }
+    /// Record nothing for this entry (its work is timed elsewhere).
+    void discard() { name_ = nullptr; }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 

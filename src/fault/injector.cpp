@@ -80,48 +80,50 @@ bool FaultInjector::upset_roll() {
     return upset_rng_.bernoulli(scenario_.p_upset);
 }
 
-void FaultInjector::apply_upset(std::vector<std::byte>& wire) {
-    corrupt(wire);
-    ++upsets_;
+namespace {
+
+/// The RandomBitError walk over an `nbits`-bit wire: flip(bit) for each
+/// flipped bit, ascending.
+///
+/// e_1..e_n independent with small p_b = 2/n; conditioned on the packet
+/// being upset at least one bit flips.  Expected flips ~ 2 models a
+/// burst-free DSM noise event (crosstalk glitch on a couple of wires)
+/// while keeping P[packet scrambled] == p_upset exactly.
+///
+/// Rather than one Bernoulli(p_b) draw per wire bit, jump straight to the
+/// next flipped bit: the run of unflipped bits before it is Geometric(p_b),
+/// sampled by inversion as floor(log u / log(1-p_b)) with u uniform in
+/// (0, 1].  Same per-bit law, O(flips) draws: one uniform() per flip plus
+/// the one that overshoots the wire.  tests/test_fault.cpp holds the
+/// chi-square oracle against the per-bit reference.
+template <typename Flip>
+void walk_bit_errors(RngStream& rng, std::size_t nbits, Flip&& flip) {
+    const double log_keep = std::log1p(-2.0 / static_cast<double>(nbits));
+    std::size_t flips = 0;
+    for (std::size_t bit = 0;; ++bit) {
+        const double u = 1.0 - rng.uniform();
+        const double gap = std::floor(std::log(u) / log_keep);
+        // Compare as a double: a huge gap must not wrap in the cast.
+        if (gap >= static_cast<double>(nbits - bit)) break;
+        bit += static_cast<std::size_t>(gap);
+        flip(bit);
+        ++flips;
+    }
+    if (flips == 0) flip(static_cast<std::size_t>(rng.below(nbits)));
 }
 
-void FaultInjector::corrupt(std::vector<std::byte>& wire) {
+} // namespace
+
+void FaultInjector::apply_upset(std::vector<std::byte>& wire) {
     SNOC_PROF("fault/upset");
     SNOC_EXPECT(!wire.empty());
-    const std::size_t nbits = wire.size() * 8;
-
-    auto flip = [&wire](std::size_t bit) {
-        wire[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-    };
-
+    ++upsets_;
     switch (scenario_.upset_model) {
-    case UpsetModel::RandomBitError: {
-        // e_1..e_n independent with small p_b = 2/n; conditioned on the
-        // packet being upset at least one bit flips.  Expected flips ~ 2
-        // models a burst-free DSM noise event (crosstalk glitch on a couple
-        // of wires) while keeping P[packet scrambled] == p_upset exactly.
-        //
-        // Rather than one Bernoulli(p_b) draw per wire bit, jump straight
-        // to the next flipped bit: the run of unflipped bits before it is
-        // Geometric(p_b), sampled by inversion as floor(log u / log(1-p_b))
-        // with u uniform in (0, 1].  Same per-bit law, O(flips) draws: one
-        // uniform() per flip plus the one that overshoots the wire.
-        // tests/test_fault.cpp holds the chi-square oracle against the
-        // per-bit reference.
-        const double log_keep = std::log1p(-2.0 / static_cast<double>(nbits));
-        std::size_t flips = 0;
-        for (std::size_t bit = 0;; ++bit) {
-            const double u = 1.0 - upset_rng_.uniform();
-            const double gap = std::floor(std::log(u) / log_keep);
-            // Compare as a double: a huge gap must not wrap in the cast.
-            if (gap >= static_cast<double>(nbits - bit)) break;
-            bit += static_cast<std::size_t>(gap);
-            flip(bit);
-            ++flips;
-        }
-        if (flips == 0) flip(static_cast<std::size_t>(upset_rng_.below(nbits)));
+    case UpsetModel::RandomBitError:
+        walk_bit_errors(upset_rng_, wire.size() * 8, [&wire](std::size_t bit) {
+            wire[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+        });
         break;
-    }
     case UpsetModel::RandomErrorVector: {
         // All 2^n - 1 non-null vectors equally likely: draw uniform random
         // bytes, redraw if the all-zero vector comes up.
@@ -136,6 +138,20 @@ void FaultInjector::corrupt(std::vector<std::byte>& wire) {
         break;
     }
     }
+}
+
+void FaultInjector::sample_flips(std::size_t nbits, std::vector<std::size_t>& out) {
+    SNOC_PROF("fault/upset");
+    SNOC_EXPECT(nbits > 0);
+    SNOC_EXPECT(scenario_.upset_model == UpsetModel::RandomBitError);
+    ++upsets_;
+    out.clear();
+    walk_bit_errors(upset_rng_, nbits, [&out](std::size_t bit) { out.push_back(bit); });
+}
+
+void FaultInjector::flip_bits(std::vector<std::byte>& wire, std::span<const std::size_t> bits) {
+    for (const std::size_t bit : bits)
+        wire[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
 }
 
 bool FaultInjector::overflow_drop() {

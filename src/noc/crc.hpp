@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace snoc::crc {
 
@@ -62,5 +63,44 @@ constexpr std::uint16_t crc16_ccitt(std::span<const std::byte> data) {
             detail::kCrc16Table[((c >> 8) ^ static_cast<std::uint16_t>(b)) & 0xFFu]);
     return c;
 }
+
+/// Columns of CRC-32's linear part, for deciding a corrupted packet's
+/// CRC check from its error vector alone.  The register update is linear
+/// over GF(2) in (register, data) and the init and final XORs cancel
+/// between two equal-length spans, so crc32(b ^ e) == crc32(b) ^ lin(e),
+/// where lin(e) runs the table with a zero register and no final XOR.
+/// lin(e) is the XOR of one column per set bit of e, and a bit's column
+/// depends only on its bit index and how many bytes follow it in the
+/// span: T[1 << bit] pushed through that many zero bytes.  The table
+/// grows on demand, 8 columns per byte of distance, one table step each.
+class Crc32Columns {
+public:
+    /// lin() of the span whose only set bit is bit `bit` (0..7) of the
+    /// byte `bytes_after` bytes before the span's end.
+    std::uint32_t column(std::size_t bytes_after, unsigned bit) {
+        grow(bytes_after + 1);
+        return columns_[bytes_after * 8 + bit];
+    }
+
+    /// Make column() allocation-free for spans of up to `bytes` bytes.
+    void grow(std::size_t bytes) {
+        std::size_t have = columns_.size() / 8;
+        if (have >= bytes) return;
+        columns_.resize(bytes * 8);
+        for (; have < bytes; ++have)
+            for (unsigned bit = 0; bit < 8; ++bit) {
+                std::uint32_t& c = columns_[have * 8 + bit];
+                if (have == 0) {
+                    c = detail::kCrc32Table[1u << bit];
+                } else {
+                    const std::uint32_t prev = columns_[(have - 1) * 8 + bit];
+                    c = detail::kCrc32Table[prev & 0xFFu] ^ (prev >> 8);
+                }
+            }
+    }
+
+private:
+    std::vector<std::uint32_t> columns_;
+};
 
 } // namespace snoc::crc

@@ -63,6 +63,13 @@ ProtectedPayload protect(const std::vector<std::byte>& payload);
 /// prefix plus 9 bytes per (zero-padded) 8-byte word.
 constexpr std::size_t protected_bytes(std::size_t n) { return 4 + ((n + 7) / 8) * 9; }
 
+/// Bit layout of protect()'s output, for locating a flipped wire bit (bit
+/// b is bit b % 8 of byte b / 8): the unprotected length prefix, then one
+/// 72-bit codeword per word.  Bit k of a codeword is flip_bit()'s bit k,
+/// so word w's data bit k is payload bit 64 * w + k.
+inline constexpr std::size_t kLengthPrefixBits = 32;
+inline constexpr std::size_t kCodewordBits = 72;
+
 struct RecoverResult {
     std::vector<std::byte> payload;
     std::size_t corrected_words{0};

@@ -37,10 +37,14 @@ namespace {
 
 class BroadcastSource final : public IpCore {
 public:
+    explicit BroadcastSource(std::size_t payload_bytes) : payload_bytes_(payload_bytes) {}
     void on_start(TileContext& ctx) override {
-        ctx.send(kBroadcast, 0xEE, std::vector<std::byte>(24, std::byte{7}));
+        ctx.send(kBroadcast, 0xEE, std::vector<std::byte>(payload_bytes_, std::byte{7}));
     }
     void on_message(const Message&, TileContext&) override {}
+
+private:
+    std::size_t payload_bytes_;
 };
 
 class ChattySource final : public IpCore {
@@ -72,6 +76,7 @@ struct Scenario {
     bool use_pi_app{false};
     bool forward_cap{false};
     bool islands{false};
+    std::size_t broadcast_payload{24};
 };
 
 std::vector<Scenario> scenarios() {
@@ -134,6 +139,21 @@ std::vector<Scenario> scenarios() {
     app.config.default_ttl = 30;
     out.push_back(app);
 
+    // Every transmission upset: each copy's verdict comes from its flips
+    // (or, rarely, from bytes), on a broadcast spanning 32 SECDED words
+    // and 1-byte unicasts that fit in 4.
+    Scenario all_crc = plain;
+    all_crc.name = "all_upsets_crc";
+    all_crc.faults.p_upset = 1.0;
+    all_crc.unicast_traffic = true;
+    all_crc.broadcast_payload = 226;
+    out.push_back(all_crc);
+
+    Scenario all_secded = all_crc;
+    all_secded.name = "all_upsets_secded";
+    all_secded.config.link_protection = LinkProtection::SecdedCorrect;
+    out.push_back(all_secded);
+
     return out;
 }
 
@@ -168,7 +188,7 @@ RunOutput run_scenario(const Scenario& s, std::uint64_t seed, bool reference_enc
     GossipNetwork net(Topology::mesh(4, 4), config, s.faults, seed);
     Telemetry telemetry;
     net.set_trace_sink(&telemetry);
-    net.attach(0, std::make_unique<BroadcastSource>());
+    net.attach(0, std::make_unique<BroadcastSource>(s.broadcast_payload));
     if (s.unicast_traffic) {
         net.attach(5, std::make_unique<ChattySource>(15));
         net.attach(15, std::make_unique<Sink>());

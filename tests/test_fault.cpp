@@ -225,6 +225,29 @@ TEST(FaultInjector, UpsetsAreCaughtByCrc) {
     }
 }
 
+TEST(FaultInjector, SampledFlipsAreApplyUpsetsDraws) {
+    // The engine's sparse path samples flip positions where the byte path
+    // scrambles a wire; both must consume the upset stream identically.
+    FaultScenario s;
+    s.p_upset = 1.0;
+    FaultInjector bytes(s, RngPool(12));
+    FaultInjector sparse(s, RngPool(12));
+    std::vector<std::size_t> flips;
+    for (std::size_t n = 1; n < 400; n += 7) {
+        const auto original = std::vector<std::byte>(n, std::byte{0x5A});
+        auto scrambled = original;
+        bytes.apply_upset(scrambled);
+        sparse.sample_flips(n * 8, flips);
+        ASSERT_FALSE(flips.empty());
+        EXPECT_TRUE(std::is_sorted(flips.begin(), flips.end()));
+        EXPECT_EQ(std::adjacent_find(flips.begin(), flips.end()), flips.end());
+        auto flipped = original;
+        FaultInjector::flip_bits(flipped, flips);
+        EXPECT_EQ(flipped, scrambled) << n << " bytes";
+    }
+    EXPECT_EQ(sparse.upsets_injected(), bytes.upsets_injected());
+}
+
 TEST(FaultInjector, OverflowRateMatchesProbability) {
     FaultScenario s;
     s.p_overflow = 0.2;
