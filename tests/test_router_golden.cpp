@@ -3,7 +3,8 @@
 // and trace JSONL before and after being re-expressed as configurations
 // of the shared core.  The golden files under tests/golden/ were captured
 // from the pre-refactor implementations; this suite replays the same
-// (config, scenario, seed) grid and compares bytes.
+// (config, scenario, seed) grid and compares bytes.  The store-forward,
+// cut-through and adaptive cells pin RouterCore's own cycle the same way.
 //
 // Regenerating (only legitimate when a deliberate behaviour change is
 // being made, never to paper over an accidental divergence):
@@ -79,10 +80,24 @@ std::string run_image(Interconnect& backend, const TrafficTrace& trace,
     return os.str();
 }
 
-FaultScenario faulty() {
+FaultScenario faulty(double p_tiles = 0.12) {
     FaultScenario s;
-    s.p_tiles = 0.12;
+    s.p_tiles = p_tiles;
     return s;
+}
+
+/// RouterCore cells: the spec's stage selection on the shared grid.
+/// `adaptive_b1` squeezes every input FIFO to one packet and crashes more
+/// tiles, so detours contend for downstream credit within a cycle.
+template <class Adapter, class Spec>
+std::string router_core_image(const FaultScenario& scenario, std::uint64_t seed,
+                              const TrafficTrace& trace,
+                              std::size_t buffer_packets = 4) {
+    Spec spec;
+    spec.protect = {0, 4, 20, 24};
+    spec.config.buffer_packets = buffer_packets;
+    Adapter adapter(std::move(spec), scenario, seed);
+    return run_image(adapter, trace, 10000);
 }
 
 /// The pre/post-refactor comparison grid: every packet-switched backend x
@@ -91,7 +106,9 @@ std::string golden_image(const std::string& name) {
     const std::vector<TileId> corners{0, 4, 20, 24};
     std::ostringstream os;
     for (const bool faults : {false, true}) {
-        const FaultScenario scenario = faults ? faulty() : FaultScenario::none();
+        const FaultScenario scenario =
+            faults ? faulty(name == "adaptive_b1" ? 0.2 : 0.12)
+                   : FaultScenario::none();
         for (std::uint64_t seed = 1; seed <= 3; ++seed) {
             for (const bool crossing : {false, true}) {
                 const auto trace = crossing ? crossing_trace() : corner_trace();
@@ -114,6 +131,18 @@ std::string golden_image(const std::string& name) {
                     spec.protect = corners;
                     DeflectionAdapter adapter(std::move(spec), scenario, seed);
                     os << run_image(adapter, trace, 10000);
+                } else if (name == "store_forward") {
+                    os << router_core_image<StoreForwardAdapter, StoreForwardSpec>(
+                        scenario, seed, trace);
+                } else if (name == "cut_through") {
+                    os << router_core_image<CutThroughAdapter, CutThroughSpec>(
+                        scenario, seed, trace);
+                } else if (name == "adaptive") {
+                    os << router_core_image<AdaptiveAdapter, AdaptiveSpec>(
+                        scenario, seed, trace);
+                } else if (name == "adaptive_b1") {
+                    os << router_core_image<AdaptiveAdapter, AdaptiveSpec>(
+                        scenario, seed, trace, /*buffer_packets=*/1);
                 } else {
                     ADD_FAILURE() << "unknown golden backend " << name;
                 }
@@ -150,7 +179,9 @@ TEST_P(RouterGolden, BytesMatchPreRefactorCapture) {
 
 INSTANTIATE_TEST_SUITE_P(PacketSwitched, RouterGolden,
                          ::testing::Values("xy", "wormhole_xy", "wormhole_wf",
-                                           "deflection"));
+                                           "deflection", "store_forward",
+                                           "cut_through", "adaptive",
+                                           "adaptive_b1"));
 
 } // namespace
 } // namespace snoc
