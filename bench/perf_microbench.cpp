@@ -1,10 +1,11 @@
 // google-benchmark microbenchmarks of the hot paths: CRC, packet codec,
 // a full gossip round (byte-free clean transmissions vs the byte-level
-// reference path),
+// reference path), a router-core cycle,
 // the parallel trial fan-out, FFT and MDCT kernels.  Not a paper figure —
 // this guards the simulator's own performance.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -13,9 +14,12 @@
 #include "apps/mdct.hpp"
 #include "common/cli.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "core/engine.hpp"
+#include "fault/injector.hpp"
 #include "noc/crc.hpp"
 #include "noc/packet.hpp"
+#include "router/core.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace {
@@ -136,6 +140,66 @@ BENCHMARK(BM_SparseBroadcast)
     ->Arg(128)
     ->Arg(256)
     ->Unit(benchmark::kMillisecond);
+
+// One router-core trial shaped like perfbench's router_mesh: 16 phases of
+// 100 packets between eight protected endpoints of a 5x5 mesh, each phase
+// run to idle (or a 5000-cycle cap).  Arg 0 is the adaptive core under
+// p_tiles = 0.1, where detours make most of the hops; Arg 1 is fault-free
+// store-and-forward.  Reports ns per simulated cycle.
+void BM_RouterCycle(benchmark::State& state) {
+    constexpr std::array<TileId, 8> kEndpoints{0, 2, 4, 10, 14, 20, 22, 24};
+    constexpr std::size_t kPhases = 16;
+    constexpr std::size_t kMessagesPerPhase = 100;
+    constexpr std::size_t kCycleCap = 5000;
+    const bool adaptive = state.range(0) == 0;
+    router::RouterConfig config;
+    FaultScenario scenario = FaultScenario::none();
+    if (adaptive) {
+        config.flow = router::FlowControl::CutThrough;
+        config.policy = router::PolicyKind::FaultAdaptive;
+        scenario.p_tiles = 0.1;
+    }
+    const Topology mesh = Topology::mesh(5, 5);
+    const std::vector<TileId> protect(kEndpoints.begin(), kEndpoints.end());
+    // Seed 3 kills tiles 11 and 19, near the 1.7 that p_tiles expects
+    // of the 17 unprotected tiles.
+    const CrashState crashes =
+        FaultInjector(scenario, RngPool(3)).roll_crashes(mesh, protect);
+    RngStream rng(splitmix64(1));
+    std::vector<std::vector<std::pair<TileId, TileId>>> phases(kPhases);
+    for (auto& phase : phases)
+        for (std::size_t m = 0; m < kMessagesPerPhase; ++m) {
+            const auto src = static_cast<std::size_t>(rng.below(kEndpoints.size()));
+            auto dst = static_cast<std::size_t>(rng.below(kEndpoints.size() - 1));
+            if (dst >= src) ++dst;
+            phase.emplace_back(kEndpoints[src], kEndpoints[dst]);
+        }
+
+    std::int64_t cycles = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto core = std::make_unique<router::RouterCore>(mesh, config);
+        core->apply_crashes(crashes);
+        state.ResumeTiming();
+        for (const auto& phase : phases) {
+            for (const auto& [src, dst] : phase)
+                core->inject(src, dst, 256 + kWireOverheadBytes * 8);
+            while (!core->idle() && core->cycle() < kCycleCap) core->step();
+        }
+        cycles += static_cast<std::int64_t>(core->cycle());
+        benchmark::DoNotOptimize(core->delivered());
+        state.PauseTiming();
+        core.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(cycles); // items/s = simulated cycles/s
+    state.counters["ns_per_cycle"] = benchmark::Counter(
+        static_cast<double>(cycles) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+    state.counters["dead_tiles"] =
+        static_cast<double>(crashes.dead_tile_count());
+}
+BENCHMARK(BM_RouterCycle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// One self-contained Monte-Carlo trial: a 5x5 broadcast driven to
 /// quiescence, all randomness derived from the trial index.

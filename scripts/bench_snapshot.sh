@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Engine performance snapshot: runs the sparse-broadcast microbenchmark
-# (ns/round per mesh side) and the two scalability anchor cells (256x256
-# full broadcast; 1000x1000 sparse wavefront), then writes
-# BENCH_engine.json — machine info, git SHA, the ns/round series and the
-# anchor cells.  It also times five end-to-end runs (fig4_8_mp3_latency,
-# fig4_5_fault_surface, the FEC-vs-CRC ablation, a single-threaded
-# 128x128 dense broadcast and the wormhole-vs-gossip ablation; median wall
-# seconds and peak RSS of 3 runs each) into the snapshot's `figures`
-# block.  Given a baseline build dir
+# (ns/round per mesh side), the router-core cycle microbenchmark
+# (ns/cycle, adaptive and store-and-forward) and the two scalability
+# anchor cells (256x256 full broadcast; 1000x1000 sparse wavefront), then
+# writes BENCH_engine.json — machine info, git SHA, the ns/round and
+# ns/cycle series and the anchor cells.  It also times five end-to-end
+# runs (fig4_8_mp3_latency, fig4_5_fault_surface, the FEC-vs-CRC
+# ablation, a single-threaded 128x128 dense broadcast and the
+# wormhole-vs-gossip ablation; median wall seconds and peak RSS of 3 runs
+# each) into the snapshot's `figures` block.  Given a baseline build dir
 # (e.g. a build of the parent commit), every cell is measured there too
 # and recorded as `before` next to `after` (figure runs interleaved), with
 # the commit of the baseline's source tree (read from its CMakeCache.txt)
@@ -216,19 +217,27 @@ def run(cmd):
                  f"{proc.returncode}")
     return proc.stdout
 
+ROUTER_CYCLE_CELLS = {"0": "adaptive_p_tiles_0.1", "1": "store_forward"}
+
 def microbench(build):
-    """Per-side ns/round of BM_SparseBroadcast, plus BM_GossipRound and
-    BM_GossipRoundRecorded ns/round.  A baseline that still has one
-    sparse benchmark per engine contributes its faster one per side."""
+    """Per-side ns/round of BM_SparseBroadcast, BM_GossipRound and
+    BM_GossipRoundRecorded ns/round, and BM_RouterCycle ns/cycle per cell
+    (empty for a baseline that predates it).  A baseline that still has
+    one sparse benchmark per engine contributes its faster one per side."""
     text = run([os.path.join(build, "bench", "perf_microbench"),
-                "--benchmark_filter=SparseBroadcast|GossipRound",
+                "--benchmark_filter=SparseBroadcast|GossipRound|RouterCycle",
                 "--benchmark_format=json"])
     # perf_microbench appends its plain-text fan-out summary after the
     # benchmark JSON; raw_decode stops at the end of the JSON object.
     micro, _ = json.JSONDecoder().raw_decode(text)
     sparse = {}
     gossip_round = {"detached": {}, "recorded": {}}
+    router_cycle = {}
     for b in micro["benchmarks"]:
+        m = re.match(r"BM_RouterCycle/(\d+)$", b["name"])
+        if m:
+            router_cycle[ROUTER_CYCLE_CELLS[m.group(1)]] = b["ns_per_cycle"]
+            continue
         ns = 1e9 / b["items_per_second"]
         m = re.match(r"BM_SparseBroadcast\w*/(\d+)$", b["name"])
         if m:
@@ -239,7 +248,7 @@ def microbench(build):
         if m:
             variant = "recorded" if m.group(1) else "detached"
             gossip_round[variant][int(m.group(2))] = ns
-    return sparse, gossip_round
+    return sparse, gossip_round, router_cycle
 
 def wall_cell(build, args):
     text = run([os.path.join(build, "bench", "ablation_scalability"),
@@ -265,14 +274,14 @@ SCALABILITY = {
 
 build, baseline = os.environ["BUILD_DIR"], os.environ["BASELINE_DIR"]
 
-ns_per_round, gossip_round = microbench(build)
+ns_per_round, gossip_round, router_cycle = microbench(build)
 scalability = {name: wall_cell(build, args) for name, args in SCALABILITY.items()}
 # The short-TTL wavefront reaches a few hundred of a million tiles, which
 # rounds to 0.0%; the tile count is the anchor there.
 del scalability["sparse_1000x1000"]["coverage_pct"]
-ns_per_round_before = None
+ns_per_round_before = router_cycle_before = None
 if baseline:
-    ns_per_round_before, _ = microbench(baseline)
+    ns_per_round_before, _, router_cycle_before = microbench(baseline)
     for name, args in SCALABILITY.items():
         scalability[name]["before"] = {"wall_s": wall_cell(baseline, args)["wall_s"]}
 
@@ -309,11 +318,14 @@ snapshot = {
     "ns_per_round": ns_per_round,
     "gossip_round_ns": gossip_round,
     "flight_recorder_overhead": recorder_overhead,
+    "router_cycle_ns": router_cycle,
     "scalability": scalability,
     "figures": json.load(open(os.environ["FIGURES_JSON"])),
 }
 if ns_per_round_before:
     snapshot["ns_per_round_before"] = ns_per_round_before
+if router_cycle_before:
+    snapshot["router_cycle_ns_before"] = router_cycle_before
 with open(os.environ["OUT"], "w") as f:
     json.dump(snapshot, f, indent=2, sort_keys=True)
     f.write("\n")

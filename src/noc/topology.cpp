@@ -90,16 +90,6 @@ Topology Topology::from_edges(std::size_t n, const std::vector<LinkEnd>& undirec
     return t;
 }
 
-const std::vector<TileId>& Topology::neighbours(TileId t) const {
-    SNOC_EXPECT(t < neighbours_.size());
-    return neighbours_[t];
-}
-
-const std::vector<LinkId>& Topology::out_links(TileId t) const {
-    SNOC_EXPECT(t < out_links_.size());
-    return out_links_[t];
-}
-
 const LinkEnd& Topology::link(LinkId id) const {
     SNOC_EXPECT(id < links_.size());
     return links_[id];
@@ -113,24 +103,6 @@ std::size_t Topology::width() const {
 std::size_t Topology::height() const {
     SNOC_EXPECT(is_grid());
     return height_;
-}
-
-std::size_t Topology::x_of(TileId t) const {
-    SNOC_EXPECT(is_grid());
-    SNOC_EXPECT(t < node_count());
-    return t % width_;
-}
-
-std::size_t Topology::y_of(TileId t) const {
-    SNOC_EXPECT(is_grid());
-    SNOC_EXPECT(t < node_count());
-    return t / width_;
-}
-
-TileId Topology::at(std::size_t x, std::size_t y) const {
-    SNOC_EXPECT(is_grid());
-    SNOC_EXPECT(x < width_ && y < height_);
-    return static_cast<TileId>(y * width_ + x);
 }
 
 std::size_t Topology::manhattan(TileId a, TileId b) const {

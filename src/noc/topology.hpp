@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "common/types.hpp"
 
 namespace snoc {
@@ -43,9 +44,15 @@ public:
     const std::string& name() const { return name_; }
 
     /// Outgoing neighbour tiles of `t` (order is stable across runs).
-    const std::vector<TileId>& neighbours(TileId t) const;
+    const std::vector<TileId>& neighbours(TileId t) const {
+        SNOC_EXPECT(t < neighbours_.size());
+        return neighbours_[t];
+    }
     /// Directed link ids leaving `t`, parallel to neighbours(t).
-    const std::vector<LinkId>& out_links(TileId t) const;
+    const std::vector<LinkId>& out_links(TileId t) const {
+        SNOC_EXPECT(t < out_links_.size());
+        return out_links_[t];
+    }
     /// Endpoints of a directed link.
     const LinkEnd& link(LinkId id) const;
 
@@ -53,9 +60,21 @@ public:
     bool is_grid() const { return width_ > 0; }
     std::size_t width() const;
     std::size_t height() const;
-    std::size_t x_of(TileId t) const;
-    std::size_t y_of(TileId t) const;
-    TileId at(std::size_t x, std::size_t y) const;
+    std::size_t x_of(TileId t) const {
+        SNOC_EXPECT(is_grid());
+        SNOC_EXPECT(t < node_count());
+        return t % width_;
+    }
+    std::size_t y_of(TileId t) const {
+        SNOC_EXPECT(is_grid());
+        SNOC_EXPECT(t < node_count());
+        return t / width_;
+    }
+    TileId at(std::size_t x, std::size_t y) const {
+        SNOC_EXPECT(is_grid());
+        SNOC_EXPECT(x < width_ && y < height_);
+        return static_cast<TileId>(y * width_ + x);
+    }
     /// Manhattan distance between two tiles of a grid.
     std::size_t manhattan(TileId a, TileId b) const;
 

@@ -5,11 +5,14 @@
 // port at the receiver is the index of t in the receiver's neighbour
 // list.  Every backend used to re-derive these lookups privately; the
 // router core makes them the one shared vocabulary the routing-policy,
-// flow-control and arbitration stages all speak.
+// flow-control and arbitration stages all speak.  PortTable resolves
+// them once per network, so a per-hop lookup is a table read.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "common/types.hpp"
@@ -42,5 +45,61 @@ inline LinkId link_between(const Topology& topo, TileId a, TileId b) {
     SNOC_ENSURE(port.has_value() && "hop endpoints are not neighbours");
     return topo.out_links(a)[*port];
 }
+
+/// The static wiring of every port in one network, built once.
+///
+/// Tile t has degree(t) link ports plus one local port (injection on the
+/// input side, ejection on the output side) at index degree(t).  Every
+/// (tile, port) pair, local port included, has one flat index, slot(t, p),
+/// so per-port state of a whole network lives in one array; the link
+/// ports alone have the denser link_slot(t, p).
+class PortTable {
+public:
+    /// Output port p of tile t: where it leads and where it lands.
+    struct Port {
+        TileId next{kNoTile};  ///< neighbours(t)[p].
+        LinkId link{0};        ///< out_links(t)[p].
+        std::uint32_t in_port{0}; ///< input port of `next` the link feeds.
+        std::uint32_t in_slot{0}; ///< slot(next, in_port).
+    };
+
+    explicit PortTable(const Topology& topo) : first_(topo.node_count() + 1, 0) {
+        for (TileId t = 0; t < topo.node_count(); ++t)
+            first_[t + 1] =
+                first_[t] + static_cast<std::uint32_t>(topo.neighbours(t).size());
+        ports_.reserve(first_.back());
+        for (TileId t = 0; t < topo.node_count(); ++t) {
+            const auto& nbrs = topo.neighbours(t);
+            for (std::size_t p = 0; p < nbrs.size(); ++p) {
+                const std::size_t in_port = input_port_from(topo, nbrs[p], t);
+                ports_.push_back(Port{nbrs[p], topo.out_links(t)[p],
+                                      static_cast<std::uint32_t>(in_port),
+                                      static_cast<std::uint32_t>(
+                                          slot(nbrs[p], in_port))});
+            }
+        }
+    }
+
+    std::size_t tile_count() const { return first_.size() - 1; }
+    /// Link ports of `t`; the local port's index.
+    std::size_t degree(TileId t) const { return first_[t + 1] - first_[t]; }
+    const Port& out(TileId t, std::size_t port) const {
+        return ports_[link_slot(t, port)];
+    }
+    /// Flat index of (t, port) over every tile's degree(t) + 1 ports.
+    std::size_t slot(TileId t, std::size_t port) const {
+        return first_[t] + t + port;
+    }
+    std::size_t slot_count() const { return first_.back() + tile_count(); }
+    /// Flat index of link port (t, port), port < degree(t).
+    std::size_t link_slot(TileId t, std::size_t port) const {
+        return first_[t] + port;
+    }
+    std::size_t link_slot_count() const { return first_.back(); }
+
+private:
+    std::vector<std::uint32_t> first_; ///< first link slot of each tile.
+    std::vector<Port> ports_;          ///< [link_slot].
+};
 
 } // namespace snoc::router

@@ -65,6 +65,7 @@ std::string SweepPoint::label() const {
 }
 
 CellStats aggregate(const std::vector<RunReport>& reports) {
+    SNOC_PROF("scenario/aggregate");
     CellStats stats;
     if (reports.empty()) return stats;
     Accumulator rounds, seconds, transmissions, bits, deliveries, joules;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/expect.hpp"
+#include "common/prof.hpp"
 
 namespace snoc {
 
@@ -44,6 +45,7 @@ std::string format_message_id(const MessageId& id) {
 }
 
 void write_jsonl(const Telemetry& telemetry, std::ostream& os) {
+    SNOC_PROF("telemetry/export");
     for (const TraceEvent& e : telemetry.events()) {
         os << "{\"round\":" << e.round << ",\"kind\":\"" << to_string(e.kind)
            << "\",\"tile\":" << e.tile;
@@ -60,6 +62,7 @@ void write_jsonl(const Telemetry& telemetry, const std::string& path) {
 }
 
 void write_chrome_trace(const Telemetry& telemetry, std::ostream& os) {
+    SNOC_PROF("telemetry/export");
     os << "{\"traceEvents\":[\n";
     bool first = true;
     const auto emit = [&](const std::string& line) {
@@ -163,6 +166,7 @@ void write_chrome_trace(const Telemetry& telemetry, const std::string& path) {
 
 void write_heatmap_csv(const Telemetry& telemetry, std::ostream& os,
                        std::size_t grid_width) {
+    SNOC_PROF("telemetry/export");
     os << "tile";
     if (grid_width > 0) os << ",x,y";
     for (std::size_t k = 0; k < kTraceEventKinds; ++k)
@@ -185,6 +189,7 @@ void write_heatmap_csv(const Telemetry& telemetry, const std::string& path,
 }
 
 void write_link_csv(const Telemetry& telemetry, std::ostream& os) {
+    SNOC_PROF("telemetry/export");
     os << "from,to,transmissions\n";
     for (const auto& [link, count] : telemetry.link_transmissions())
         os << link.first << ',' << link.second << ',' << count << '\n';
@@ -196,6 +201,7 @@ void write_link_csv(const Telemetry& telemetry, const std::string& path) {
 }
 
 void write_metrics_json(const NetworkMetrics& metrics, std::ostream& os) {
+    SNOC_PROF("telemetry/export");
     bool first = true;
     const auto field = [&](const char* name, std::size_t value) {
         os << (first ? "{\n" : ",\n") << "  \"" << name << "\": " << value;

@@ -6,7 +6,6 @@
 #include "common/prof.hpp"
 #include "common/rng.hpp"
 #include "router/accounting.hpp"
-#include "router/ports.hpp"
 
 namespace snoc::wormhole {
 
@@ -20,6 +19,7 @@ Network::Network(std::size_t width, std::size_t height, Config config)
     : topo_(Topology::mesh(width, height)),
       config_(config),
       policy_(router::make_policy(policy_kind(config.routing))),
+      ports_(topo_),
       injection_queues_(topo_.node_count()),
       inject_state_(topo_.node_count()) {
     config_.validate();
@@ -65,20 +65,11 @@ router::PortList Network::route_candidates(TileId t, TileId dst) const {
     return policy_->candidates(topo_, t, kNoTile, dst, kNoDead);
 }
 
-TileId Network::port_neighbour(TileId t, std::size_t port) const {
-    const auto& nbrs = topo_.neighbours(t);
-    SNOC_EXPECT(port < nbrs.size());
-    return nbrs[port];
-}
-
-using router::input_port_from;
-
 std::size_t Network::downstream_space(TileId t, std::size_t out_port,
                                       std::size_t vc) const {
-    const TileId next = port_neighbour(t, out_port);
-    if (!routers_[next].alive) return 0; // a dead router accepts nothing
-    const std::size_t in_port = input_port_from(topo_, next, t);
-    const auto& buffer = routers_[next].in_vcs[in_port][vc].buffer;
+    const auto& port = ports_.out(t, out_port);
+    if (!routers_[port.next].alive) return 0; // a dead router accepts nothing
+    const auto& buffer = routers_[port.next].in_vcs[port.in_port][vc].buffer;
     return config_.vc_buffer_flits - std::min(config_.vc_buffer_flits, buffer.size());
 }
 
@@ -134,7 +125,7 @@ bool Network::step() {
         auto& router = routers_[t];
         if (!router.alive || router.flits == 0) continue;
         input_port_used_.assign(port_count(t), false);
-        const std::size_t outputs = topo_.neighbours(t).size() + 1; // + eject
+        const std::size_t outputs = port_count(t); // links + eject
         for (std::size_t out = 0; out < outputs; ++out) {
             const bool is_eject = out == outputs - 1;
             // The rotating arbiter scans the (input port, VC) slots; the
@@ -162,22 +153,19 @@ bool Network::step() {
                         changed = true;
                     } else {
                         for (const std::size_t route : candidates) {
-                            const TileId next = port_neighbour(t, route);
-                            if (!routers_[next].alive) continue; // dead end
-                            const std::size_t in_at_next =
-                                input_port_from(topo_, next, t);
+                            const auto& port = ports_.out(t, route);
+                            auto& next = routers_[port.next];
+                            if (!next.alive) continue; // dead end
+                            auto& next_vcs = next.in_vcs[port.in_port];
                             std::optional<std::size_t> chosen;
                             for (std::size_t v = 0; v < config_.vcs_per_port; ++v) {
-                                if (!routers_[next]
-                                         .in_vcs[in_at_next][v]
-                                         .reserved_for) {
+                                if (!next_vcs[v].reserved_for) {
                                     chosen = v;
                                     break;
                                 }
                             }
                             if (!chosen) continue; // all downstream VCs owned
-                            routers_[next].in_vcs[in_at_next][*chosen].reserved_for =
-                                flit.packet;
+                            next_vcs[*chosen].reserved_for = flit.packet;
                             vc.out_port = route;
                             vc.out_vc = *chosen;
                             changed = true;
@@ -219,12 +207,11 @@ bool Network::step() {
                             flit.packet);
             }
         } else {
-            const TileId next = port_neighbour(m.tile, m.out_port);
-            const std::size_t in_at_next = input_port_from(topo_, next, m.tile);
-            routers_[next].in_vcs[in_at_next][m.out_vc].buffer.push_back(flit);
-            ++routers_[next].flits;
+            const auto& port = ports_.out(m.tile, m.out_port);
+            routers_[port.next].in_vcs[port.in_port][m.out_vc].buffer.push_back(flit);
+            ++routers_[port.next].flits;
             ++flit_hops_;
-            trace_event(TraceEventKind::Transmitted, m.tile, next, flit.packet);
+            trace_event(TraceEventKind::Transmitted, m.tile, port.next, flit.packet);
         }
         if (was_tail) {
             // The worm has fully left this VC: release the route lock and

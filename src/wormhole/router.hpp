@@ -32,6 +32,7 @@
 #include "noc/topology.hpp"
 #include "router/arbiter.hpp"
 #include "router/policy.hpp"
+#include "router/ports.hpp"
 #include "sim/trace.hpp"
 
 namespace snoc::wormhole {
@@ -148,19 +149,18 @@ private:
         bool alive{true};
     };
 
-    std::size_t port_count(TileId t) const { return topo_.neighbours(t).size() + 1; }
-    std::size_t local_port(TileId t) const { return topo_.neighbours(t).size(); }
+    std::size_t port_count(TileId t) const { return ports_.degree(t) + 1; }
+    std::size_t local_port(TileId t) const { return ports_.degree(t); }
     /// Candidate output ports under the configured routing policy, in
     /// preference order; empty when t == dst.
     router::PortList route_candidates(TileId t, TileId dst) const;
-    /// Neighbour on the given output port.
-    TileId port_neighbour(TileId t, std::size_t port) const;
     /// Credits available on the (neighbour, its input port from t, vc).
     std::size_t downstream_space(TileId t, std::size_t out_port, std::size_t vc) const;
 
     Topology topo_;
     Config config_;
     std::unique_ptr<const router::RoutingPolicy> policy_;
+    router::PortTable ports_;
     std::vector<Router> routers_;
     std::size_t cycle_{0};
     std::uint32_t next_packet_{0};

@@ -493,6 +493,39 @@ TEST(Prof, BusXyAndDeflectionScopesRecordWhenArmed) {
     prof::reset();
 }
 
+TEST(Prof, AggregateAndExportScopesRecordWhenArmed) {
+    // ScenarioRunner's per-cell aggregate() and the telemetry exporters
+    // (each path overload delegates to its stream overload).
+    const auto run = [] {
+        std::vector<RunReport> reports(2);
+        reports[0].completed = true;
+        EXPECT_DOUBLE_EQ(aggregate(reports).completion_rate, 0.5);
+        Telemetry telemetry;
+        std::ostringstream os;
+        write_jsonl(telemetry, os);
+        write_chrome_trace(telemetry, os);
+        write_heatmap_csv(telemetry, os, 0);
+        write_link_csv(telemetry, os);
+        write_metrics_json(NetworkMetrics{}, os);
+    };
+    const auto calls = [](const char* name) {
+        const auto stats = prof::snapshot();
+        const auto it = stats.find(name);
+        return it == stats.end() ? std::uint64_t{0} : it->second.calls;
+    };
+    prof::reset();
+    run();
+    EXPECT_EQ(calls("scenario/aggregate"), 0u);
+    EXPECT_EQ(calls("telemetry/export"), 0u);
+
+    prof::set_enabled(true);
+    run();
+    prof::set_enabled(false);
+    EXPECT_EQ(calls("scenario/aggregate"), 1u);
+    EXPECT_EQ(calls("telemetry/export"), 5u);
+    prof::reset();
+}
+
 TEST(Prof, RouterScopesCountCyclesAndDumpDeterministically) {
     // The four RouterCore stages run once per simulated cycle; the
     // wormhole step once per *simulated* cycle too, so a worm wedged on a
