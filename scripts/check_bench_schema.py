@@ -96,6 +96,9 @@ def check_engine(path, snap):
         ok &= check_numeric_map(path, snap, "ns_per_round_before")
     ok &= check_numeric_table(path, snap, "gossip_round_ns",
                               ("detached", "recorded"))
+    ok &= check_numeric_map(path, snap, "router_cycle_ns")
+    if "router_cycle_ns_before" in snap:
+        ok &= check_numeric_map(path, snap, "router_cycle_ns_before")
     overhead = snap.get("flight_recorder_overhead")
     if not isinstance(overhead, dict) or not overhead:
         ok = fail(path, "flight_recorder_overhead missing or empty")
