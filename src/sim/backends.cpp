@@ -315,6 +315,10 @@ RunReport RouterAdapter::run(const TrafficTrace& trace, Round limit) {
     core.set_trace_sink(trace_sink());
     core.apply_crashes(crashes_);
     live_metrics_ = &core.metrics();
+    struct Unpublish { // `core` dies with this frame, however it is left.
+        const NetworkMetrics*& live;
+        ~Unpublish() { live = nullptr; }
+    } unpublish{live_metrics_};
 
     RunReport report;
     report.seed = seed_;
@@ -362,7 +366,6 @@ RunReport RouterAdapter::run(const TrafficTrace& trace, Round limit) {
         aud->check_report(report, kind(), &trace, limit);
         report.audit_violations = aud->violation_count() - audit_before;
     }
-    live_metrics_ = nullptr; // `core` dies with this frame.
     return report;
 }
 

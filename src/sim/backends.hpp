@@ -236,9 +236,10 @@ public:
 
     RunReport run(const TrafficTrace& trace, Round limit) override;
 
-    /// Valid only while run() executes (the core is a local of run(), so
-    /// the pointer is published on entry; post-mortem dumps always fire
-    /// from inside the run they describe).
+    /// Non-null only while run() executes: the core is a local of run(),
+    /// so the pointer is published on entry and cleared on every exit,
+    /// the exception path included.  Post-mortem dumps fire from inside
+    /// the run they describe.
     const NetworkMetrics* live_metrics() const override {
         return live_metrics_;
     }

@@ -176,7 +176,12 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
             dumper.emplace(trial_path(spec_.telemetry.postmortem_out, cell,
                                       repeat, single_trial),
                            &recorder, std::move(info));
-            if (backend) dumper->set_live_metrics(backend->live_metrics());
+            // Asked at dump time: a router adapter publishes its
+            // counters only inside run().  The backend outlives the
+            // dumper (declared first, destroyed last).
+            if (backend)
+                dumper->set_metrics_source(
+                    [b = backend.get()] { return b->live_metrics(); });
         }
         TeeSink tee;
         if (record) tee.add(&telemetry);
@@ -193,9 +198,6 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
             if (spec_.audit) backend->set_auditor(&auditor);
             if (sink) backend->set_trace_sink(sink);
             report = backend->run(spec_.trace(point), spec_.max_rounds);
-            // The backend dies with this scope; a detector firing later
-            // in the attempt must not chase its counters.
-            if (dumper) dumper->set_live_metrics(nullptr);
         }
         report.seed = seed;
         report.attempts = attempt + 1;

@@ -212,9 +212,10 @@ PostmortemDumper::PostmortemDumper(std::string path,
           dumped_ = true; // first failure wins; set before I/O can throw.
           info_.reason = ctx.reason;
           info_.detail = ctx.detail;
-          if (live_ != nullptr) {
+          if (const NetworkMetrics* live =
+                  metrics_source_ ? metrics_source_() : nullptr) {
               info_.has_metrics = true;
-              info_.metrics = *live_;
+              info_.metrics = *live;
           }
           write_postmortem_bundle(*recorder_, info_, path_);
           MetricsRegistry::global().inc(MetricId::PostmortemsTotal);

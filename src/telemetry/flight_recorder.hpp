@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -127,16 +128,19 @@ public:
     bool dumped() const { return dumped_; }
     const std::string& path() const { return path_; }
 
-    /// Provide the live NetworkMetrics to snapshot at dump time (e.g. the
-    /// backend's counters while the backend is still alive).  The pointer
-    /// must stay valid for the dumper's lifetime; nullptr detaches.
-    void set_live_metrics(const NetworkMetrics* metrics) { live_ = metrics; }
+    /// Where the live NetworkMetrics come from.  The source is called
+    /// when the dumper dumps, so a backend that publishes its counters
+    /// only while it runs is read at the moment of failure; a source
+    /// that returns nullptr (or none at all) leaves the bundle without
+    /// metrics.  The source must stay callable for the dumper's lifetime.
+    using MetricsSource = std::function<const NetworkMetrics*()>;
+    void set_metrics_source(MetricsSource source) { metrics_source_ = std::move(source); }
 
 private:
     std::string path_;
     const FlightRecorder* recorder_;
     PostmortemInfo info_;
-    const NetworkMetrics* live_{nullptr};
+    MetricsSource metrics_source_;
     bool dumped_{false};
     postmortem::ScopedHandler scope_; ///< must be last: arms the hook.
 };

@@ -350,5 +350,52 @@ TEST(PostmortemDumper, AuditedSweepMutationSelfTest) {
     std::remove(path.c_str());
 }
 
+/// A router-core backend publishes its live counters only inside run(),
+/// so the dumper must ask for them when the sentinel fires, not when the
+/// trial is set up.  Adaptive cut-through wedges under all-to-all load
+/// (its channel dependency graph is cyclic) and does not throw when the
+/// sentinel fires, so the trial runs to its cycle budget.
+TEST(ScenarioRunner, WedgedRouterPostmortemCarriesMetrics) {
+    if (SNOC_CHECK_LEVEL < 1) GTEST_SKIP() << "the sentinel is compiled out";
+    const std::string path = ::testing::TempDir() + "router.postmortem.jsonl";
+    std::remove(path.c_str());
+
+    ExperimentSpec spec;
+    spec.name = "router-postmortem";
+    spec.repeats = 1;
+    spec.base_seed = 5;
+    spec.max_rounds = 2000;
+    spec.telemetry.postmortem_out = path;
+    spec.telemetry.flight_capacity = 64;
+    spec.backend = [](const SweepPoint&, std::uint64_t seed) {
+        AdaptiveSpec as;
+        as.config.stall_limit = 64;
+        return make_interconnect(std::move(as), FaultScenario::none(), seed);
+    };
+    spec.trace = [](const SweepPoint&) {
+        TrafficTrace trace;
+        TrafficPhase phase;
+        for (int wave = 0; wave < 8; ++wave)
+            for (TileId s = 0; s < 25; ++s)
+                for (TileId d = 0; d < 25; ++d)
+                    if (s != d) phase.messages.push_back({s, d, 256});
+        trace.phases.push_back(phase);
+        return trace;
+    };
+    const auto results = ScenarioRunner(std::move(spec)).run();
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].stats.completion_rate, 0.0) << "the mesh drained";
+
+    std::ifstream bundle(path, std::ios::binary);
+    ASSERT_TRUE(bundle.good()) << "no post-mortem bundle at " << path;
+    std::string header;
+    std::getline(bundle, header);
+    EXPECT_NE(header.find("\"reason\":\"deadlock-sentinel\""), std::string::npos)
+        << header;
+    EXPECT_NE(header.find("\"metrics\":{"), std::string::npos) << header;
+    bundle.close();
+    std::remove(path.c_str());
+}
+
 } // namespace
 } // namespace snoc
