@@ -9,6 +9,14 @@
 // The thesis realises the Bernoulli(p) gate with an amplified-thermal-noise
 // circuit (Sec. 3.2.3); this is its deterministic functional equivalent.
 //
+// The engine is MT19937-64, implemented in-tree (Mt19937_64 below) and
+// word-for-word identical to std::mt19937_64 for every seed: same
+// seeding recurrence, twist and tempering; the test
+// Rng.InTreeEngineMatchesStdMt19937_64 is its oracle.  The in-tree copy
+// keeps the regeneration out of line and branch-free.  It exists for
+// speed, not for different numbers, so draw contract v3 below is
+// unchanged by it.
+//
 // Draw-sequence contract (v3): bernoulli(), below() and uniform() map
 // raw mt19937_64 words directly instead of going through the standard
 // <random> distribution adaptors, because the engine's forward phase
@@ -17,7 +25,7 @@
 //   * bernoulli(p): one engine word compared against a cached 64-bit
 //     threshold (zero words for p <= 0 or p >= 1);
 //   * below(b): one engine word reduced mod b, with Lemire-style
-//     rejection of the top `2^64 mod b` slice to stay exactly unbiased
+//     rejection of the lowest `2^64 mod b` words to stay exactly unbiased
 //     (extra words only on rejection, probability < b / 2^64);
 //   * uniform(): the top 53 bits of one engine word scaled by 2^-53;
 //   * normal() still uses std::normal_distribution (cold path: clock
@@ -37,6 +45,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string_view>
@@ -66,8 +75,63 @@ constexpr std::uint64_t key_of(std::string_view name) {
     return h;
 }
 
-/// A single random stream.  Thin wrapper over mt19937_64 with the
-/// distributions the simulator needs.
+/// MT19937-64 (Matsumoto & Nishimura), emitting exactly the words of
+/// std::mt19937_64 seeded with the same value.  The state is the 312
+/// untempered words plus the read index, like the standard engine's;
+/// words are tempered as they are read.  A UniformRandomBitGenerator,
+/// so <random> distributions draw the same words from it as from the
+/// standard engine.
+class Mt19937_64 {
+public:
+    using result_type = std::uint64_t;
+    static constexpr std::size_t kStateWords = 312;
+
+    explicit Mt19937_64(std::uint64_t seed) {
+        x_[0] = seed;
+        for (std::size_t i = 1; i < kStateWords; ++i)
+            x_[i] = 6364136223846793005ULL * (x_[i - 1] ^ (x_[i - 1] >> 62)) + i;
+    }
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type operator()() {
+        if (index_ >= kStateWords) regenerate();
+        std::uint64_t z = x_[index_++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        return z ^ (z >> 43);
+    }
+
+private:
+    /// One twist of word `lo`'s top 33 bits and word `hi`'s low 31 bits,
+    /// xor-ed into `far`.  The conditional xor of the matrix constant is
+    /// a mask, so the loops below have no data-dependent branch.
+    static constexpr std::uint64_t twist(std::uint64_t far, std::uint64_t lo,
+                                         std::uint64_t hi) {
+        const std::uint64_t y =
+            (lo & 0xffffffff80000000ULL) | (hi & 0x7fffffffULL);
+        return far ^ (y >> 1) ^ ((std::uint64_t{0} - (y & 1)) & 0xb5026f5aa96619e9ULL);
+    }
+
+    /// Refill all 312 words; out of line so every draw site stays small.
+    [[gnu::noinline]] void regenerate() {
+        constexpr std::size_t n = kStateWords, m = 156;
+        for (std::size_t k = 0; k < n - m; ++k)
+            x_[k] = twist(x_[k + m], x_[k], x_[k + 1]);
+        for (std::size_t k = n - m; k < n - 1; ++k)
+            x_[k] = twist(x_[k + m - n], x_[k], x_[k + 1]);
+        x_[n - 1] = twist(x_[m - 1], x_[n - 1], x_[0]);
+        index_ = 0;
+    }
+
+    std::uint64_t x_[kStateWords]; // every word written by the constructor.
+    std::size_t index_{kStateWords};
+};
+
+/// A single random stream: the MT19937-64 engine with the distributions
+/// the simulator needs.
 class RngStream {
 public:
     explicit RngStream(std::uint64_t seed) : engine_(seed) {}
@@ -112,7 +176,7 @@ public:
     std::uint64_t bits() { return engine_(); }
 
 private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
     double bernoulli_p_{-1.0};
     std::uint64_t bernoulli_threshold_{0};
 };

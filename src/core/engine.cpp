@@ -32,7 +32,14 @@ public:
         send_impl(id, destination, tag, std::move(payload), ttl_override);
     }
 
-    RngStream& rng() override { return net_.app_rng_[tile_]; }
+    RngStream& rng() override {
+        // Built on first use: only IP-core tiles draw from `app`, and
+        // RngPool::stream is pure, so building late moves no draw.
+        auto& stream = net_.app_rng_[tile_];
+        if (!stream)
+            stream = std::make_unique<RngStream>(net_.pool_.stream("app", tile_));
+        return *stream;
+    }
 
     std::uint16_t default_ttl() const override { return net_.config_.default_ttl; }
 
@@ -64,12 +71,11 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
     const std::size_t n = topology_.node_count();
     tiles_.reserve(n);
     forward_rng_.reserve(n);
-    app_rng_.reserve(n);
     for (TileId t = 0; t < n; ++t) {
         tiles_.emplace_back(config_.send_buffer_capacity);
         forward_rng_.push_back(pool_.stream("gossip/forward", t));
-        app_rng_.push_back(pool_.stream("app", t));
     }
+    app_rng_.resize(n);
     forward_capacity_.assign(n, static_cast<std::size_t>(-1));
     route_filter_.resize(n);
     clock_scale_.assign(n, 1.0);

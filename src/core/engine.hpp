@@ -235,8 +235,11 @@ private:
     GalsClocks clocks_;
 
     std::vector<Tile> tiles_;
+    /// Eager and contiguous in ascending tile order, the order the
+    /// forward phase visits them in.
     std::vector<RngStream> forward_rng_;
-    std::vector<RngStream> app_rng_;
+    /// Built by Context::rng() on a tile's first draw.
+    std::vector<std::unique_ptr<RngStream>> app_rng_;
     std::vector<std::size_t> forward_capacity_;
     std::vector<RouteFilter> route_filter_;
     std::vector<double> clock_scale_;

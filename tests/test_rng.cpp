@@ -1,6 +1,11 @@
 #include "common/rng.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -108,6 +113,88 @@ TEST(RngStream, NormalZeroStddevIsDegenerate) {
     RngStream s(11);
     EXPECT_DOUBLE_EQ(s.normal(3.0, 0.0), 3.0);
     EXPECT_DOUBLE_EQ(s.normal(3.0, -1.0), 3.0);
+}
+
+// --- The in-tree engine against the standard one ------------------------
+
+// The in-tree engine replaced a std::mt19937_64 member and must not be
+// larger than it: the engine keeps a forward stream per tile.
+static_assert(sizeof(Mt19937_64) <= sizeof(std::mt19937_64));
+static_assert(sizeof(RngStream) <= sizeof(std::mt19937_64) + 2 * sizeof(std::uint64_t));
+
+/// Draw contract v3 restated over std::mt19937_64: what RngStream's
+/// draws must return for the same seed.
+class ReferenceStream {
+public:
+    explicit ReferenceStream(std::uint64_t seed) : engine_(seed) {}
+
+    bool bernoulli(double p) {
+        if (p <= 0.0) return false;
+        if (p >= 1.0) return true;
+        return engine_() < static_cast<std::uint64_t>(std::ldexp(p, 64));
+    }
+    std::uint64_t below(std::uint64_t bound) {
+        const std::uint64_t reject = (std::uint64_t{0} - bound) % bound;
+        for (;;) {
+            const std::uint64_t r = engine_();
+            if (r >= reject) return r % bound;
+            ++rejections_;
+        }
+    }
+    double uniform() { return static_cast<double>(engine_() >> 11) * 0x1.0p-53; }
+    double normal(double mean, double stddev) {
+        if (stddev <= 0.0) return mean;
+        return std::normal_distribution<double>(mean, stddev)(engine_);
+    }
+    std::uint64_t bits() { return engine_(); }
+
+    /// Words below() has thrown away so far.
+    std::size_t rejections() const { return rejections_; }
+
+private:
+    std::mt19937_64 engine_;
+    std::size_t rejections_{0};
+};
+
+/// The edge seeds plus 64 derived ones, as the engine's streams get them.
+std::vector<std::uint64_t> oracle_seeds() {
+    std::vector<std::uint64_t> seeds{0, 1, 5489,
+                                     std::numeric_limits<std::uint64_t>::max()};
+    for (std::uint64_t i = 0; i < 64; ++i)
+        seeds.push_back(derive_seed(derive_seed(20031, key_of("gossip/forward")), i));
+    return seeds;
+}
+
+TEST(Rng, InTreeEngineMatchesStdMt19937_64) {
+    // Four full regenerations of the 312-word state plus a partial fifth.
+    constexpr std::size_t kWords = 4 * Mt19937_64::kStateWords + 100;
+    for (const std::uint64_t seed : oracle_seeds()) {
+        Mt19937_64 engine(seed);
+        std::mt19937_64 oracle(seed);
+        for (std::size_t i = 0; i < kWords; ++i)
+            ASSERT_EQ(engine(), oracle()) << "seed " << seed << " word " << i;
+    }
+
+    // The draws, interleaved so each one starts mid-state; below(2^63 + 1)
+    // rejects almost half its words, so its retry loop runs too.
+    const std::array<std::uint64_t, 4> bounds{5, 13, (std::uint64_t{1} << 63) + 1,
+                                              std::numeric_limits<std::uint64_t>::max()};
+    const std::array<double, 5> ps{0.3, 0.5, 1e-9, 0.999, 0.3};
+    for (const std::uint64_t seed : oracle_seeds()) {
+        RngStream stream(seed);
+        ReferenceStream reference(seed);
+        for (std::size_t i = 0; i < 400; ++i) {
+            const double p = ps[i % ps.size()];
+            ASSERT_EQ(stream.bernoulli(p), reference.bernoulli(p)) << seed << " " << i;
+            const std::uint64_t bound = bounds[i % bounds.size()];
+            ASSERT_EQ(stream.below(bound), reference.below(bound)) << seed << " " << i;
+            ASSERT_EQ(stream.uniform(), reference.uniform()) << seed << " " << i;
+            ASSERT_EQ(stream.normal(5.0, 2.0), reference.normal(5.0, 2.0))
+                << seed << " " << i;
+            ASSERT_EQ(stream.bits(), reference.bits()) << seed << " " << i;
+        }
+        EXPECT_GT(reference.rejections(), 0u) << seed;
+    }
 }
 
 } // namespace
