@@ -8,7 +8,9 @@
 # runs (fig4_8_mp3_latency, fig4_5_fault_surface, the FEC-vs-CRC
 # ablation, a single-threaded 128x128 dense broadcast and the
 # wormhole-vs-gossip ablation; median wall seconds and peak RSS of 3 runs
-# each) into the snapshot's `figures` block.  Given a baseline build dir
+# each) into the snapshot's `figures` block.  Each anchor cell records
+# its table's post-construction `wall [s]` and the whole process's wall
+# time and peak RSS.  Given a baseline build dir
 # (e.g. a build of the parent commit), every cell is measured there too
 # and recorded as `before` next to `after` (figure runs interleaved), with
 # the commit of the baseline's source tree (read from its CMakeCache.txt)
@@ -205,7 +207,7 @@ PY
 BUILD_DIR="$BUILD_DIR" BASELINE_DIR="$BASELINE_DIR" \
 FIGURES_JSON="$FIGURES_JSON" OUT="$OUT" \
 python3 - <<'PY'
-import json, os, platform, re, subprocess, sys
+import json, os, platform, re, subprocess, sys, time
 
 def sh(*cmd):
     return subprocess.run(cmd, capture_output=True, text=True).stdout.strip()
@@ -251,8 +253,18 @@ def microbench(build):
     return sparse, gossip_round, router_cycle
 
 def wall_cell(build, args):
-    text = run([os.path.join(build, "bench", "ablation_scalability"),
-                *args, "--repeats", "1", "--json"])
+    """The cell's table row, plus the process's own wall time and peak
+    RSS: the table's `wall [s]` starts after the network is built, so
+    only the process figures show what construction costs."""
+    cmd = [os.path.join(build, "bench", "ablation_scalability"),
+           *args, "--repeats", "1", "--json"]
+    start = time.perf_counter()
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    text = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    process_wall = time.perf_counter() - start
+    if status != 0:
+        sys.exit(f"bench_snapshot: {' '.join(cmd)} exited with status {status}")
     # The table is pretty-printed as a "[" line, row lines, a "]" line —
     # column names themselves contain brackets ("coverage [%]"), so slice
     # on whole lines rather than the first bracket characters.
@@ -265,6 +277,8 @@ def wall_cell(build, args):
         "tiles_reached": float(row["tiles reached"]),
         "coverage_pct": float(row["coverage [%]"]),
         "wall_s": float(row["wall [s]"]),
+        "process_wall_s": round(process_wall, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),  # KiB on Linux
     }
 
 SCALABILITY = {
@@ -283,7 +297,9 @@ ns_per_round_before = router_cycle_before = None
 if baseline:
     ns_per_round_before, _, router_cycle_before = microbench(baseline)
     for name, args in SCALABILITY.items():
-        scalability[name]["before"] = {"wall_s": wall_cell(baseline, args)["wall_s"]}
+        cell = wall_cell(baseline, args)
+        scalability[name]["before"] = {
+            key: cell[key] for key in ("wall_s", "process_wall_s", "peak_rss_mb")}
 
 # Flight-recorder overhead: BM_GossipRoundRecorded vs BM_GossipRound,
 # per mesh side.  Budget is <= 5% (a ring write is one array store); the

@@ -80,13 +80,19 @@ def check_numeric_table(path, snap, key, subkeys):
 
 # Anchor cells and the keys each must carry.  The sparse wavefront reaches
 # a few hundred of a million tiles, so it reports the tile count only: a
-# coverage percentage would round to 0.0.  A snapshot taken against a
-# baseline build also carries `before.wall_s` per cell.
+# coverage percentage would round to 0.0.  `wall_s` is the table's
+# post-construction time; `process_wall_s` and `peak_rss_mb` are the
+# whole process's, construction included.  A snapshot taken against a
+# baseline build also carries a `before` block of the three timings per
+# cell it could measure there.
 SCALABILITY_CELLS = {
     "broadcast_256x256": ("mesh", "rounds", "tiles_reached",
-                          "coverage_pct", "wall_s"),
-    "sparse_1000x1000": ("mesh", "rounds", "tiles_reached", "wall_s"),
+                          "coverage_pct", "wall_s", "process_wall_s",
+                          "peak_rss_mb"),
+    "sparse_1000x1000": ("mesh", "rounds", "tiles_reached", "wall_s",
+                         "process_wall_s", "peak_rss_mb"),
 }
+SCALABILITY_BEFORE = ("wall_s", "process_wall_s", "peak_rss_mb")
 
 
 def check_engine(path, snap):
@@ -115,11 +121,15 @@ def check_engine(path, snap):
                 if key not in row:
                     ok = fail(path, f"scalability.{cell}.{key} missing")
             before = row.get("before")
-            if before is not None and (
-                    not isinstance(before, dict) or
-                    not isinstance(before.get("wall_s"), (int, float))):
-                ok = fail(path, f"scalability.{cell}.before.wall_s "
-                                f"missing or not a number")
+            if before is None:
+                continue
+            if not isinstance(before, dict):
+                ok = fail(path, f"scalability.{cell}.before is not an object")
+                continue
+            for key in SCALABILITY_BEFORE:
+                if not isinstance(before.get(key), (int, float)):
+                    ok = fail(path, f"scalability.{cell}.before.{key} "
+                                    f"missing or not a number")
     ok &= check_figures(path, snap.get("figures"))
     return ok
 
