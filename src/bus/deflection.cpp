@@ -25,19 +25,20 @@ void Network::apply_crashes(const CrashState& crashes) {
 }
 
 void Network::trace_event(TraceEventKind kind, TileId tile, TileId peer,
-                          const PacketRecord& rec) {
+                          const router::PacketRecord& rec) {
     router::emit(trace_, static_cast<Round>(cycle_), kind, tile, peer,
                  MessageId{rec.source, rec.id});
 }
 
-std::uint32_t Network::inject(TileId source, TileId destination) {
+std::uint32_t Network::inject(TileId source, TileId destination,
+                              std::size_t bits) {
     SNOC_EXPECT(source < topo_.node_count());
     SNOC_EXPECT(destination < topo_.node_count());
     SNOC_EXPECT(source != destination);
     SNOC_EXPECT(!dead_[source]);
     const auto id = static_cast<std::uint32_t>(records_.size());
-    records_.push_back(PacketRecord{id, source, destination, cycle_, std::nullopt,
-                                    0, false});
+    records_.push_back(router::PacketRecord{id, source, destination, bits, cycle_,
+                                            std::nullopt, 0, false});
     flying_.push_back({id, source});
     trace_event(TraceEventKind::MessageCreated, source, kNoTile, records_.back());
     return id;
@@ -110,8 +111,6 @@ void Network::step() {
             trace_event(TraceEventKind::Transmitted, tile, to, rec);
             if (to == rec.destination) {
                 rec.delivered_cycle = cycle_;
-                latencies_.add(static_cast<double>(cycle_ - rec.injected_cycle + 1));
-                hops_.add(static_cast<double>(rec.hops));
                 ++delivered_;
                 trace_event(TraceEventKind::Delivered, to, kNoTile, rec);
             } else if (rec.hops >= config_.max_hops) {

@@ -12,27 +12,16 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "fault/injector.hpp"
 #include "noc/topology.hpp"
+#include "router/accounting.hpp"
 #include "sim/trace.hpp"
 
 namespace snoc::deflection {
-
-struct PacketRecord {
-    std::uint32_t id{0};
-    TileId source{0};
-    TileId destination{0};
-    std::size_t injected_cycle{0};
-    std::optional<std::size_t> delivered_cycle;
-    std::size_t hops{0};        ///< total link traversals (incl. deflections).
-    bool dropped{false};        ///< exceeded the hop budget (livelock guard).
-};
 
 struct Config {
     std::size_t max_hops{256};  ///< hop budget before a packet is dropped.
@@ -45,7 +34,8 @@ public:
     /// Apply a crash pattern: packets never enter dead tiles.
     void apply_crashes(const CrashState& crashes);
 
-    std::uint32_t inject(TileId source, TileId destination);
+    /// A `bits`-bit packet enters at `source` this cycle; returns its id.
+    std::uint32_t inject(TileId source, TileId destination, std::size_t bits);
     void step();
     void run(std::size_t cycles);
 
@@ -53,9 +43,9 @@ public:
     std::size_t delivered() const { return delivered_; }
     std::size_t dropped() const { return dropped_; }
     std::size_t in_flight() const;
-    const std::vector<PacketRecord>& records() const { return records_; }
-    const SampleSet& latencies() const { return latencies_; }
-    const SampleSet& hop_counts() const { return hops_; }
+    /// One record per injected packet; `dropped` means the hop budget ran
+    /// out (the livelock guard).
+    const std::vector<router::PacketRecord>& records() const { return records_; }
 
     /// Attach a flight recorder (not owned; nullptr detaches).  Rounds are
     /// cycles; one Transmitted per link traversal (a walled-in stall burns
@@ -82,16 +72,14 @@ private:
     std::vector<Moving> next_;
     std::vector<bool> port_used_;
     std::vector<std::size_t> free_ports_;
-    std::vector<PacketRecord> records_;
+    std::vector<router::PacketRecord> records_;
     std::size_t cycle_{0};
     std::size_t delivered_{0};
     std::size_t dropped_{0};
-    SampleSet latencies_;
-    SampleSet hops_;
     TraceSink* trace_{nullptr};
 
     void trace_event(TraceEventKind kind, TileId tile, TileId peer,
-                     const PacketRecord& rec);
+                     const router::PacketRecord& rec);
 };
 
 } // namespace snoc::deflection

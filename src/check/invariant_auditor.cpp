@@ -4,12 +4,10 @@
 #include <numeric>
 #include <sstream>
 
-#include "bus/deflection.hpp"
 #include "common/expect.hpp"
 #include "common/postmortem.hpp"
 #include "core/engine.hpp"
 #include "router/core.hpp"
-#include "wormhole/router.hpp"
 
 namespace snoc::check {
 
@@ -261,15 +259,16 @@ void InvariantAuditor::check_report(const RunReport& report, BackendKind kind,
         check_metrics(report.metrics, /*include_round_histogram=*/true);
 }
 
-void InvariantAuditor::check_router(const router::RouterCore& core) {
-    ++rounds_audited_;
+void InvariantAuditor::check_records(const std::vector<router::PacketRecord>& records,
+                                     std::size_t delivered, std::size_t dropped,
+                                     std::size_t in_flight, std::size_t max_hops) {
     std::size_t delivered_records = 0;
     std::size_t dropped_records = 0;
-    for (const auto& rec : core.records()) {
+    for (const auto& rec : records) {
         if (rec.delivered_cycle && rec.dropped) {
             std::ostringstream os;
             os << "packet " << rec.id << " both delivered and dropped";
-            violate("router-fate", os.str());
+            violate("record-fate", os.str());
         }
         if (rec.delivered_cycle) {
             ++delivered_records;
@@ -278,34 +277,36 @@ void InvariantAuditor::check_router(const router::RouterCore& core) {
                 os << "packet " << rec.id << " delivered at cycle "
                    << *rec.delivered_cycle << " before injection at "
                    << rec.injected_cycle;
-                violate("router-causality", os.str());
+                violate("record-causality", os.str());
             }
         }
         if (rec.dropped) ++dropped_records;
-        if (rec.hops > core.config().max_hops) {
+        if (max_hops > 0 && rec.hops > max_hops) {
             std::ostringstream os;
             os << "packet " << rec.id << " took " << rec.hops
-               << " hops past the budget " << core.config().max_hops;
-            violate("router-hop-budget", os.str());
+               << " hops past the budget " << max_hops;
+            violate("record-hop-budget", os.str());
         }
     }
-    if (delivered_records != core.delivered() ||
-        dropped_records != core.dropped()) {
+    if (delivered_records != delivered || dropped_records != dropped) {
         std::ostringstream os;
         os << "records delivered/dropped=" << delivered_records << "/"
-           << dropped_records << " != counters " << core.delivered() << "/"
-           << core.dropped();
-        violate("router-accounting", os.str());
+           << dropped_records << " != counters " << delivered << "/" << dropped;
+        violate("record-accounting", os.str());
     }
     // Every injected packet has exactly one fate.
-    if (core.delivered() + core.dropped() + core.in_flight() !=
-        core.records().size()) {
+    if (delivered + dropped + in_flight != records.size()) {
         std::ostringstream os;
-        os << "delivered=" << core.delivered() << " + dropped=" << core.dropped()
-           << " + in_flight=" << core.in_flight()
-           << " != injected=" << core.records().size();
-        violate("router-conservation", os.str());
+        os << "delivered=" << delivered << " + dropped=" << dropped
+           << " + in_flight=" << in_flight << " != injected=" << records.size();
+        violate("record-conservation", os.str());
     }
+}
+
+void InvariantAuditor::check_router(const router::RouterCore& core) {
+    ++rounds_audited_;
+    check_records(core.records(), core.delivered(), core.dropped(),
+                  core.in_flight(), core.config().max_hops);
     // The shared accounting stage must agree with the per-packet records.
     const NetworkMetrics& m = core.metrics();
     if (m.deliveries != core.delivered() ||
@@ -319,70 +320,6 @@ void InvariantAuditor::check_router(const router::RouterCore& core) {
         violate("router-metrics", os.str());
     }
     check_metrics(m, /*include_round_histogram=*/true);
-}
-
-void InvariantAuditor::check_wormhole(const wormhole::Network& net) {
-    std::size_t delivered_records = 0;
-    for (const auto& rec : net.records()) {
-        if (!rec.delivered_cycle) continue;
-        ++delivered_records;
-        if (*rec.delivered_cycle < rec.injected_cycle) {
-            std::ostringstream os;
-            os << "packet " << rec.id << " delivered at cycle "
-               << *rec.delivered_cycle << " before injection at "
-               << rec.injected_cycle;
-            violate("wormhole-causality", os.str());
-        }
-    }
-    if (delivered_records != net.delivered()) {
-        std::ostringstream os;
-        os << "delivered records=" << delivered_records
-           << " != delivered counter=" << net.delivered();
-        violate("wormhole-accounting", os.str());
-    }
-    if (net.delivered() > net.injected()) {
-        std::ostringstream os;
-        os << "delivered=" << net.delivered() << " > injected=" << net.injected();
-        violate("wormhole-accounting", os.str());
-    }
-}
-
-void InvariantAuditor::check_deflection(const deflection::Network& net) {
-    std::size_t delivered_records = 0;
-    std::size_t dropped_records = 0;
-    for (const auto& rec : net.records()) {
-        if (rec.delivered_cycle && rec.dropped) {
-            std::ostringstream os;
-            os << "packet " << rec.id << " both delivered and dropped";
-            violate("deflection-fate", os.str());
-        }
-        if (rec.delivered_cycle) {
-            ++delivered_records;
-            if (*rec.delivered_cycle < rec.injected_cycle) {
-                std::ostringstream os;
-                os << "packet " << rec.id << " delivered at cycle "
-                   << *rec.delivered_cycle << " before injection at "
-                   << rec.injected_cycle;
-                violate("deflection-causality", os.str());
-            }
-        }
-        if (rec.dropped) ++dropped_records;
-    }
-    if (delivered_records != net.delivered() || dropped_records != net.dropped()) {
-        std::ostringstream os;
-        os << "records delivered/dropped=" << delivered_records << "/"
-           << dropped_records << " != counters " << net.delivered() << "/"
-           << net.dropped();
-        violate("deflection-accounting", os.str());
-    }
-    // Every injected packet has exactly one fate.
-    if (net.delivered() + net.dropped() + net.in_flight() != net.records().size()) {
-        std::ostringstream os;
-        os << "delivered=" << net.delivered() << " + dropped=" << net.dropped()
-           << " + in_flight=" << net.in_flight()
-           << " != injected=" << net.records().size();
-        violate("deflection-conservation", os.str());
-    }
 }
 
 std::string InvariantAuditor::summary() const {

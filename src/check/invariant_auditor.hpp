@@ -12,7 +12,9 @@
 //     per-round histograms each sum to the global counters);
 //   * RunReport self-consistency for every backend (deliveries + drops
 //     == offered messages; completion implies full delivery; budgets
-//     respected), plus wormhole/deflection record-vs-counter accounting.
+//     respected);
+//   * one record law for the cycle-stepped packet simulators (router
+//     core, wormhole, deflection): per-packet records vs counters.
 //
 // The auditor is a pure observer: attaching one never changes simulation
 // behaviour, and every check reads state the engine already exposes.
@@ -35,15 +37,10 @@
 #include "core/interconnect.hpp"
 #include "core/metrics.hpp"
 #include "noc/traffic.hpp"
+#include "router/accounting.hpp"
 
 namespace snoc {
 class GossipNetwork;
-namespace wormhole {
-class Network;
-}
-namespace deflection {
-class Network;
-}
 namespace router {
 class RouterCore;
 }
@@ -86,17 +83,19 @@ public:
     void check_occupancy(TileId tile, std::size_t size, std::size_t capacity);
     void check_metrics(const NetworkMetrics& metrics, bool include_round_histogram);
 
-    /// Wormhole record-vs-counter accounting (delivered records match the
-    /// delivery counter; no packet delivered before it was injected).
-    void check_wormhole(const wormhole::Network& net);
+    /// The record law of the cycle-stepped packet simulators (router
+    /// core, wormhole, deflection): every packet has exactly one fate
+    /// (delivered, dropped or in flight, never both of the first two),
+    /// none is delivered before it was injected, the records agree with
+    /// the delivered/dropped counters, and injected == delivered + dropped
+    /// + in flight.  `max_hops` > 0 also holds every record to that hop
+    /// budget; 0 means the simulator has none (wormhole).
+    void check_records(const std::vector<router::PacketRecord>& records,
+                       std::size_t delivered, std::size_t dropped,
+                       std::size_t in_flight, std::size_t max_hops);
 
-    /// Deflection record-vs-counter accounting (delivered/dropped record
-    /// flags match the counters; every packet has exactly one fate).
-    void check_deflection(const deflection::Network& net);
-
-    /// Router-core record-vs-counter accounting (every packet has exactly
-    /// one fate; causality; the hop budget holds; the shared-accounting
-    /// counters match the per-packet records).
+    /// Router-core audit: the record law under the configured hop budget,
+    /// plus the shared-accounting counters against the records.
     void check_router(const router::RouterCore& core);
 
     bool clean() const { return violations_.empty(); }

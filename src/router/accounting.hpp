@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 
 #include "common/types.hpp"
 #include "core/metrics.hpp"
@@ -16,6 +18,23 @@
 #include "sim/trace.hpp"
 
 namespace snoc::router {
+
+/// One injected packet's life, kept by every cycle-stepped packet
+/// simulator (the router core, wormhole, deflection) and checked by the
+/// auditor's record law (InvariantAuditor::check_records).  A simulator
+/// that does not model a field leaves it at its default: wormhole counts
+/// neither bits nor per-packet hops and never drops.
+struct PacketRecord {
+    std::uint32_t id{0};
+    TileId source{0};
+    TileId destination{0};
+    std::size_t bits{0};
+    std::size_t injected_cycle{0};
+    std::optional<std::size_t> delivered_cycle;
+    std::size_t hops{0};  ///< link traversals (minimal + detours); a
+                          ///< deflection stall counts as one.
+    bool dropped{false};  ///< crash-dropped or hop budget exhausted.
+};
 
 /// Fire one trace event at an attached sink (no-op when detached) — the
 /// emission idiom every backend used to hand-roll privately.

@@ -83,17 +83,6 @@ struct RouterConfig {
     void validate() const;
 };
 
-struct PacketRecord {
-    std::uint32_t id{0};
-    TileId source{0};
-    TileId destination{0};
-    std::size_t bits{0};
-    std::size_t injected_cycle{0};
-    std::optional<std::size_t> delivered_cycle;
-    std::size_t hops{0};  ///< link traversals (minimal + detours).
-    bool dropped{false};  ///< crash-dropped or hop budget exhausted.
-};
-
 /// A mesh of identical routers, stepped one link cycle at a time.
 class RouterCore {
 public:

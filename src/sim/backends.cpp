@@ -1,7 +1,6 @@
 #include "sim/backends.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "apps/trace_app.hpp"
 #include "check/invariant_auditor.hpp"
@@ -227,7 +226,8 @@ RunReport WormholeAdapter::run(const TrafficTrace& trace, Round limit) {
     if (auto* aud = auditor()) {
         const std::size_t audit_before = aud->violation_count();
         aud->begin_run("wormhole seed=" + std::to_string(seed_));
-        aud->check_wormhole(net);
+        aud->check_records(net.records(), net.delivered(), /*dropped=*/0,
+                           net.outstanding(), /*max_hops=*/0);
         aud->check_report(report, kind(), &trace, limit);
         report.audit_violations = aud->violation_count() - audit_before;
     }
@@ -254,7 +254,6 @@ RunReport DeflectionAdapter::run(const TrafficTrace& trace, Round limit) {
     RunReport report;
     report.seed = seed_;
     report.messages = trace.message_count();
-    std::unordered_map<std::uint32_t, std::size_t> bits_of; // packet id -> bits
     bool completed = true;
     for (const auto& phase : trace.phases) {
         for (const auto& m : phase.messages) {
@@ -262,7 +261,7 @@ RunReport DeflectionAdapter::run(const TrafficTrace& trace, Round limit) {
                 ++report.deliveries;
                 continue;
             }
-            bits_of[net.inject(m.src, m.dst)] = m.bits;
+            net.inject(m.src, m.dst, m.bits);
         }
         while (net.in_flight() > 0 && net.cycle() < limit) net.step();
         if (net.in_flight() > 0) {
@@ -271,10 +270,8 @@ RunReport DeflectionAdapter::run(const TrafficTrace& trace, Round limit) {
         }
     }
     for (const auto& rec : net.records()) {
-        const auto it = bits_of.find(rec.id);
-        const std::size_t bits = it != bits_of.end() ? it->second : 0;
         report.transmissions += rec.hops;
-        report.bits += rec.hops * bits;
+        report.bits += rec.hops * rec.bits;
     }
     report.completed = completed && net.dropped() == 0;
     report.rounds = static_cast<Round>(net.cycle());
@@ -292,7 +289,8 @@ RunReport DeflectionAdapter::run(const TrafficTrace& trace, Round limit) {
     if (auto* aud = auditor()) {
         const std::size_t audit_before = aud->violation_count();
         aud->begin_run("deflection seed=" + std::to_string(seed_));
-        aud->check_deflection(net);
+        aud->check_records(net.records(), net.delivered(), net.dropped(),
+                           net.in_flight(), spec_.config.max_hops);
         aud->check_report(report, kind(), &trace, limit);
         report.audit_violations = aud->violation_count() - audit_before;
     }

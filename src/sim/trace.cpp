@@ -1,6 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <ostream>
 #include <sstream>
 
 #include "common/expect.hpp"
@@ -23,10 +22,6 @@ std::string format_event(const TraceEvent& event) {
         os << " msg (" << event.message.origin << ',' << event.message.sequence
            << ')';
     return os.str();
-}
-
-void StreamSink::record(const TraceEvent& event) {
-    os_ << format_event(event) << '\n';
 }
 
 void TeeSink::add(TraceSink* sink) {

@@ -2,15 +2,14 @@
 //
 // The engine emits one TraceEvent per interesting happening (creation,
 // transmission, delivery, each drop cause, TTL expiry, skew deferral);
-// sinks decide what to do with them: stream human-readable lines here;
-// count, export and keep the last N for post-mortems in the telemetry
-// layer (Telemetry, FlightRecorder).  Tracing is off unless a sink
+// sinks decide what to do with them: format human-readable lines and fan
+// out here; count, export and keep the last N for post-mortems in the
+// telemetry layer (Telemetry, FlightRecorder).  Tracing is off unless a sink
 // is attached, and sinks are engine-agnostic (pure data in, no calls
 // back), so they cannot perturb a simulation.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -85,16 +84,6 @@ class TraceSink {
 public:
     virtual ~TraceSink() = default;
     virtual void record(const TraceEvent& event) = 0;
-};
-
-/// Streams one formatted line per event.
-class StreamSink final : public TraceSink {
-public:
-    explicit StreamSink(std::ostream& os) : os_(os) {}
-    void record(const TraceEvent& event) override;
-
-private:
-    std::ostream& os_;
 };
 
 /// "r12 transmitted tile 5 -> 6 msg (5,0)" style formatting.

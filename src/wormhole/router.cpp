@@ -46,7 +46,8 @@ std::uint32_t Network::inject(TileId source, TileId destination) {
     SNOC_EXPECT(destination < topo_.node_count());
     SNOC_EXPECT(source != destination);
     const std::uint32_t id = next_packet_++;
-    records_.push_back(PacketRecord{id, source, destination, cycle_, std::nullopt});
+    records_.push_back(router::PacketRecord{id, source, destination, 0, cycle_,
+                                            std::nullopt, 0, false});
     injection_queues_[source].push_back(id);
     frozen_ = false;
     trace_event(TraceEventKind::MessageCreated, source, kNoTile, id);

@@ -30,6 +30,7 @@
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "noc/topology.hpp"
+#include "router/accounting.hpp"
 #include "router/arbiter.hpp"
 #include "router/policy.hpp"
 #include "router/ports.hpp"
@@ -75,14 +76,6 @@ struct Flit {
     TileId destination{0};    ///< carried by every flit for simplicity.
 };
 
-struct PacketRecord {
-    std::uint32_t id{0};
-    TileId source{0};
-    TileId destination{0};
-    std::size_t injected_cycle{0};
-    std::optional<std::size_t> delivered_cycle;
-};
-
 /// The whole mesh of routers, simulated cycle by cycle.
 class Network {
 public:
@@ -116,7 +109,9 @@ public:
     std::size_t injected() const { return records_.size(); }
     /// Packets injected but not delivered (in flight or blocked).
     std::size_t outstanding() const { return records_.size() - delivered_; }
-    const std::vector<PacketRecord>& records() const { return records_; }
+    /// One record per injected packet; wormhole leaves `bits` and `hops`
+    /// at zero and never drops (a blocked worm stays outstanding).
+    const std::vector<router::PacketRecord>& records() const { return records_; }
     /// Latency samples (cycles, injection to tail delivery).
     const SampleSet& latencies() const { return latencies_; }
     const Topology& topology() const { return topo_; }
@@ -166,7 +161,7 @@ private:
     std::uint32_t next_packet_{0};
     std::size_t delivered_{0};
     std::size_t flit_hops_{0};
-    std::vector<PacketRecord> records_;
+    std::vector<router::PacketRecord> records_;
     SampleSet latencies_;
     // Pending injections per tile (packets waiting for a free local VC).
     std::vector<std::deque<std::uint32_t>> injection_queues_;

@@ -13,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
 
 #include "apps/trace_app.hpp"
+#include "bus/deflection.hpp"
 #include "bench_util.hpp"
 #include "check/invariant_auditor.hpp"
 #include "check/ledger.hpp"
@@ -23,6 +26,7 @@
 #include "sim/backends.hpp"
 #include "sim/scenario.hpp"
 #include "telemetry/telemetry.hpp"
+#include "wormhole/router.hpp"
 
 namespace snoc {
 namespace {
@@ -357,9 +361,17 @@ TEST(AuditDetects, TamperedMetricsHistograms) {
     EXPECT_FALSE(auditor.clean()) << "histogram tamper went unnoticed";
 }
 
+std::set<std::string> broken_laws(const check::InvariantAuditor& auditor) {
+    std::set<std::string> laws;
+    for (const auto& v : auditor.violations()) laws.insert(v.invariant);
+    return laws;
+}
+
 // The router core exposes its live record table to check_router; a clean
 // run must pass, and the report-level metrics gate (which full-metrics
 // backends opt into) must notice a tampered counter for the router kinds.
+// The record law under check_router is also the deflection and wormhole
+// audit: a clean record set from each passes, a tampered one is flagged.
 TEST(AuditDetects, RouterMetricsGateCatchesTamper) {
     const auto trace = corner_trace();
     StoreForwardAdapter adapter(StoreForwardSpec{}, FaultScenario::none(), 1);
@@ -374,6 +386,36 @@ TEST(AuditDetects, RouterMetricsGateCatchesTamper) {
     auditor.reset();
     auditor.check_report(report, BackendKind::StoreForward, &trace, 10000);
     EXPECT_FALSE(auditor.clean()) << "router metrics tamper went unnoticed";
+
+    const std::size_t budget = deflection::Config{}.max_hops;
+    deflection::Network defl(5, 5, deflection::Config{}, 1);
+    for (const auto& m : trace.phases.front().messages)
+        defl.inject(m.src, m.dst, m.bits);
+    while (defl.in_flight() > 0) defl.step();
+    auto records = defl.records();
+    auditor.reset();
+    auditor.check_records(records, defl.delivered(), defl.dropped(), 0, budget);
+    EXPECT_TRUE(auditor.clean()) << auditor.summary();
+    records.front().dropped = true;       // delivered and dropped at once.
+    records.back().hops = budget + 1;     // past the livelock guard.
+    auditor.check_records(records, defl.delivered(), defl.dropped(), 0, budget);
+    EXPECT_EQ(broken_laws(auditor),
+              (std::set<std::string>{"record-fate", "record-hop-budget",
+                                     "record-accounting"}));
+
+    wormhole::Network worm(5, 5, wormhole::Config{});
+    for (const auto& m : trace.phases.front().messages) worm.inject(m.src, m.dst);
+    while (worm.outstanding() > 0) worm.step();
+    auto worms = worm.records();
+    auditor.reset();
+    auditor.check_records(worms, worm.delivered(), 0, 0, /*max_hops=*/0);
+    EXPECT_TRUE(auditor.clean()) << auditor.summary();
+    worms.front().injected_cycle = *worms.front().delivered_cycle + 1;
+    worms.pop_back(); // a delivered packet without a record.
+    auditor.check_records(worms, worm.delivered(), 0, 0, /*max_hops=*/0);
+    EXPECT_EQ(broken_laws(auditor),
+              (std::set<std::string>{"record-causality", "record-accounting",
+                                     "record-conservation"}));
 }
 
 TEST(AuditDetects, RouterCoreCleanAfterDirectRun) {

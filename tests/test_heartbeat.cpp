@@ -127,8 +127,9 @@ TEST(Heartbeat, WriterHonoursCadenceAndBoundaries) {
     // Sequence numbers are consecutive from 1; elapsed is monotone.
     for (std::size_t i = 0; i < loaded.size(); ++i) {
         EXPECT_EQ(loaded[i].seq, i + 1);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(loaded[i].elapsed_seconds, loaded[i - 1].elapsed_seconds);
+        }
     }
     std::remove(path.c_str());
 }

@@ -91,7 +91,7 @@ TEST(DeflectionStress, HopBudgetBoundsEveryPacketUnderFullInjection) {
         for (TileId t = 0; t < kTiles; ++t) {
             const TileId dst = scatter_destination(t, wave, kTiles);
             if (dst == t) continue;
-            net.inject(t, dst);
+            net.inject(t, dst, 256);
             ++injected;
         }
         net.step();

@@ -1,7 +1,6 @@
 #include "sim/trace.hpp"
 
 #include <memory>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -34,13 +33,6 @@ TEST(TraceSinks, FormatIsHumanReadable) {
     EXPECT_EQ(format_event({3, TraceEventKind::CrcDrop, 9, kNoTile,
                             MessageId{kNoTile, 0}}),
               "r3 crc-drop tile 9");
-}
-
-TEST(TraceSinks, StreamSinkWritesLines) {
-    std::ostringstream os;
-    StreamSink sink(os);
-    sink.record({1, TraceEventKind::Delivered, 7, kNoTile, MessageId{2, 5}});
-    EXPECT_EQ(os.str(), "r1 delivered tile 7 msg (2,5)\n");
 }
 
 TEST(TraceSinks, TeeFansOut) {
