@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the hot paths: CRC, packet codec,
 // a full gossip round (byte-free clean transmissions vs the byte-level
-// reference path), a router-core cycle,
+// reference path), a router-core cycle, a wormhole cycle,
 // the parallel trial fan-out, FFT and MDCT kernels.  Not a paper figure —
 // this guards the simulator's own performance.
 #include <benchmark/benchmark.h>
@@ -21,6 +21,7 @@
 #include "noc/packet.hpp"
 #include "router/core.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "wormhole/router.hpp"
 
 namespace {
 
@@ -200,6 +201,42 @@ void BM_RouterCycle(benchmark::State& state) {
         static_cast<double>(crashes.dead_tile_count());
 }
 BENCHMARK(BM_RouterCycle)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// A saturated 5x5 wormhole mesh (default config: XY, 2 VCs of 4 flits,
+// 5-flit worms): every tile queues two all-to-all waves, then the mesh is
+// stepped kSteps cycles, far fewer than it needs to drain.  Arg 0 is
+// fault-free; Arg 1 kills the centre router, so the worms routed through
+// it wedge and back up into every VC behind them.  Reports ns per cycle.
+void BM_WormholeStep(benchmark::State& state) {
+    constexpr std::size_t kSide = 5;
+    constexpr std::size_t kWaves = 2;
+    constexpr std::size_t kSteps = 2000;
+    const bool crashed = state.range(0) == 1;
+    const auto tiles = static_cast<TileId>(kSide * kSide);
+    std::int64_t cycles = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto net = std::make_unique<wormhole::Network>(kSide, kSide,
+                                                       wormhole::Config{});
+        if (crashed) net->crash_router(tiles / 2);
+        for (std::size_t w = 0; w < kWaves; ++w)
+            for (TileId s = 0; s < tiles; ++s)
+                for (TileId d = 0; d < tiles; ++d)
+                    if (s != d) net->inject(s, d);
+        state.ResumeTiming();
+        for (std::size_t i = 0; i < kSteps; ++i) net->step();
+        cycles += static_cast<std::int64_t>(kSteps);
+        benchmark::DoNotOptimize(net->delivered());
+        state.PauseTiming();
+        net.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(cycles);
+    state.counters["ns_per_cycle"] = benchmark::Counter(
+        static_cast<double>(cycles) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WormholeStep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// One self-contained Monte-Carlo trial: a 5x5 broadcast driven to
 /// quiescence, all randomness derived from the trial index.

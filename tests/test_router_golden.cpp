@@ -5,6 +5,10 @@
 // from the pre-refactor implementations; this suite replays the same
 // (config, scenario, seed) grid and compares bytes.  The store-forward,
 // cut-through and adaptive cells pin RouterCore's own cycle the same way.
+// The `contended` cell runs a 200-message trace through all five
+// cycle-stepped backends on a crashed mesh: enough load to fill every
+// wormhole VC and every router FIFO, kept small as one report line and
+// one digest per backend.
 //
 // Regenerating (only legitimate when a deliberate behaviour change is
 // being made, never to paper over an accidental divergence):
@@ -12,11 +16,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
+#include "noc/packet.hpp"
 #include "sim/backends.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -55,7 +63,28 @@ TrafficTrace crossing_trace() {
     return trace;
 }
 
-std::string serialize_report(const RunReport& r) {
+/// Two phases of 100 seeded messages among the 8 edge endpoints (the
+/// perfbench router_mesh shape): worms queue behind each other on every
+/// path, so VC allocation and credit stalls carry the result.
+TrafficTrace contended_trace() {
+    constexpr TileId kEndpoints[] = {0, 2, 4, 10, 14, 20, 22, 24};
+    constexpr std::size_t kCount = std::size(kEndpoints);
+    RngStream rng(splitmix64(1));
+    TrafficTrace trace;
+    trace.phases.assign(2, {});
+    for (auto& phase : trace.phases)
+        for (std::size_t m = 0; m < 100; ++m) {
+            const auto src = static_cast<std::size_t>(rng.below(kCount));
+            auto dst = static_cast<std::size_t>(rng.below(kCount - 1));
+            if (dst >= src) ++dst;
+            phase.messages.push_back(
+                {kEndpoints[src], kEndpoints[dst], 256 + kWireOverheadBytes * 8});
+        }
+    return trace;
+}
+
+/// The RunReport's scalar fields on one line.
+std::string report_line(const RunReport& r) {
     std::ostringstream os;
     os << r.completed << ' ' << r.rounds << ' '
        << std::hexfloat << r.seconds << std::defaultfloat << ' '
@@ -63,6 +92,12 @@ std::string serialize_report(const RunReport& r) {
        << r.deliveries << ' ' << r.dropped << ' '
        << std::hexfloat << r.joules << std::defaultfloat << ' '
        << r.seed << ' ' << r.attempts << '\n';
+    return os.str();
+}
+
+std::string serialize_report(const RunReport& r) {
+    std::ostringstream os;
+    os << report_line(r);
     write_metrics_json(r.metrics, os);
     return os.str();
 }
@@ -100,9 +135,46 @@ std::string router_core_image(const FaultScenario& scenario, std::uint64_t seed,
     return run_image(adapter, trace, 10000);
 }
 
+/// One report line plus an FNV-1a digest of the metrics JSON and the full
+/// event JSONL (every packet's injection, hops and fate, with cycles) per
+/// backend, on the contended trace with p_tiles = 0.1 and the endpoints
+/// protected.  Seed 1's crashes miss every path, so all five run the full
+/// contended trace; seed 3's wedge wormhole and cost every other backend
+/// drops or detours.
+std::string contended_image() {
+    const TrafficTrace trace = contended_trace();
+    const FaultScenario scenario = faulty(0.1);
+    const std::vector<TileId> endpoints{0, 2, 4, 10, 14, 20, 22, 24};
+    std::ostringstream os;
+    const auto cell = [&](auto spec, std::uint64_t seed) {
+        spec.protect = endpoints;
+        const auto backend = make_interconnect(std::move(spec), scenario, seed);
+        Telemetry telemetry;
+        backend->set_trace_sink(&telemetry);
+        const RunReport report = backend->run(trace, 10000);
+        std::ostringstream records;
+        write_metrics_json(report.metrics, records);
+        write_jsonl(telemetry, records);
+        char digest[17];
+        std::snprintf(digest, sizeof digest, "%016llx",
+                      static_cast<unsigned long long>(key_of(records.str())));
+        os << "# " << to_string(backend->kind()) << " seed=" << seed << '\n'
+           << report_line(report) << "digest " << digest << '\n';
+    };
+    for (const std::uint64_t seed : {1, 3}) {
+        cell(WormholeSpec{}, seed);
+        cell(DeflectionSpec{}, seed);
+        cell(StoreForwardSpec{}, seed);
+        cell(CutThroughSpec{}, seed);
+        cell(AdaptiveSpec{}, seed);
+    }
+    return os.str();
+}
+
 /// The pre/post-refactor comparison grid: every packet-switched backend x
 /// {fault-free, crashing} x seeds, on both traces.
 std::string golden_image(const std::string& name) {
+    if (name == "contended") return contended_image();
     const std::vector<TileId> corners{0, 4, 20, 24};
     std::ostringstream os;
     for (const bool faults : {false, true}) {
@@ -181,7 +253,7 @@ INSTANTIATE_TEST_SUITE_P(PacketSwitched, RouterGolden,
                          ::testing::Values("xy", "wormhole_xy", "wormhole_wf",
                                            "deflection", "store_forward",
                                            "cut_through", "adaptive",
-                                           "adaptive_b1"));
+                                           "adaptive_b1", "contended"));
 
 } // namespace
 } // namespace snoc
