@@ -36,6 +36,7 @@ Topology Topology::mesh(std::size_t width, std::size_t height) {
             if (x > 0) t.add_directed_link(id, static_cast<TileId>(id - 1));
         }
     }
+    t.index_grid();
     return t;
 }
 
@@ -73,7 +74,35 @@ Topology Topology::torus(std::size_t width, std::size_t height) {
             if (west != north && west != east && west != south) t.add_directed_link(id, west);
         }
     }
+    t.index_grid();
     return t;
+}
+
+void Topology::index_grid() {
+    grid_.resize(neighbours_.size());
+    for (std::size_t y = 0; y < height_; ++y) {
+        for (std::size_t x = 0; x < width_; ++x) {
+            const std::size_t id = y * width_ + x;
+            GridTile& tile = grid_[id];
+            tile.x = static_cast<std::uint32_t>(x);
+            tile.y = static_cast<std::uint32_t>(y);
+            // The first port that leads to the in-grid neighbour in each
+            // direction; a torus's wrap-around ports are not directions.
+            const auto find = [&](Dir d, std::size_t next) {
+                const auto& nbrs = neighbours_[id];
+                for (std::size_t p = 0; p < nbrs.size(); ++p)
+                    if (nbrs[p] == next) {
+                        tile.port[static_cast<std::size_t>(d)] =
+                            static_cast<std::uint8_t>(p);
+                        return;
+                    }
+            };
+            if (y > 0) find(Dir::North, id - width_);
+            if (x + 1 < width_) find(Dir::East, id + 1);
+            if (y + 1 < height_) find(Dir::South, id + width_);
+            if (x > 0) find(Dir::West, id - 1);
+        }
+    }
 }
 
 Topology Topology::from_edges(std::size_t n, const std::vector<LinkEnd>& undirected_edges,

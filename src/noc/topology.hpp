@@ -7,7 +7,9 @@
 // for fault injection and packet accounting.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,22 @@ struct LinkEnd {
     TileId to{0};
 
     friend bool operator==(const LinkEnd&, const LinkEnd&) = default;
+};
+
+/// Compass direction of a grid port: North is y - 1, East x + 1, South
+/// y + 1, West x - 1.
+enum class Dir : std::uint8_t { North, East, South, West };
+
+/// A grid tile's coordinates and its output port (index into
+/// neighbours(t)) toward each in-grid neighbour, resolved once when the
+/// grid is built so a routing decision needs no division and no scan.
+struct GridTile {
+    static constexpr std::uint8_t kNoPort = 0xFF; ///< past the grid edge.
+    std::uint32_t x{0};
+    std::uint32_t y{0};
+    std::array<std::uint8_t, 4> port{kNoPort, kNoPort, kNoPort, kNoPort};
+
+    std::uint8_t toward(Dir d) const { return port[static_cast<std::size_t>(d)]; }
 };
 
 class Topology {
@@ -60,16 +78,13 @@ public:
     bool is_grid() const { return width_ > 0; }
     std::size_t width() const;
     std::size_t height() const;
-    std::size_t x_of(TileId t) const {
+    const GridTile& grid_tile(TileId t) const {
         SNOC_EXPECT(is_grid());
         SNOC_EXPECT(t < node_count());
-        return t % width_;
+        return grid_[t];
     }
-    std::size_t y_of(TileId t) const {
-        SNOC_EXPECT(is_grid());
-        SNOC_EXPECT(t < node_count());
-        return t / width_;
-    }
+    std::size_t x_of(TileId t) const { return grid_tile(t).x; }
+    std::size_t y_of(TileId t) const { return grid_tile(t).y; }
     TileId at(std::size_t x, std::size_t y) const {
         SNOC_EXPECT(is_grid());
         SNOC_EXPECT(x < width_ && y < height_);
@@ -88,6 +103,8 @@ public:
 private:
     Topology() = default;
     void add_directed_link(TileId from, TileId to);
+    /// Fill grid_ once the grid's links exist.
+    void index_grid();
 
     std::string name_;
     std::size_t width_{0};
@@ -95,6 +112,7 @@ private:
     std::vector<std::vector<TileId>> neighbours_;
     std::vector<std::vector<LinkId>> out_links_;
     std::vector<LinkEnd> links_;
+    std::vector<GridTile> grid_; ///< [tile], grids only.
 };
 
 } // namespace snoc

@@ -7,7 +7,9 @@
 // (test_router_stress proves it under full injection).
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -46,6 +48,30 @@ public:
             }
             if (++slot == slots_) slot = 0;
         }
+        return std::nullopt;
+    }
+
+    /// grant() over the slots whose bit is set in `candidates`, visited in
+    /// the same cyclic order: the caller vouches that every other slot
+    /// would refuse without a side effect, so skipping it changes nothing.
+    /// Needs slot_count() <= 64.
+    template <class Request,
+              class = std::enable_if_t<
+                  std::is_invocable_r_v<bool, Request&, std::size_t>>>
+    std::optional<std::size_t> grant_among(std::uint64_t candidates,
+                                           Request&& request) {
+        SNOC_EXPECT(slots_ <= 64 && (slots_ == 64 || candidates >> slots_ == 0));
+        const std::size_t start = last_ + 1 == slots_ ? 0 : last_ + 1;
+        const std::uint64_t from_start = candidates & (~std::uint64_t{0} << start);
+        for (std::uint64_t part : {from_start, candidates & ~from_start})
+            for (; part != 0; part &= part - 1) {
+                const auto slot = static_cast<std::size_t>(std::countr_zero(part));
+                if (request(slot)) {
+                    last_ = slot;
+                    ++grants_[slot];
+                    return slot;
+                }
+            }
         return std::nullopt;
     }
 

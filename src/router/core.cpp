@@ -1,6 +1,7 @@
 #include "router/core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/expect.hpp"
 #include "common/postmortem.hpp"
@@ -26,7 +27,7 @@ RouterCore::RouterCore(Topology topo, RouterConfig config,
       dead_tiles_(topo_.node_count(), false),
       dead_links_(topo_.link_count(), false),
       fifo_(ports_.slot_count()),
-      occupancy_(topo_.node_count(), 0),
+      occupied_(topo_.node_count(), 0),
       doomed_(topo_.node_count(), 0),
       link_free_at_(ports_.link_slot_count(), 0),
       pending_(topo_.node_count()) {
@@ -83,16 +84,17 @@ std::uint32_t RouterCore::inject(TileId source, TileId destination,
     return id;
 }
 
-RouterCore::Buffered RouterCore::pop(TileId t, std::size_t slot) {
+RouterCore::Buffered RouterCore::pop(TileId t, std::size_t ip) {
+    const std::size_t slot = ports_.slot(t, ip);
     const Buffered head = front(slot);
     Ring& r = fifo_[slot];
     if (++r.head == config_.buffer_packets) r.head = 0;
-    --r.size;
-    --occupancy_[t];
+    if (--r.size == 0) occupied_[t] &= ~(1U << ip);
     return head;
 }
 
-void RouterCore::push(TileId t, std::size_t slot, const Buffered& packet) {
+void RouterCore::push(TileId t, std::size_t ip, const Buffered& packet) {
+    const std::size_t slot = ports_.slot(t, ip);
     Ring& r = fifo_[slot];
     // inject_stage and choose_output only send into a FIFO with room.
     SNOC_ENSURE(r.size < config_.buffer_packets && "input FIFO overflow");
@@ -100,7 +102,7 @@ void RouterCore::push(TileId t, std::size_t slot, const Buffered& packet) {
     if (at >= config_.buffer_packets) at -= config_.buffer_packets;
     ring_[slot * config_.buffer_packets + at] = packet;
     ++r.size;
-    ++occupancy_[t];
+    occupied_[t] |= 1U << ip;
     if (packet.fate != Fate::Live) {
         ++doomed_[t];
         ++doomed_total_;
@@ -151,9 +153,7 @@ std::uint8_t RouterCore::choose_output(TileId t, const Buffered& head,
 }
 
 std::uint8_t RouterCore::decide_head(TileId t, std::size_t ip) const {
-    const std::size_t slot = ports_.slot(t, ip);
-    if (fifo_[slot].size == 0) return kNoOutput;
-    const Buffered& head = front(slot);
+    const Buffered& head = front(ports_.slot(t, ip));
     if (head.head_at > cycle_) return kNoOutput;
     if (head.destination == t)
         // Delivery means the tail arrived, whatever the scheme.
@@ -163,8 +163,8 @@ std::uint8_t RouterCore::decide_head(TileId t, std::size_t ip) const {
     return choose_output(t, head, /*granted=*/0);
 }
 
-void RouterCore::drop_head(TileId t, std::size_t slot) {
-    const Buffered head = pop(t, slot);
+void RouterCore::drop_head(TileId t, std::size_t ip) {
+    const Buffered head = pop(t, ip);
     --doomed_[t];
     --doomed_total_;
     PacketRecord& rec = records_[head.id];
@@ -185,9 +185,10 @@ std::size_t RouterCore::inject_stage() {
     std::size_t admitted = 0;
     for (TileId t = 0; t < topo_.node_count(); ++t) {
         if (pending_[t].empty()) continue;
-        const std::size_t local = ports_.slot(t, local_port(t));
-        if (fifo_[local].size >= config_.buffer_packets) continue;
-        push(t, local, arrival(pending_[t].front(), t, kNoTile, cycle_, cycle_));
+        if (fifo_[ports_.slot(t, local_port(t))].size >= config_.buffer_packets)
+            continue;
+        push(t, local_port(t),
+             arrival(pending_[t].front(), t, kNoTile, cycle_, cycle_));
         pending_[t].pop_front();
         ++admitted;
     }
@@ -200,13 +201,19 @@ void RouterCore::fate_stage() {
     // it then surfaces and drops this same cycle if it is doomed too.
     SNOC_PROF("router/fate");
     if (doomed_total_ == 0) return;
-    for (TileId t = 0; t < topo_.node_count(); ++t)
-        for (std::size_t ip = 0; ip <= ports_.degree(t) && doomed_[t] > 0; ++ip) {
+    for (TileId t = 0; t < topo_.node_count(); ++t) {
+        if (doomed_[t] == 0) continue;
+        // Inputs in ascending port order; a FIFO this stage empties needs
+        // no further visit.
+        for (std::uint32_t in = occupied_[t]; in != 0 && doomed_[t] > 0;
+             in &= in - 1) {
+            const auto ip = static_cast<std::size_t>(std::countr_zero(in));
             const std::size_t slot = ports_.slot(t, ip);
             while (fifo_[slot].size > 0 && front(slot).fate != Fate::Live &&
                    front(slot).head_at <= cycle_)
-                drop_head(t, slot);
+                drop_head(t, ip);
         }
+    }
 }
 
 void RouterCore::arbitrate_stage() {
@@ -218,13 +225,16 @@ void RouterCore::arbitrate_stage() {
     moves_.clear();
     constexpr std::size_t kMaxPorts = PortList::kCapacity + 1;
     for (TileId t = 0; t < topo_.node_count(); ++t) {
-        if (dead_tiles_[t] || occupancy_[t] == 0) continue;
+        if (dead_tiles_[t] || occupied_[t] == 0) continue;
         const std::size_t ports = ports_.degree(t) + 1;
-        // requests[out]: the input ports whose head chose `out`.
+        // requests[out]: the input ports whose head chose `out`.  Only an
+        // occupied input has a head to decide, in ascending port order.
         std::uint32_t requests[kMaxPorts] = {};
-        for (std::size_t ip = 0; ip < ports; ++ip)
+        for (std::uint32_t in = occupied_[t]; in != 0; in &= in - 1) {
+            const auto ip = static_cast<std::size_t>(std::countr_zero(in));
             if (const std::uint8_t out = decide_head(t, ip); out != kNoOutput)
                 requests[out] |= 1U << ip;
+        }
         // Outputs granted so far: each holds one committed slot at its
         // downstream FIFO until the moves apply.
         std::uint32_t granted = 0;
@@ -233,17 +243,17 @@ void RouterCore::arbitrate_stage() {
             // which leaves the arbiter as it is.
             if (requests[out] == 0) continue;
             const std::uint32_t mask = requests[out];
-            const auto ip = arbiters_[ports_.slot(t, out)].grant(
-                [mask](std::size_t slot) { return ((mask >> slot) & 1U) != 0; });
+            const auto ip = arbiters_[ports_.slot(t, out)].grant_among(
+                mask, [](std::size_t) { return true; });
             const bool is_eject = out == eject_port(t);
             moves_.push_back(Move{t, *ip, out, is_eject});
             if (is_eject) continue;
             granted |= 1U << out;
             // The grant took a credit at `out`'s downstream FIFO only, so
             // only the heads still waiting on `out` can change their mind.
-            std::uint32_t waiting = mask & ~(1U << *ip);
-            for (std::size_t w = 0; waiting != 0; ++w, waiting >>= 1) {
-                if ((waiting & 1U) == 0) continue;
+            for (std::uint32_t waiting = mask & ~(1U << *ip); waiting != 0;
+                 waiting &= waiting - 1) {
+                const auto w = static_cast<std::size_t>(std::countr_zero(waiting));
                 const std::uint8_t next =
                     choose_output(t, front(ports_.slot(t, w)), granted);
                 if (next != kNoOutput) requests[next] |= 1U << w;
@@ -256,9 +266,8 @@ void RouterCore::move_stage() {
     // Apply this cycle's grants: ejections deliver, the rest cross a link.
     SNOC_PROF("router/move");
     for (const auto& m : moves_) {
-        const std::size_t slot = ports_.slot(m.tile, m.in_port);
-        SNOC_ENSURE(fifo_[slot].size > 0);
-        const Buffered head = pop(m.tile, slot);
+        SNOC_ENSURE(fifo_[ports_.slot(m.tile, m.in_port)].size > 0);
+        const Buffered head = pop(m.tile, m.in_port);
         PacketRecord& rec = records_[head.id];
         const MessageId mid{rec.source, rec.id};
         if (m.eject) {
@@ -277,7 +286,7 @@ void RouterCore::move_stage() {
         const std::size_t full_at_next =
             std::max(head.full_at + 1, cycle_ + config_.flits_per_packet);
         link_free_at_[ports_.link_slot(m.tile, m.out)] = full_at_next;
-        push(port.next, port.in_slot,
+        push(port.next, port.in_port,
              arrival(head.id, port.next, m.tile, cycle_ + 1, full_at_next));
     }
 }

@@ -179,10 +179,10 @@ private:
     const Buffered& front(std::size_t slot) const {
         return ring_[slot * config_.buffer_packets + fifo_[slot].head];
     }
-    /// Remove and return the head of input FIFO `slot` of tile `t`.
-    Buffered pop(TileId t, std::size_t slot);
-    /// Append `packet` to input FIFO `slot` of tile `t`.
-    void push(TileId t, std::size_t slot, const Buffered& packet);
+    /// Remove and return the head of input FIFO `ip` of tile `t`.
+    Buffered pop(TileId t, std::size_t ip);
+    /// Append `packet` to input FIFO `ip` of tile `t`.
+    void push(TileId t, std::size_t ip, const Buffered& packet);
 
     bool head_ready(const Buffered& head) const;
     /// `id` entering an input FIFO at `t` from `from`, its route cached
@@ -195,11 +195,11 @@ private:
     /// has committed at its downstream FIFO.
     std::uint8_t choose_output(TileId t, const Buffered& head,
                                std::uint32_t granted) const;
-    /// The output the head of input `ip` at `t` requests at the start of
-    /// this cycle's arbitration, or kNoOutput.
+    /// The output the head of non-empty input `ip` at `t` requests at the
+    /// start of this cycle's arbitration, or kNoOutput.
     std::uint8_t decide_head(TileId t, std::size_t ip) const;
-    /// Drop the doomed head of input FIFO `slot` of tile `t`.
-    void drop_head(TileId t, std::size_t slot);
+    /// Drop the doomed head of input FIFO `ip` of tile `t`.
+    void drop_head(TileId t, std::size_t ip);
 
     /// The four stages of step(), in order; inject_stage returns the
     /// packets admitted.
@@ -219,9 +219,9 @@ private:
     /// ([slot * buffer_packets + i], slots as in PortTable).
     std::vector<Buffered> ring_;
     std::vector<Ring> fifo_;                          ///< [slot].
-    /// Packets buffered in each tile's input FIFOs: an empty tile has no
-    /// request to arbitrate, so the stages skip it.
-    std::vector<std::size_t> occupancy_;
+    /// Per tile, bit ip set while input FIFO ip holds a packet: the stages
+    /// visit only occupied inputs, and skip a tile whose mask is 0.
+    std::vector<std::uint32_t> occupied_;
     /// Buffered packets whose fate is a drop, per tile and in total: the
     /// fate stage visits only the tiles that hold one.
     std::vector<std::size_t> doomed_;

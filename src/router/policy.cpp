@@ -1,7 +1,6 @@
 #include "router/policy.hpp"
 
 #include "common/expect.hpp"
-#include "router/ports.hpp"
 
 namespace snoc::router {
 
@@ -40,16 +39,13 @@ PortList DimensionOrderPolicy::candidates(
     (void)dead;
     PortList out;
     if (at == dst) return out;
-    const std::size_t x = topo.x_of(at), y = topo.y_of(at);
-    const std::size_t dx = topo.x_of(dst), dy = topo.y_of(dst);
-    TileId next;
-    if (x != dx)
-        next = topo.at(x < dx ? x + 1 : x - 1, y);
-    else
-        next = topo.at(x, y < dy ? y + 1 : y - 1);
-    const auto port = port_to(topo, at, next);
-    SNOC_ENSURE(port.has_value() && "XY next hop is not a neighbour");
-    out.push_back(*port);
+    const GridTile& here = topo.grid_tile(at);
+    const GridTile& there = topo.grid_tile(dst);
+    const Dir dir = here.x != there.x ? (here.x < there.x ? Dir::East : Dir::West)
+                                      : (here.y < there.y ? Dir::South : Dir::North);
+    const std::uint8_t port = here.toward(dir);
+    SNOC_ENSURE(port != GridTile::kNoPort && "XY next hop is not a neighbour");
+    out.push_back(port);
     return out;
 }
 
@@ -63,18 +59,19 @@ PortList WestFirstPolicy::candidates(
     // West-first: if any westward progress remains, it must happen now
     // (turning into west later is prohibited); otherwise every minimal
     // non-west direction is a legal adaptive choice.
-    const std::size_t x = topo.x_of(at), y = topo.y_of(at);
-    const std::size_t dx = topo.x_of(dst), dy = topo.y_of(dst);
-    if (dx < x) {
-        if (const auto p = port_to(topo, at, topo.at(x - 1, y))) out.push_back(*p);
+    const GridTile& here = topo.grid_tile(at);
+    const GridTile& there = topo.grid_tile(dst);
+    const auto take = [&](Dir d) {
+        if (const std::uint8_t p = here.toward(d); p != GridTile::kNoPort)
+            out.push_back(p);
+    };
+    if (there.x < here.x) {
+        take(Dir::West);
         return out; // west exclusively: the deadlock-freedom turn rule. [mutation-point:west-first-turn]
     }
-    if (dx > x)
-        if (const auto p = port_to(topo, at, topo.at(x + 1, y))) out.push_back(*p);
-    if (dy > y)
-        if (const auto p = port_to(topo, at, topo.at(x, y + 1))) out.push_back(*p);
-    if (dy < y)
-        if (const auto p = port_to(topo, at, topo.at(x, y - 1))) out.push_back(*p);
+    if (there.x > here.x) take(Dir::East);
+    if (there.y > here.y) take(Dir::South);
+    if (there.y < here.y) take(Dir::North);
     return out;
 }
 
@@ -85,10 +82,16 @@ PortList ProductivePolicy::candidates(
     PortList out;
     if (at == dst) return out;
     const auto& nbrs = topo.neighbours(at);
+    const GridTile& there = topo.grid_tile(dst);
+    const auto distance = [&](TileId t) {
+        const GridTile& g = topo.grid_tile(t);
+        return (g.x > there.x ? g.x - there.x : there.x - g.x) +
+               (g.y > there.y ? g.y - there.y : there.y - g.y);
+    };
+    const std::uint32_t here = distance(at);
     for (std::size_t p = 0; p < nbrs.size(); ++p) {
         if (tile_dead(dead, nbrs[p])) continue;
-        if (topo.manhattan(nbrs[p], dst) < topo.manhattan(at, dst))
-            out.push_back(p);
+        if (distance(nbrs[p]) < here) out.push_back(p);
     }
     return out;
 }
@@ -99,29 +102,24 @@ PortList FaultAdaptivePolicy::candidates(
     PortList out;
     if (at == dst) return out;
     const auto& nbrs = topo.neighbours(at);
-    const std::size_t x = topo.x_of(at), y = topo.y_of(at);
-    const std::size_t dx = topo.x_of(dst), dy = topo.y_of(dst);
+    const GridTile& here = topo.grid_tile(at);
+    const GridTile& there = topo.grid_tile(dst);
     // Minimal live ports, X before Y (the XY tie-break keeps fault-free
     // paths identical to dimension order).
-    if (x != dx) {
-        const TileId next = topo.at(x < dx ? x + 1 : x - 1, y);
-        if (!tile_dead(dead, next))
-            if (const auto p = port_to(topo, at, next)) out.push_back(*p);
-    }
-    if (y != dy) {
-        const TileId next = topo.at(x, y < dy ? y + 1 : y - 1);
-        if (!tile_dead(dead, next))
-            if (const auto p = port_to(topo, at, next)) out.push_back(*p);
-    }
+    std::uint32_t minimal = 0; // bit p: port p is already a candidate.
+    const auto take = [&](Dir d) {
+        const std::uint8_t p = here.toward(d);
+        if (p == GridTile::kNoPort || tile_dead(dead, nbrs[p])) return;
+        out.push_back(p);
+        minimal |= 1U << p;
+    };
+    if (here.x != there.x) take(here.x < there.x ? Dir::East : Dir::West);
+    if (here.y != there.y) take(here.y < there.y ? Dir::South : Dir::North);
     // Detours: every remaining live port in neighbour order, the arrival
     // port last — a u-turn is legal but only as the move of last resort.
     std::size_t uturn = nbrs.size();
     for (std::size_t p = 0; p < nbrs.size(); ++p) {
-        if (tile_dead(dead, nbrs[p])) continue;
-        bool minimal = false;
-        for (const std::size_t m : out)
-            if (m == p) minimal = true;
-        if (minimal) continue;
+        if (tile_dead(dead, nbrs[p]) || ((minimal >> p) & 1U) != 0) continue;
         if (nbrs[p] == from) {
             uturn = p;
             continue;

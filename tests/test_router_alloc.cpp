@@ -1,9 +1,10 @@
-// A RouterCore cycle must not touch the heap: its FIFOs are fixed rings,
-// its port lookups a table built once, its per-cycle scratch reused.  This
-// binary replaces the global operator new with a counting one (it is
-// local to this test executable) and steps a warmed-up 5x5 mesh without
-// injecting.  The only allocation left is the accounting stage's
-// per-cycle packets_per_round histogram growing by doubling.
+// A RouterCore or wormhole cycle must not touch the heap: their FIFOs and
+// VCs are fixed rings, their port lookups a table built once, their
+// per-cycle scratch reused.  This binary replaces the global operator new
+// with a counting one (it is local to this test executable) and steps a
+// warmed-up 5x5 mesh without injecting.  The only allocation left is
+// RouterCore's accounting stage, whose per-cycle packets_per_round
+// histogram grows by doubling; a wormhole cycle allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <new>
 
 #include "router/core.hpp"
+#include "wormhole/router.hpp"
 
 namespace {
 std::size_t g_allocations = 0;
@@ -95,6 +97,26 @@ TEST(RouterCoreAlloc, AdaptiveDetoursDoNotAllocate) {
         }
     EXPECT_LE(measured_allocations(core, 20), allocation_budget());
     EXPECT_GT(core.dropped(), 0U) << "no packet met the dead tile";
+}
+
+TEST(WormholeAlloc, SaturatedStepsDoNotAllocate) {
+    for (const auto routing : {wormhole::Routing::Xy, wormhole::Routing::WestFirst}) {
+        wormhole::Config config;
+        config.routing = routing;
+        wormhole::Network net(kSide, kSide, config);
+        const auto tiles = static_cast<TileId>(kSide * kSide);
+        for (std::size_t w = 0; w < 8; ++w)
+            for (TileId s = 0; s < tiles; ++s)
+                for (TileId d = 0; d < tiles; ++d)
+                    if (s != d) net.inject(s, d);
+        for (std::size_t i = 0; i < 200; ++i) net.step();
+        const std::size_t delivered_before = net.delivered();
+        const std::size_t before = g_allocations;
+        for (std::size_t i = 0; i < kMeasured; ++i) net.step();
+        EXPECT_EQ(g_allocations - before, 0U) << to_string(routing);
+        EXPECT_GT(net.delivered(), delivered_before) << to_string(routing);
+        EXPECT_GT(net.outstanding(), 0U) << to_string(routing) << ": no longer saturated";
+    }
 }
 
 } // namespace
