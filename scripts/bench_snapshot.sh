@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Engine performance snapshot: runs the sparse-broadcast microbenchmark
 # (ns/round per mesh side), the router-core cycle microbenchmark
-# (ns/cycle, adaptive and store-and-forward) and the two scalability
+# (ns/cycle, adaptive and store-and-forward), the saturated wormhole
+# cycle microbenchmark (ns/cycle, fault-free and with the centre router
+# dead) and the two scalability
 # anchor cells (256x256 full broadcast; 1000x1000 sparse wavefront), then
 # writes BENCH_engine.json — machine info, git SHA, the ns/round and
 # ns/cycle series and the anchor cells.  It also times five end-to-end
@@ -220,14 +222,17 @@ def run(cmd):
     return proc.stdout
 
 ROUTER_CYCLE_CELLS = {"0": "adaptive_p_tiles_0.1", "1": "store_forward"}
+WORMHOLE_CYCLE_CELLS = {"0": "xy_saturated", "1": "xy_saturated_centre_dead"}
 
 def microbench(build):
     """Per-side ns/round of BM_SparseBroadcast, BM_GossipRound and
-    BM_GossipRoundRecorded ns/round, and BM_RouterCycle ns/cycle per cell
-    (empty for a baseline that predates it).  A baseline that still has
-    one sparse benchmark per engine contributes its faster one per side."""
+    BM_GossipRoundRecorded ns/round, and BM_RouterCycle and
+    BM_WormholeStep ns/cycle per cell (empty for a baseline that predates
+    them).  A baseline that still has one sparse benchmark per engine
+    contributes its faster one per side."""
     text = run([os.path.join(build, "bench", "perf_microbench"),
-                "--benchmark_filter=SparseBroadcast|GossipRound|RouterCycle",
+                "--benchmark_filter="
+                "SparseBroadcast|GossipRound|RouterCycle|WormholeStep",
                 "--benchmark_format=json"])
     # perf_microbench appends its plain-text fan-out summary after the
     # benchmark JSON; raw_decode stops at the end of the JSON object.
@@ -235,10 +240,15 @@ def microbench(build):
     sparse = {}
     gossip_round = {"detached": {}, "recorded": {}}
     router_cycle = {}
+    wormhole_cycle = {}
     for b in micro["benchmarks"]:
         m = re.match(r"BM_RouterCycle/(\d+)$", b["name"])
         if m:
             router_cycle[ROUTER_CYCLE_CELLS[m.group(1)]] = b["ns_per_cycle"]
+            continue
+        m = re.match(r"BM_WormholeStep/(\d+)$", b["name"])
+        if m:
+            wormhole_cycle[WORMHOLE_CYCLE_CELLS[m.group(1)]] = b["ns_per_cycle"]
             continue
         ns = 1e9 / b["items_per_second"]
         m = re.match(r"BM_SparseBroadcast\w*/(\d+)$", b["name"])
@@ -250,7 +260,7 @@ def microbench(build):
         if m:
             variant = "recorded" if m.group(1) else "detached"
             gossip_round[variant][int(m.group(2))] = ns
-    return sparse, gossip_round, router_cycle
+    return sparse, gossip_round, router_cycle, wormhole_cycle
 
 def wall_cell(build, args):
     """The cell's table row, plus the process's own wall time and peak
@@ -288,14 +298,15 @@ SCALABILITY = {
 
 build, baseline = os.environ["BUILD_DIR"], os.environ["BASELINE_DIR"]
 
-ns_per_round, gossip_round, router_cycle = microbench(build)
+ns_per_round, gossip_round, router_cycle, wormhole_cycle = microbench(build)
 scalability = {name: wall_cell(build, args) for name, args in SCALABILITY.items()}
 # The short-TTL wavefront reaches a few hundred of a million tiles, which
 # rounds to 0.0%; the tile count is the anchor there.
 del scalability["sparse_1000x1000"]["coverage_pct"]
-ns_per_round_before = router_cycle_before = None
+ns_per_round_before = router_cycle_before = wormhole_cycle_before = None
 if baseline:
-    ns_per_round_before, _, router_cycle_before = microbench(baseline)
+    ns_per_round_before, _, router_cycle_before, wormhole_cycle_before = (
+        microbench(baseline))
     for name, args in SCALABILITY.items():
         cell = wall_cell(baseline, args)
         scalability[name]["before"] = {
@@ -335,6 +346,7 @@ snapshot = {
     "gossip_round_ns": gossip_round,
     "flight_recorder_overhead": recorder_overhead,
     "router_cycle_ns": router_cycle,
+    "wormhole_cycle_ns": wormhole_cycle,
     "scalability": scalability,
     "figures": json.load(open(os.environ["FIGURES_JSON"])),
 }
@@ -342,6 +354,8 @@ if ns_per_round_before:
     snapshot["ns_per_round_before"] = ns_per_round_before
 if router_cycle_before:
     snapshot["router_cycle_ns_before"] = router_cycle_before
+if wormhole_cycle_before:
+    snapshot["wormhole_cycle_ns_before"] = wormhole_cycle_before
 with open(os.environ["OUT"], "w") as f:
     json.dump(snapshot, f, indent=2, sort_keys=True)
     f.write("\n")

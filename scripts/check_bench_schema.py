@@ -105,6 +105,10 @@ def check_engine(path, snap):
     ok &= check_numeric_map(path, snap, "router_cycle_ns")
     if "router_cycle_ns_before" in snap:
         ok &= check_numeric_map(path, snap, "router_cycle_ns_before")
+    # Optional: snapshots older than BM_WormholeStep have no wormhole cells.
+    for key in ("wormhole_cycle_ns", "wormhole_cycle_ns_before"):
+        if key in snap:
+            ok &= check_numeric_map(path, snap, key)
     overhead = snap.get("flight_recorder_overhead")
     if not isinstance(overhead, dict) or not overhead:
         ok = fail(path, "flight_recorder_overhead missing or empty")
