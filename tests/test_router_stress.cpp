@@ -45,6 +45,36 @@ TEST(ArbiterStarvation, SaturatedScanIsRoundRobin) {
     }
 }
 
+TEST(ArbiterStarvation, GrantAmongMatchesAFullScan) {
+    // grant_among(mask, pred) must visit the masked slots in the order a
+    // full grant() scan reaches them, and pick the same winner, whatever
+    // the mask and whichever of its slots accept.
+    router::RotatingArbiter full(10);
+    router::RotatingArbiter among(10);
+    std::uint64_t state = 12345;
+    const auto next = [&] {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<std::uint32_t>(state >> 33);
+    };
+    for (int round = 0; round < 500; ++round) {
+        const std::uint64_t mask = next() & 0x3FF;
+        const std::uint64_t accept = next() & 0x3FF;
+        std::vector<std::size_t> seen_full, seen_among;
+        const auto winner_full = full.grant([&](std::size_t slot) {
+            if (((mask >> slot) & 1U) == 0) return false;
+            seen_full.push_back(slot);
+            return ((accept >> slot) & 1U) != 0;
+        });
+        const auto winner_among = among.grant_among(mask, [&](std::size_t slot) {
+            seen_among.push_back(slot);
+            return ((accept >> slot) & 1U) != 0;
+        });
+        ASSERT_EQ(winner_full, winner_among) << "round " << round;
+        ASSERT_EQ(seen_full, seen_among) << "round " << round;
+    }
+    for (std::size_t s = 0; s < 10; ++s) EXPECT_EQ(full.grants(s), among.grants(s));
+}
+
 TEST(ArbiterStarvation, PersistentRequesterWaitsAtMostSlotsGrants) {
     // Slot 2 requests forever; the other slots request on an adversarial
     // pattern (every subset the 3-bit counter enumerates).  Between any
