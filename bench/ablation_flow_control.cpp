@@ -55,40 +55,17 @@ int main(int argc, char** argv) {
         // The trace endpoints are protected (as every fig4_6-style bench
         // protects its deployment), so a crashed middle is what the
         // schemes differ on — not a dead master.
+        const auto build = [&](auto spec) -> std::unique_ptr<Interconnect> {
+            spec.protect = endpoints;
+            return make_interconnect(std::move(spec), scenario, seed);
+        };
         switch (kind) {
-        case BackendKind::Xy: {
-            XySpec spec;
-            spec.protect = endpoints;
-            return std::make_unique<XyAdapter>(std::move(spec), scenario, seed);
-        }
-        case BackendKind::Wormhole: {
-            WormholeSpec spec;
-            spec.protect = endpoints;
-            return std::make_unique<WormholeAdapter>(std::move(spec), scenario, seed);
-        }
-        case BackendKind::Deflection: {
-            DeflectionSpec spec;
-            spec.protect = endpoints;
-            return std::make_unique<DeflectionAdapter>(std::move(spec), scenario,
-                                                       seed);
-        }
-        case BackendKind::StoreForward: {
-            StoreForwardSpec spec;
-            spec.protect = endpoints;
-            return std::make_unique<StoreForwardAdapter>(std::move(spec), scenario,
-                                                         seed);
-        }
-        case BackendKind::CutThrough: {
-            CutThroughSpec spec;
-            spec.protect = endpoints;
-            return std::make_unique<CutThroughAdapter>(std::move(spec), scenario,
-                                                       seed);
-        }
-        default: {
-            AdaptiveSpec spec;
-            spec.protect = endpoints;
-            return std::make_unique<AdaptiveAdapter>(std::move(spec), scenario, seed);
-        }
+        case BackendKind::Xy: return build(XySpec{});
+        case BackendKind::Wormhole: return build(WormholeSpec{});
+        case BackendKind::Deflection: return build(DeflectionSpec{});
+        case BackendKind::StoreForward: return build(StoreForwardSpec{});
+        case BackendKind::CutThrough: return build(CutThroughSpec{});
+        default: return build(AdaptiveSpec{});
         }
     };
 

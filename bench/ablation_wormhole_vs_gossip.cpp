@@ -74,9 +74,8 @@ int main(int argc, char** argv) {
         if (net == 1) config.routing = wormhole::Routing::WestFirst;
         wormhole::Network wnet(5, 5, config);
         wnet.set_trace_sink(sink);
-        for (TileId t = 0; t < 25; ++t)
-            if (crashes.dead_tiles[t]) wnet.crash_router(t);
-        for (const auto& [s, d] : flows) wnet.inject(s, d);
+        wnet.apply_crashes(crashes);
+        for (const auto& [s, d] : flows) wnet.inject(s, d, /*bits=*/256);
         wnet.run(3000);
         RunReport report;
         report.deliveries = wnet.delivered();

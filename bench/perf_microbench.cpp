@@ -218,11 +218,13 @@ void BM_WormholeStep(benchmark::State& state) {
         state.PauseTiming();
         auto net = std::make_unique<wormhole::Network>(kSide, kSide,
                                                        wormhole::Config{});
-        if (crashed) net->crash_router(tiles / 2);
+        CrashState crashes{std::vector<bool>(tiles, false), {}};
+        crashes.dead_tiles[tiles / 2] = crashed;
+        net->apply_crashes(crashes);
         for (std::size_t w = 0; w < kWaves; ++w)
             for (TileId s = 0; s < tiles; ++s)
                 for (TileId d = 0; d < tiles; ++d)
-                    if (s != d) net->inject(s, d);
+                    if (s != d) net->inject(s, d, 256);
         state.ResumeTiming();
         for (std::size_t i = 0; i < kSteps; ++i) net->step();
         cycles += static_cast<std::int64_t>(kSteps);

@@ -16,8 +16,10 @@ Usage:
     check_bench_schema.py --diff OLD.json NEW.json
 
 With no arguments, checks the repo-root snapshots relative to this
-script.  --diff compares two engine snapshots' ns_per_round series and
-figure wall times and prints per-cell deltas — warn-only (always exits 0): CI uses it to
+script.  --diff prints, per cell of two engine snapshots (ns_per_round,
+router/wormhole cycle times, figure wall times), the after/before ratio
+each snapshot measured against its own baseline build, so the machine of
+either session cancels — warn-only (always exits 0): CI uses it to
 surface perf drift in logs without holding PRs hostage to machine noise.
 """
 
@@ -203,35 +205,41 @@ def check_file(path):
     return checker(path, snap)
 
 
+def ratio_cells(snap):
+    """Each cell's after/before ratio within one snapshot: both sides ran
+    in the same session, so the ratio cancels the machine.  Cells without
+    a `before` side have no ratio."""
+    cells = {}
+    for key in ("ns_per_round", "router_cycle_ns", "wormhole_cycle_ns"):
+        after = snap.get(key, {})
+        before = snap.get(key + "_before", {})
+        for cell in sorted(set(after) & set(before)):
+            if before[cell]:
+                cells[f"{key} {cell}"] = after[cell] / before[cell]
+    for cell, row in sorted(snap.get("figures", {}).get("benches", {}).items()):
+        before = row.get("before", {}).get("wall_s")
+        after = row.get("after", {}).get("wall_s")
+        if before and after is not None:
+            cells[f"figures {cell}"] = after / before
+    return cells
+
+
 def diff_engine(old_path, new_path):
-    """Warn-only ns_per_round comparison: prints per-cell drift."""
+    """Warn-only comparison of each cell's after/before ratio in OLD and
+    NEW.  The raw `after` numbers of two snapshots come from different
+    sessions (a slower machine shifts every cell), so only ratios are
+    compared; NEW's ratio is flagged when its change is >10% slower than
+    the baseline it was measured against."""
     with open(old_path) as f:
-        old = json.load(f)
+        old = ratio_cells(json.load(f))
     with open(new_path) as f:
-        new = json.load(f)
-    old_cells = old.get("ns_per_round", {})
-    new_cells = new.get("ns_per_round", {})
-    for side in sorted(set(old_cells) & set(new_cells), key=int):
-        before, after = old_cells[side], new_cells[side]
-        if not before:
-            continue
-        delta = (after - before) / before * 100.0
-        marker = "  <-- regression?" if delta > 10.0 else ""
-        print(f"ns_per_round {side}: {before:.0f} -> "
-              f"{after:.0f} ns ({delta:+.1f}%){marker}")
-    old_figs = old.get("figures", {}).get("benches", {})
-    new_figs = new.get("figures", {}).get("benches", {})
-    for cell in sorted(set(old_figs) & set(new_figs)):
-        before = old_figs[cell].get("after", {}).get("wall_s")
-        after = new_figs[cell].get("after", {}).get("wall_s")
-        if not before or after is None:
-            continue
-        delta = (after - before) / before * 100.0
-        marker = "  <-- regression?" if delta > 10.0 else ""
-        print(f"figures {cell}: {before:.2f} -> {after:.2f} s "
-              f"({delta:+.1f}%){marker}")
-    print("check_bench_schema: diff is informational only (machine noise "
-          "dominates cross-run deltas); not failing the build on it")
+        new = ratio_cells(json.load(f))
+    for cell in sorted(new):
+        marker = "  <-- regression?" if new[cell] > 1.10 else ""
+        was = f"{old[cell]:.3f}" if cell in old else "n/a"
+        print(f"{cell}: after/before {was} -> {new[cell]:.3f}{marker}")
+    print("check_bench_schema: diff is informational only (run-to-run noise "
+          "stays in the ratios); not failing the build on it")
     return True
 
 

@@ -17,9 +17,10 @@
 //     latency (rounds *and* seconds), traffic, delivery/drop taxonomy
 //     and Technology-weighted wire energy.
 //
-// Adding a backend is writing one adapter (~50 lines), not forking a
-// bench file; `ScenarioRunner` (sim/scenario.hpp) then sweeps/averages
-// any Interconnect declaratively.
+// Adding a backend is writing a spec and an adapter (a cycle-stepped
+// simulator only adds its overloads to the shared SteppedAdapter), not
+// forking a bench file; `ScenarioRunner` (sim/scenario.hpp) then
+// sweeps/averages any Interconnect declaratively.
 #pragma once
 
 #include <cstddef>

@@ -11,6 +11,30 @@
 
 namespace snoc {
 
+namespace {
+
+/// How every adapter closes a trace run: the trace-level delivery view
+/// (whatever was not delivered is dropped) and its two laws, then the
+/// auditor bracket — `laws` checks the backend's own invariants between
+/// begin_run and the report check, whose violations join the report's.
+void finish_run(const Interconnect& backend, RunReport& report,
+                const TrafficTrace& trace, Round limit,
+                const std::function<void(check::InvariantAuditor&)>& laws = {}) {
+    report.dropped = report.messages - std::min(report.deliveries, report.messages);
+    SNOC_CHECK(1, report.deliveries <= report.messages);
+    SNOC_CHECK(1, report.deliveries + report.dropped == report.messages);
+    check::InvariantAuditor* aud = backend.auditor();
+    if (!aud) return;
+    const std::size_t audit_before = aud->violation_count();
+    aud->begin_run(std::string(to_string(backend.kind())) + " seed=" +
+                   std::to_string(report.seed));
+    if (laws) laws(*aud);
+    aud->check_report(report, backend.kind(), &trace, limit);
+    report.audit_violations += aud->violation_count() - audit_before;
+}
+
+} // namespace
+
 // --- Gossip ---------------------------------------------------------------
 
 GossipAdapter::GossipAdapter(GossipSpec spec, const FaultScenario& scenario,
@@ -69,8 +93,6 @@ RunReport GossipAdapter::run_until(const std::function<bool()>& done, Round limi
 }
 
 RunReport GossipAdapter::run(const TrafficTrace& trace, Round limit) {
-    check::InvariantAuditor* aud = auditor();
-    const std::size_t audit_before = aud ? aud->violation_count() : 0;
     apps::TraceDriver driver(net_, trace);
     RunReport report =
         run_until([&driver] { return driver.complete(); }, limit);
@@ -79,13 +101,8 @@ RunReport GossipAdapter::run(const TrafficTrace& trace, Round limit) {
     // logical message once.
     report.messages = trace.message_count();
     report.deliveries = driver.delivered_messages();
-    report.dropped = report.messages - std::min(report.deliveries, report.messages);
-    SNOC_CHECK(1, report.deliveries <= report.messages);
-    SNOC_CHECK(1, report.deliveries + report.dropped == report.messages);
-    if (aud) {
-        aud->check_report(report, kind(), &trace, limit);
-        report.audit_violations = aud->violation_count() - audit_before;
-    }
+    // run_until audited the rounds; the trace-level report is left.
+    finish_run(*this, report, trace, limit);
     return report;
 }
 
@@ -113,16 +130,8 @@ RunReport BusAdapter::run(const TrafficTrace& trace, Round limit) {
     report.bits = r.bits;
     report.messages = trace.message_count();
     report.deliveries = r.completed ? r.transfers : 0;
-    report.dropped = report.messages - report.deliveries;
     report.joules = r.joules;
-    SNOC_CHECK(1, report.deliveries <= report.messages);
-    SNOC_CHECK(1, report.deliveries + report.dropped == report.messages);
-    if (auto* aud = auditor()) {
-        const std::size_t audit_before = aud->violation_count();
-        aud->begin_run("bus seed=" + std::to_string(seed_));
-        aud->check_report(report, kind(), &trace, limit);
-        report.audit_violations = aud->violation_count() - audit_before;
-    }
+    finish_run(*this, report, trace, limit);
     return report;
 }
 
@@ -136,7 +145,7 @@ XyAdapter::XyAdapter(XySpec spec, const FaultScenario& scenario, std::uint64_t s
     crashes_ = injector.roll_crashes(spec_.mesh, spec_.protect);
 }
 
-RunReport XyAdapter::run(const TrafficTrace& trace, Round limit) {
+RunReport XyAdapter::run(const TrafficTrace& trace, Round) {
     const XyRunResult r = run_xy_trace(spec_.mesh, trace, crashes_, trace_sink());
     RunReport report;
     report.seed = seed_;
@@ -146,7 +155,6 @@ RunReport XyAdapter::run(const TrafficTrace& trace, Round limit) {
     report.bits = r.bits;
     report.messages = r.delivered + r.lost;
     report.deliveries = r.delivered;
-    report.dropped = r.lost;
     // Eq. 2 shape: each round forwards one average-size packet per link.
     const double s_bits = r.hops > 0
                               ? static_cast<double>(r.bits) / static_cast<double>(r.hops)
@@ -154,24 +162,102 @@ RunReport XyAdapter::run(const TrafficTrace& trace, Round limit) {
     report.seconds =
         static_cast<double>(r.rounds) * s_bits / spec_.tech.link_frequency_hz;
     report.joules = static_cast<double>(r.bits) * spec_.tech.link_ebit_joules;
-    SNOC_CHECK(1, report.deliveries <= report.messages);
-    SNOC_CHECK(1, report.deliveries + report.dropped == report.messages);
-    if (auto* aud = auditor()) {
-        const std::size_t audit_before = aud->violation_count();
-        aud->begin_run("xy seed=" + std::to_string(seed_));
-        // XY replays the whole trace analytically and does not honour a
-        // round budget, so the budget check is skipped (limit = 0).
-        aud->check_report(report, kind(), &trace, 0);
-        report.audit_violations = aud->violation_count() - audit_before;
-    }
-    (void)limit;
+    // XY replays the whole trace analytically and does not honour a round
+    // budget, so the budget check is skipped (limit = 0).
+    finish_run(*this, report, trace, 0);
     return report;
 }
 
-// --- Wormhole -------------------------------------------------------------
+// --- Cycle-stepped packet simulators --------------------------------------
 
-WormholeAdapter::WormholeAdapter(WormholeSpec spec, const FaultScenario& scenario,
-                                 std::uint64_t seed)
+namespace {
+
+// Each spec's BackendKind, from the adapter table.
+#define SNOC_BACKEND_SPEC_KIND(name, adapter, spec)                            \
+    constexpr BackendKind kind_of(const spec&) { return BackendKind::name; }
+SNOC_BACKEND_ADAPTER_LIST(SNOC_BACKEND_SPEC_KIND)
+#undef SNOC_BACKEND_SPEC_KIND
+
+// What differs between the three simulators, one overload each.
+
+wormhole::Network make_network(const WormholeSpec& spec, std::uint64_t) {
+    return wormhole::Network(spec.width, spec.height, spec.config);
+}
+deflection::Network make_network(const DeflectionSpec& spec, std::uint64_t seed) {
+    return deflection::Network(spec.width, spec.height, spec.config, seed);
+}
+router::RouterCore make_network(const RouterSpec& spec, std::uint64_t) {
+    return router::RouterCore(Topology::mesh(spec.width, spec.height), spec.config);
+}
+
+/// The size a trace message is injected with: the trace's, except that
+/// the router core falls back to the spec's size for a zero-size message
+/// so its bit accounting stays law-abiding.
+std::size_t packet_bits(const MeshSpec&, const LogicalMessage& m) { return m.bits; }
+std::size_t packet_bits(const RouterSpec& spec, const LogicalMessage& m) {
+    return m.bits > 0 ? m.bits : static_cast<std::size_t>(spec.packet_bits);
+}
+
+/// Fills link transfers and wire bits and returns the bits a link moves
+/// per cycle, the cycle-time model behind `seconds`: wormhole's flit hops
+/// and the router core's cycles each carry a flit, an equal share of the
+/// spec's packet; deflection sums its records and moves average packets.
+double measure(const WormholeSpec& spec, const wormhole::Network& net,
+               RunReport& report) {
+    const double flit_bits =
+        spec.packet_bits / static_cast<double>(spec.config.flits_per_packet);
+    report.transmissions = net.flit_hops();
+    report.bits =
+        static_cast<std::size_t>(static_cast<double>(net.flit_hops()) * flit_bits);
+    return flit_bits;
+}
+double measure(const DeflectionSpec&, const deflection::Network& net,
+               RunReport& report) {
+    for (const auto& rec : net.records()) {
+        report.transmissions += rec.hops;
+        report.bits += rec.hops * rec.bits;
+    }
+    return report.transmissions > 0 ? static_cast<double>(report.bits) /
+                                          static_cast<double>(report.transmissions)
+                                    : 0.0;
+}
+double measure(const RouterSpec& spec, const router::RouterCore& core,
+               RunReport& report) {
+    report.transmissions = core.metrics().packets_sent;
+    report.bits = core.metrics().bits_sent;
+    report.metrics = core.metrics();
+    return spec.packet_bits / static_cast<double>(spec.config.flits_per_packet);
+}
+
+/// The auditor's record law, with deflection's hop budget (wormhole has
+/// none); the router core adds its shared-accounting laws.
+void audit(check::InvariantAuditor& aud, const WormholeSpec&,
+           const wormhole::Network& net) {
+    aud.check_records(net.records(), net.delivered(), net.dropped(), net.in_flight(),
+                      /*max_hops=*/0);
+}
+void audit(check::InvariantAuditor& aud, const DeflectionSpec& spec,
+           const deflection::Network& net) {
+    aud.check_records(net.records(), net.delivered(), net.dropped(), net.in_flight(),
+                      spec.config.max_hops);
+}
+void audit(check::InvariantAuditor& aud, const RouterSpec&,
+           const router::RouterCore& core) {
+    aud.check_router(core);
+}
+
+/// Only the router core keeps NetworkMetrics for post-mortem dumps.
+template <class Net>
+const NetworkMetrics* live_metrics_of(const Net&) { return nullptr; }
+const NetworkMetrics* live_metrics_of(const router::RouterCore& core) {
+    return &core.metrics();
+}
+
+} // namespace
+
+template <class Spec>
+SteppedAdapter<Spec>::SteppedAdapter(Spec spec, const FaultScenario& scenario,
+                                     std::uint64_t seed)
     : spec_(std::move(spec)), seed_(seed) {
     RngPool pool(seed);
     FaultInjector injector(scenario, pool);
@@ -179,141 +265,18 @@ WormholeAdapter::WormholeAdapter(WormholeSpec spec, const FaultScenario& scenari
         injector.roll_crashes(Topology::mesh(spec_.width, spec_.height), spec_.protect);
 }
 
-RunReport WormholeAdapter::run(const TrafficTrace& trace, Round limit) {
-    wormhole::Network net(spec_.width, spec_.height, spec_.config);
+template <class Spec>
+BackendKind SteppedAdapter<Spec>::kind() const {
+    return kind_of(spec_);
+}
+
+template <class Spec>
+RunReport SteppedAdapter<Spec>::run(const TrafficTrace& trace, Round limit) {
+    auto net = make_network(spec_, seed_);
     net.set_trace_sink(trace_sink());
-    for (TileId t = 0; t < crashes_.dead_tiles.size(); ++t)
-        if (crashes_.dead_tiles[t]) net.crash_router(t);
-
-    RunReport report;
-    report.seed = seed_;
-    report.messages = trace.message_count();
-    bool completed = true;
-    for (const auto& phase : trace.phases) {
-        std::size_t expected = net.delivered();
-        for (const auto& m : phase.messages) {
-            if (m.src == m.dst) {
-                ++report.deliveries; // local, never enters the network.
-                continue;
-            }
-            net.inject(m.src, m.dst);
-            ++expected;
-        }
-        // A frozen step is a fixed point (a worm wedged behind a dead
-        // router): every cycle left to the budget would repeat it.
-        while (net.delivered() < expected && net.cycle() < limit)
-            if (!net.step()) net.skip_to(limit);
-        if (net.delivered() < expected) {
-            completed = false; // a worm is blocked (or the budget is gone).
-            break;
-        }
-    }
-    report.completed = completed;
-    report.rounds = static_cast<Round>(net.cycle());
-    report.deliveries += net.delivered();
-    report.dropped = report.messages - std::min(report.deliveries, report.messages);
-    report.transmissions = net.flit_hops();
-    const double flit_bits =
-        spec_.packet_bits / static_cast<double>(spec_.config.flits_per_packet);
-    report.bits = static_cast<std::size_t>(
-        static_cast<double>(net.flit_hops()) * flit_bits);
-    // One flit crosses a link per cycle; a cycle is one flit time.
-    report.seconds = static_cast<double>(net.cycle()) * flit_bits /
-                     spec_.tech.link_frequency_hz;
-    report.joules = static_cast<double>(report.bits) * spec_.tech.link_ebit_joules;
-    SNOC_CHECK(1, report.deliveries <= report.messages);
-    SNOC_CHECK(1, report.deliveries + report.dropped == report.messages);
-    if (auto* aud = auditor()) {
-        const std::size_t audit_before = aud->violation_count();
-        aud->begin_run("wormhole seed=" + std::to_string(seed_));
-        aud->check_records(net.records(), net.delivered(), /*dropped=*/0,
-                           net.outstanding(), /*max_hops=*/0);
-        aud->check_report(report, kind(), &trace, limit);
-        report.audit_violations = aud->violation_count() - audit_before;
-    }
-    return report;
-}
-
-// --- Deflection -----------------------------------------------------------
-
-DeflectionAdapter::DeflectionAdapter(DeflectionSpec spec,
-                                     const FaultScenario& scenario,
-                                     std::uint64_t seed)
-    : spec_(std::move(spec)), scenario_(scenario), seed_(seed) {}
-
-RunReport DeflectionAdapter::run(const TrafficTrace& trace, Round limit) {
-    deflection::Network net(spec_.width, spec_.height, spec_.config, seed_);
-    net.set_trace_sink(trace_sink());
-    {
-        RngPool pool(seed_);
-        FaultInjector injector(scenario_, pool);
-        net.apply_crashes(injector.roll_crashes(
-            Topology::mesh(spec_.width, spec_.height), spec_.protect));
-    }
-
-    RunReport report;
-    report.seed = seed_;
-    report.messages = trace.message_count();
-    bool completed = true;
-    for (const auto& phase : trace.phases) {
-        for (const auto& m : phase.messages) {
-            if (m.src == m.dst) {
-                ++report.deliveries;
-                continue;
-            }
-            net.inject(m.src, m.dst, m.bits);
-        }
-        while (net.in_flight() > 0 && net.cycle() < limit) net.step();
-        if (net.in_flight() > 0) {
-            completed = false;
-            break;
-        }
-    }
-    for (const auto& rec : net.records()) {
-        report.transmissions += rec.hops;
-        report.bits += rec.hops * rec.bits;
-    }
-    report.completed = completed && net.dropped() == 0;
-    report.rounds = static_cast<Round>(net.cycle());
-    report.deliveries += net.delivered();
-    report.dropped = report.messages - std::min(report.deliveries, report.messages);
-    const double s_bits =
-        report.transmissions > 0
-            ? static_cast<double>(report.bits) / static_cast<double>(report.transmissions)
-            : 0.0;
-    report.seconds =
-        static_cast<double>(net.cycle()) * s_bits / spec_.tech.link_frequency_hz;
-    report.joules = static_cast<double>(report.bits) * spec_.tech.link_ebit_joules;
-    SNOC_CHECK(1, report.deliveries <= report.messages);
-    SNOC_CHECK(1, report.deliveries + report.dropped == report.messages);
-    if (auto* aud = auditor()) {
-        const std::size_t audit_before = aud->violation_count();
-        aud->begin_run("deflection seed=" + std::to_string(seed_));
-        aud->check_records(net.records(), net.delivered(), net.dropped(),
-                           net.in_flight(), spec_.config.max_hops);
-        aud->check_report(report, kind(), &trace, limit);
-        report.audit_violations = aud->violation_count() - audit_before;
-    }
-    return report;
-}
-
-// --- Layered router core --------------------------------------------------
-
-RouterAdapter::RouterAdapter(BackendKind kind, RouterSpec spec,
-                             const FaultScenario& scenario, std::uint64_t seed)
-    : kind_(kind), spec_(std::move(spec)), seed_(seed) {
-    RngPool pool(seed);
-    FaultInjector injector(scenario, pool);
-    crashes_ =
-        injector.roll_crashes(Topology::mesh(spec_.width, spec_.height), spec_.protect);
-}
-
-RunReport RouterAdapter::run(const TrafficTrace& trace, Round limit) {
-    router::RouterCore core(Topology::mesh(spec_.width, spec_.height), spec_.config);
-    core.set_trace_sink(trace_sink());
-    core.apply_crashes(crashes_);
-    live_metrics_ = &core.metrics();
-    struct Unpublish { // `core` dies with this frame, however it is left.
+    net.apply_crashes(crashes_);
+    live_metrics_ = live_metrics_of(net);
+    struct Unpublish { // `net` dies with this frame, however it is left.
         const NetworkMetrics*& live;
         ~Unpublish() { live = nullptr; }
     } unpublish{live_metrics_};
@@ -328,44 +291,33 @@ RunReport RouterAdapter::run(const TrafficTrace& trace, Round limit) {
                 ++report.deliveries; // local, never enters the network.
                 continue;
             }
-            // Zero-size trace messages fall back to the spec's packet
-            // size so the bit accounting stays law-abiding.
-            core.inject(m.src, m.dst,
-                        m.bits > 0 ? m.bits
-                                   : static_cast<std::size_t>(spec_.packet_bits));
+            net.inject(m.src, m.dst, packet_bits(spec_, m));
         }
-        while (!core.idle() && core.cycle() < limit) core.step();
-        if (!core.idle()) {
-            completed = false; // out of cycle budget.
+        // A wedged wormhole steps in O(1) per frozen cycle, and a fired
+        // DeadlockSentinel does not stop the phase: the budget does.
+        while (net.in_flight() > 0 && net.cycle() < limit) net.step();
+        if (net.in_flight() > 0) {
+            completed = false; // blocked, or out of cycle budget.
             break;
         }
     }
-    const NetworkMetrics& m = core.metrics();
-    report.completed = completed && core.dropped() == 0;
-    report.rounds = static_cast<Round>(core.cycle());
-    report.deliveries += core.delivered();
-    report.dropped = report.messages - std::min(report.deliveries, report.messages);
-    report.transmissions = m.packets_sent;
-    report.bits = m.bits_sent;
-    // One flit crosses a link per cycle; a cycle is one flit time.
-    const double flit_bits =
-        spec_.packet_bits / static_cast<double>(spec_.config.flits_per_packet);
-    report.seconds = static_cast<double>(core.cycle()) * flit_bits /
-                     spec_.tech.link_frequency_hz;
+    report.completed = completed && net.dropped() == 0;
+    report.rounds = static_cast<Round>(net.cycle());
+    report.deliveries += net.delivered();
+    const double cycle_bits = measure(spec_, net, report);
+    report.seconds =
+        static_cast<double>(net.cycle()) * cycle_bits / spec_.tech.link_frequency_hz;
     report.joules = static_cast<double>(report.bits) * spec_.tech.link_ebit_joules;
-    report.metrics = m;
-    SNOC_CHECK(1, report.deliveries <= report.messages);
-    SNOC_CHECK(1, report.deliveries + report.dropped == report.messages);
-    if (auto* aud = auditor()) {
-        const std::size_t audit_before = aud->violation_count();
-        aud->begin_run(std::string(to_string(kind_)) + " seed=" +
-                       std::to_string(seed_));
-        aud->check_router(core);
-        aud->check_report(report, kind(), &trace, limit);
-        report.audit_violations = aud->violation_count() - audit_before;
-    }
+    finish_run(*this, report, trace, limit,
+               [&](check::InvariantAuditor& aud) { audit(aud, spec_, net); });
     return report;
 }
+
+template class SteppedAdapter<WormholeSpec>;
+template class SteppedAdapter<DeflectionSpec>;
+template class SteppedAdapter<StoreForwardSpec>;
+template class SteppedAdapter<CutThroughSpec>;
+template class SteppedAdapter<AdaptiveSpec>;
 
 // --- Factory --------------------------------------------------------------
 

@@ -5,12 +5,12 @@
 // an adapter is metric-for-metric identical to a direct backend run
 // (test_interconnect asserts this).
 //
-// The adapter recipe for a new backend (see DESIGN.md §8):
-//   1. a Spec struct: shape + backend config + Technology;
-//   2. a constructor (Spec, FaultScenario, seed) that rolls every random
-//      decision from `seed`;
-//   3. run(trace, limit): realise the trace phase by phase, fill the
-//      RunReport fields the backend can measure, leave the rest zero.
+// The recipe for a new backend (DESIGN.md §8): a Spec struct (shape +
+// backend config + Technology) and a row in SNOC_BACKEND_ADAPTER_LIST.
+// A cycle-stepped simulator gives its network SteppedAdapter's drive
+// surface and one overload of each per-network rule in backends.cpp;
+// any other backend writes an adapter that rolls every random decision
+// from `seed` and realises the trace phase by phase.
 #pragma once
 
 #include <cstddef>
@@ -128,73 +128,36 @@ private:
     std::uint64_t seed_;
 };
 
-/// --- Wormhole-routed mesh ----------------------------------------------
+/// --- Cycle-stepped packet simulators ------------------------------------
 
-struct WormholeSpec {
+/// What SteppedAdapter reads from every cycle-stepped spec: the mesh, the
+/// tiles that must survive the crash roll, and the wire technology.
+struct MeshSpec {
     std::size_t width{5};
     std::size_t height{5};
-    wormhole::Config config{};
     std::vector<TileId> protect{};
+    Technology tech{Technology::cmos_025um()};
+};
+
+struct WormholeSpec : MeshSpec {
+    wormhole::Config config{};
     /// Wire bits per packet (flits share it equally) for the energy model.
     double packet_bits{256.0};
-    Technology tech{Technology::cmos_025um()};
 };
 
-class WormholeAdapter final : public Interconnect {
-public:
-    WormholeAdapter(WormholeSpec spec, const FaultScenario& scenario,
-                    std::uint64_t seed);
-
-    BackendKind kind() const override { return BackendKind::Wormhole; }
-
-    RunReport run(const TrafficTrace& trace, Round limit) override;
-
-private:
-    WormholeSpec spec_;
-    CrashState crashes_;
-    std::uint64_t seed_;
-};
-
-/// --- Deflection (hot-potato) routing -----------------------------------
-
-struct DeflectionSpec {
-    std::size_t width{5};
-    std::size_t height{5};
+struct DeflectionSpec : MeshSpec {
     deflection::Config config{};
-    std::vector<TileId> protect{};
-    Technology tech{Technology::cmos_025um()};
 };
-
-class DeflectionAdapter final : public Interconnect {
-public:
-    DeflectionAdapter(DeflectionSpec spec, const FaultScenario& scenario,
-                      std::uint64_t seed);
-
-    BackendKind kind() const override { return BackendKind::Deflection; }
-
-    RunReport run(const TrafficTrace& trace, Round limit) override;
-
-private:
-    DeflectionSpec spec_;
-    FaultScenario scenario_;
-    std::uint64_t seed_;
-};
-
-/// --- Layered router core (store-and-forward / cut-through / adaptive) ---
 
 /// Shared spec for the router-core backends.  The three BackendKinds are
 /// fixed stage selections over one core (src/router/): store-and-forward
 /// and virtual cut-through flow control under dimension-order routing,
 /// and cut-through under the fault-adaptive detour policy.
-struct RouterSpec {
-    std::size_t width{5};
-    std::size_t height{5};
+struct RouterSpec : MeshSpec {
     router::RouterConfig config{};
-    std::vector<TileId> protect{};
     /// Wire bits per packet for the energy model when a trace message
     /// carries no size (flits share it equally for the cycle-time model).
     double packet_bits{256.0};
-    Technology tech{Technology::cmos_025um()};
 };
 
 struct StoreForwardSpec : RouterSpec {
@@ -223,54 +186,39 @@ struct AdaptiveSpec : RouterSpec {
     }
 };
 
-/// One adapter serves all three router-core kinds: the spec carries the
-/// stage selection, `kind` only names it for reports and registries.
-class RouterAdapter : public Interconnect {
+/// Wormhole (flit VCs with credits), deflection (bufferless, RNG shuffles)
+/// and the router core (packet FIFOs) are three step algorithms, so they
+/// stay three simulators; one drive surface — apply_crashes, inject(src,
+/// dst, bits), step, cycle, delivered, dropped, in_flight, records,
+/// set_trace_sink — makes one adapter, instantiated per spec above.  It
+/// rolls the crashes at construction and replays a trace phase by phase:
+/// local messages never enter the network, and each phase steps until
+/// nothing is in flight or the budget is spent.  A run completes when
+/// every phase drained and nothing was dropped.
+template <class Spec>
+class SteppedAdapter final : public Interconnect {
 public:
-    RouterAdapter(BackendKind kind, RouterSpec spec, const FaultScenario& scenario,
-                  std::uint64_t seed);
+    SteppedAdapter(Spec spec, const FaultScenario& scenario, std::uint64_t seed);
 
-    BackendKind kind() const override { return kind_; }
+    BackendKind kind() const override;
 
     const CrashState& crashes() const { return crashes_; }
 
     RunReport run(const TrafficTrace& trace, Round limit) override;
 
-    /// Non-null only while run() executes: the core is a local of run(),
-    /// so the pointer is published on entry and cleared on every exit,
-    /// the exception path included.  Post-mortem dumps fire from inside
-    /// the run they describe.
+    /// The router core's counters, only while run() executes (the network
+    /// is a local of run(); the pointer is cleared on every exit): post-
+    /// mortem dumps fire inside the run they describe.  Wormhole and
+    /// deflection keep no NetworkMetrics.
     const NetworkMetrics* live_metrics() const override {
         return live_metrics_;
     }
 
 private:
-    BackendKind kind_;
-    RouterSpec spec_;
+    Spec spec_;
     CrashState crashes_;
     std::uint64_t seed_;
     const NetworkMetrics* live_metrics_{nullptr};
-};
-
-class StoreForwardAdapter final : public RouterAdapter {
-public:
-    StoreForwardAdapter(StoreForwardSpec spec, const FaultScenario& scenario,
-                        std::uint64_t seed)
-        : RouterAdapter(BackendKind::StoreForward, std::move(spec), scenario, seed) {}
-};
-
-class CutThroughAdapter final : public RouterAdapter {
-public:
-    CutThroughAdapter(CutThroughSpec spec, const FaultScenario& scenario,
-                      std::uint64_t seed)
-        : RouterAdapter(BackendKind::CutThrough, std::move(spec), scenario, seed) {}
-};
-
-class AdaptiveAdapter final : public RouterAdapter {
-public:
-    AdaptiveAdapter(AdaptiveSpec spec, const FaultScenario& scenario,
-                    std::uint64_t seed)
-        : RouterAdapter(BackendKind::Adaptive, std::move(spec), scenario, seed) {}
 };
 
 /// The spec-to-adapter table — X(Kind, Adapter, Spec), one row per
@@ -282,11 +230,11 @@ public:
     X(Gossip, GossipAdapter, GossipSpec)                                       \
     X(Bus, BusAdapter, BusSpec)                                                \
     X(Xy, XyAdapter, XySpec)                                                   \
-    X(Wormhole, WormholeAdapter, WormholeSpec)                                 \
-    X(Deflection, DeflectionAdapter, DeflectionSpec)                           \
-    X(StoreForward, StoreForwardAdapter, StoreForwardSpec)                     \
-    X(CutThrough, CutThroughAdapter, CutThroughSpec)                           \
-    X(Adaptive, AdaptiveAdapter, AdaptiveSpec)
+    X(Wormhole, SteppedAdapter<WormholeSpec>, WormholeSpec)                    \
+    X(Deflection, SteppedAdapter<DeflectionSpec>, DeflectionSpec)              \
+    X(StoreForward, SteppedAdapter<StoreForwardSpec>, StoreForwardSpec)        \
+    X(CutThrough, SteppedAdapter<CutThroughSpec>, CutThroughSpec)              \
+    X(Adaptive, SteppedAdapter<AdaptiveSpec>, AdaptiveSpec)
 
 // The adapter table must cover the kind registry row for row.
 static_assert([] {

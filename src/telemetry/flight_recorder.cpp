@@ -13,106 +13,37 @@
 
 namespace snoc {
 
-FlightRecorder::FlightRecorder(std::size_t capacity, std::size_t lanes)
-    : capacity_(capacity), lanes_(std::max<std::size_t>(lanes, 1)) {
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : capacity_(capacity), totals_(kTraceEventKinds, 0) {
     SNOC_EXPECT(capacity >= 1);
-    for (Lane& lane : lanes_) {
-        lane.capacity = capacity_;
-        lane.totals.assign(kTraceEventKinds, 0);
-        // Preallocate so steady-state record() never allocates.
-        lane.ring.reserve(capacity_);
-    }
+    // Preallocate so steady-state record() never allocates.
+    ring_.reserve(capacity_);
 }
 
-void FlightRecorder::Lane::record(const TraceEvent& event) {
-    ++totals[static_cast<std::size_t>(event.kind)];
-    if (ring.size() < capacity) {
-        ring.push_back(event);
+void FlightRecorder::record(const TraceEvent& event) {
+    ++totals_[static_cast<std::size_t>(event.kind)];
+    if (ring_.size() < capacity_) {
+        ring_.push_back(event);
         return;
     }
-    ring[next] = event;
-    next = next + 1 == capacity ? 0 : next + 1;
-    ++dropped;
-}
-
-void FlightRecorder::record(const TraceEvent& event) { lanes_[0].record(event); }
-
-TraceSink& FlightRecorder::lane(std::size_t lane) {
-    SNOC_EXPECT(lane < lanes_.size());
-    return lanes_[lane];
-}
-
-std::size_t FlightRecorder::size() const {
-    std::size_t n = 0;
-    for (const Lane& lane : lanes_) n += lane.ring.size();
-    return n;
-}
-
-std::size_t FlightRecorder::dropped() const {
-    std::size_t n = 0;
-    for (const Lane& lane : lanes_) n += lane.dropped;
-    return n;
-}
-
-std::vector<std::size_t> FlightRecorder::kind_totals() const {
-    std::vector<std::size_t> totals(kTraceEventKinds, 0);
-    for (const Lane& lane : lanes_)
-        for (std::size_t k = 0; k < kTraceEventKinds; ++k)
-            totals[k] += lane.totals[k];
-    return totals;
+    ring_[next_] = event;
+    next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
+    ++dropped_;
 }
 
 std::vector<TraceEvent> FlightRecorder::drain() const {
-    // Each lane's retained events in insertion order: the ring's oldest
-    // element sits at `next` once it has wrapped.
-    std::vector<std::vector<TraceEvent>> per_lane;
-    per_lane.reserve(lanes_.size());
-    std::size_t total = 0;
-    for (const Lane& lane : lanes_) {
-        std::vector<TraceEvent> events;
-        events.reserve(lane.ring.size());
-        if (lane.ring.size() < lane.capacity) {
-            events.assign(lane.ring.begin(), lane.ring.end());
-        } else {
-            events.insert(events.end(), lane.ring.begin() +
-                                            static_cast<std::ptrdiff_t>(lane.next),
-                          lane.ring.end());
-            events.insert(events.end(), lane.ring.begin(),
-                          lane.ring.begin() +
-                              static_cast<std::ptrdiff_t>(lane.next));
-        }
-        total += events.size();
-        per_lane.push_back(std::move(events));
-    }
-    if (per_lane.size() == 1) return std::move(per_lane.front());
-
-    // Deterministic cross-lane merge: ascending round, ties by lane index
-    // then intra-lane order.  Rounds are monotone within a lane, so one
-    // k-way front scan suffices.
-    std::vector<TraceEvent> merged;
-    merged.reserve(total);
-    std::vector<std::size_t> cursor(per_lane.size(), 0);
-    while (merged.size() < total) {
-        std::size_t best = per_lane.size();
-        for (std::size_t l = 0; l < per_lane.size(); ++l) {
-            if (cursor[l] >= per_lane[l].size()) continue;
-            if (best == per_lane.size() ||
-                per_lane[l][cursor[l]].round < per_lane[best][cursor[best]].round)
-                best = l;
-        }
-        SNOC_ENSURE(best < per_lane.size());
-        merged.push_back(per_lane[best][cursor[best]++]);
-    }
-    return merged;
+    // The oldest retained event sits at `next_` once the ring has wrapped.
+    const auto split = ring_.begin() + static_cast<std::ptrdiff_t>(next_);
+    std::vector<TraceEvent> events(split, ring_.end());
+    events.insert(events.end(), ring_.begin(), split);
+    return events;
 }
 
 void FlightRecorder::clear() {
-    for (Lane& lane : lanes_) {
-        lane.ring.clear();
-        lane.next = 0;
-        lane.dropped = 0;
-        std::fill(lane.totals.begin(), lane.totals.end(), 0);
-    }
+    ring_.clear();
+    next_ = 0;
+    dropped_ = 0;
+    std::fill(totals_.begin(), totals_.end(), 0);
 }
 
 namespace {

@@ -16,19 +16,12 @@
 // snapshot, manifest echo) followed by the last N events in the exact
 // JSONL dialect snoc_trace already reads.
 //
-// Multi-producer recordings: `lane(s)` exposes one ring per producer
-// thread so parallel producers record without cross-thread contention;
-// drain() then merges lanes deterministically — ascending round, ties
-// broken by lane index then intra-lane order.  A default recorder has a
-// single lane and behaves as a plain ring.
-//
 // Concurrency model (DESIGN.md §16): deliberately lock-free and
-// atomic-free.  Each lane is single-writer by contract (one producer),
-// and drain()/size()/postmortem dumps only run after the producers have
-// joined, which publishes every lane write before the merger reads it.
-// There is therefore nothing for a
-// mutex or an atomic to protect, and record() stays one store + one
-// increment (test_concurrency_stress hammers this contract under TSan).
+// atomic-free.  The recorder is single-writer by contract (one trial
+// records into its own recorder), and drain()/size()/postmortem dumps
+// read it only from that thread or after it has joined.  There is
+// therefore nothing for a mutex or an atomic to protect, and record()
+// stays one store + one increment.
 #pragma once
 
 #include <cstddef>
@@ -46,52 +39,33 @@ namespace snoc {
 
 class FlightRecorder final : public TraceSink {
 public:
-    /// `capacity` newest events are kept per lane; older ones are
-    /// overwritten (and counted, so the bundle says what it lost).
-    explicit FlightRecorder(std::size_t capacity, std::size_t lanes = 1);
+    /// The `capacity` newest events are kept; older ones are overwritten
+    /// (and counted, so the bundle says what it lost).
+    explicit FlightRecorder(std::size_t capacity);
 
-    /// Records into lane 0 — the single-producer path every backend's
-    /// set_trace_sink uses.
     void record(const TraceEvent& event) override;
 
-    /// The sink for one producer's private lane.  Lanes never share
-    /// state, so parallel producers may record concurrently; drain()
-    /// restores the canonical order.
-    TraceSink& lane(std::size_t lane);
-
     std::size_t capacity() const { return capacity_; }
-    std::size_t lane_count() const { return lanes_.size(); }
-
-    /// Events currently held (all lanes; <= capacity * lanes).
-    std::size_t size() const;
-    /// Events overwritten since the last clear (all lanes).
-    std::size_t dropped() const;
+    /// Events currently held (<= capacity).
+    std::size_t size() const { return ring_.size(); }
+    /// Events overwritten since the last clear.
+    std::size_t dropped() const { return dropped_; }
     /// Running per-kind totals over *every* event ever recorded — the
-    /// ring forgets old events, the totals do not.  Summed across lanes
-    /// at query time; each lane counts privately so concurrent writers
-    /// never share a cache line, let alone a counter.
-    std::vector<std::size_t> kind_totals() const;
+    /// ring forgets old events, the totals do not.
+    const std::vector<std::size_t>& kind_totals() const { return totals_; }
 
-    /// The retained events in deterministic order: ascending round, ties
-    /// broken by lane index, then intra-lane insertion order.  With one
-    /// lane this is plain insertion order (rounds are monotone anyway).
+    /// The retained events, oldest first.
     std::vector<TraceEvent> drain() const;
 
     /// Forget everything (retry loops re-record an attempt from scratch).
     void clear();
 
 private:
-    struct Lane final : TraceSink {
-        void record(const TraceEvent& event) override;
-        std::size_t capacity{0};
-        std::size_t next{0};     ///< ring write index.
-        std::size_t dropped{0};  ///< overwritten events.
-        std::vector<TraceEvent> ring; ///< grows to capacity, then wraps.
-        std::vector<std::size_t> totals; ///< [kind], this lane, all time.
-    };
-
     std::size_t capacity_;
-    std::vector<Lane> lanes_;
+    std::size_t next_{0};    ///< ring write index once it has wrapped.
+    std::size_t dropped_{0}; ///< overwritten events.
+    std::vector<TraceEvent> ring_;    ///< grows to capacity, then wraps.
+    std::vector<std::size_t> totals_; ///< [kind], all time.
 };
 
 /// Everything the bundle header records beyond the events themselves.

@@ -15,10 +15,9 @@
 // gossip round).  It reports per-packet latency, throughput and what
 // happens when a router dies mid-worm: the worm blocks and everything
 // behind it backs up — the failure mode stochastic communication avoids.
-// A wedged network is a fixed point: step() reports a cycle that changed
-// nothing, and run() (like the backend adapter) jumps the clock to its
-// budget from there, so a blocked worm costs one simulated step instead
-// of one per cycle left to the cap.
+// A wedged network is a fixed point: once a step() changes nothing, every
+// later step() only advances the clock until the next inject(), so a
+// blocked worm costs O(1) per cycle left to the cap.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "fault/injector.hpp"
 #include "noc/topology.hpp"
 #include "router/accounting.hpp"
 #include "router/arbiter.hpp"
@@ -80,24 +80,21 @@ class Network {
 public:
     Network(std::size_t width, std::size_t height, Config config);
 
-    /// Queue a packet for injection at `source`'s network interface in the
-    /// current cycle (actual injection occurs as VCs free up).
-    std::uint32_t inject(TileId source, TileId destination);
+    /// Queue a `bits`-bit packet for injection at `source`'s network
+    /// interface in the current cycle (actual injection occurs as VCs
+    /// free up).
+    std::uint32_t inject(TileId source, TileId destination, std::size_t bits);
 
-    /// Kill a router: flits routed through it stall forever (wormhole's
-    /// characteristic failure).
-    void crash_router(TileId tile);
+    /// Apply a crash pattern: flits routed through a dead router stall
+    /// forever (wormhole's characteristic failure).  Links never fail.
+    void apply_crashes(const CrashState& crashes);
 
     /// Advance one link cycle.  Returns false when the cycle changed
     /// nothing — no flit injected, no head routed, no flit moved.  The
     /// network is then at a fixed point: arbiters rotate only on a grant
-    /// and no wormhole state reads the clock, so every later step()
-    /// repeats the frozen one exactly until the next inject().
+    /// and no wormhole state reads the clock, so every later step() only
+    /// advances the clock, without simulating, until the next inject().
     bool step();
-    /// Move the clock to `cycle` without simulating the frozen cycles in
-    /// between; only legal right after a step() that returned false.
-    void skip_to(std::size_t cycle);
-    /// Advance `cycles` link cycles, skipping them once the network freezes.
     void run(std::size_t cycles);
 
     std::size_t cycle() const { return cycle_; }
@@ -105,11 +102,13 @@ public:
     /// Total link traversals performed by flits (ejections excluded) —
     /// the wire-traffic measure the unified RunReport's energy model uses.
     std::size_t flit_hops() const { return flit_hops_; }
+    /// Always 0: a blocked worm stays in flight.
+    std::size_t dropped() const { return 0; }
     std::size_t injected() const { return records_.size(); }
     /// Packets injected but not delivered (in flight or blocked).
-    std::size_t outstanding() const { return records_.size() - delivered_; }
-    /// One record per injected packet; wormhole leaves `bits` and `hops`
-    /// at zero and never drops (a blocked worm stays outstanding).
+    std::size_t in_flight() const { return records_.size() - delivered_; }
+    /// One record per injected packet; wormhole leaves `hops` at zero and
+    /// never drops.
     /// A delivered packet's latency is delivered_cycle - injected_cycle
     /// (injection to tail ejection, in cycles).
     const std::vector<router::PacketRecord>& records() const { return records_; }
@@ -197,7 +196,8 @@ private:
     // the (input port, VC) slots — the shared arbitration stage.
     std::vector<router::RotatingArbiter> arbiters_; ///< [slot of output].
     TraceSink* trace_{nullptr};
-    /// The last step() changed nothing and no packet was injected since.
+    /// The last step() changed nothing and no packet was injected since:
+    /// step() only advances the clock.
     bool frozen_{false};
 
     /// A switch grant of the current cycle, applied after allocation.

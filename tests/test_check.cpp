@@ -50,48 +50,19 @@ std::unique_ptr<Interconnect> make_protected(BackendKind kind,
                                              const FaultScenario& scenario,
                                              std::uint64_t seed) {
     const std::vector<TileId> corners{0, 4, 20, 24};
+    const auto build = [&](auto spec) {
+        spec.protect = corners;
+        return make_interconnect(std::move(spec), scenario, seed);
+    };
     switch (kind) {
-    case BackendKind::Gossip: {
-        GossipSpec spec;
-        spec.protect = corners;
-        return std::make_unique<GossipAdapter>(std::move(spec), scenario, seed);
-    }
-    case BackendKind::Bus:
-        return std::make_unique<BusAdapter>(BusSpec{}, scenario, seed);
-    case BackendKind::Xy: {
-        XySpec spec;
-        spec.protect = corners;
-        return std::make_unique<XyAdapter>(std::move(spec), scenario, seed);
-    }
-    case BackendKind::Wormhole: {
-        WormholeSpec spec;
-        spec.protect = corners;
-        return std::make_unique<WormholeAdapter>(std::move(spec), scenario, seed);
-    }
-    case BackendKind::Deflection: {
-        DeflectionSpec spec;
-        spec.protect = corners;
-        return std::make_unique<DeflectionAdapter>(std::move(spec), scenario,
-                                                   seed);
-    }
-    case BackendKind::StoreForward: {
-        StoreForwardSpec spec;
-        spec.protect = corners;
-        return std::make_unique<StoreForwardAdapter>(std::move(spec), scenario,
-                                                     seed);
-    }
-    case BackendKind::CutThrough: {
-        CutThroughSpec spec;
-        spec.protect = corners;
-        return std::make_unique<CutThroughAdapter>(std::move(spec), scenario,
-                                                   seed);
-    }
-    case BackendKind::Adaptive: {
-        AdaptiveSpec spec;
-        spec.protect = corners;
-        return std::make_unique<AdaptiveAdapter>(std::move(spec), scenario,
-                                                 seed);
-    }
+    case BackendKind::Gossip: return build(GossipSpec{});
+    case BackendKind::Bus: return make_interconnect(BusSpec{}, scenario, seed);
+    case BackendKind::Xy: return build(XySpec{});
+    case BackendKind::Wormhole: return build(WormholeSpec{});
+    case BackendKind::Deflection: return build(DeflectionSpec{});
+    case BackendKind::StoreForward: return build(StoreForwardSpec{});
+    case BackendKind::CutThrough: return build(CutThroughSpec{});
+    case BackendKind::Adaptive: return build(AdaptiveSpec{});
     }
     return nullptr;
 }
@@ -374,8 +345,8 @@ std::set<std::string> broken_laws(const check::InvariantAuditor& auditor) {
 // audit: a clean record set from each passes, a tampered one is flagged.
 TEST(AuditDetects, RouterMetricsGateCatchesTamper) {
     const auto trace = corner_trace();
-    StoreForwardAdapter adapter(StoreForwardSpec{}, FaultScenario::none(), 1);
-    RunReport report = adapter.run(trace, 10000);
+    RunReport report =
+        make_interconnect(StoreForwardSpec{}, FaultScenario::none(), 1)->run(trace, 10000);
     ASSERT_TRUE(report.completed);
 
     check::InvariantAuditor auditor;
@@ -404,8 +375,9 @@ TEST(AuditDetects, RouterMetricsGateCatchesTamper) {
                                      "record-accounting"}));
 
     wormhole::Network worm(5, 5, wormhole::Config{});
-    for (const auto& m : trace.phases.front().messages) worm.inject(m.src, m.dst);
-    while (worm.outstanding() > 0) worm.step();
+    for (const auto& m : trace.phases.front().messages)
+        worm.inject(m.src, m.dst, m.bits);
+    while (worm.in_flight() > 0) worm.step();
     auto worms = worm.records();
     auditor.reset();
     auditor.check_records(worms, worm.delivered(), 0, 0, /*max_hops=*/0);

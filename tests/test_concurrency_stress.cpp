@@ -1,18 +1,14 @@
 // Concurrency stress suite (DESIGN.md §16): hammer the lock-free shared
-// state — MetricsRegistry's relaxed atomics and FlightRecorder's
-// single-writer-per-lane rings — from >= 8 threads and assert exact
-// totals afterwards.  Under a plain build these tests check the
-// arithmetic contracts (relaxed RMWs lose no increments; lanes merge
-// every event); under SNOC_SANITIZE=thread (label `parallel`/`telemetry`,
-// the CI thread-sanitizer leg) they are the probes that would surface a
-// mis-relaxed ordering or a lane accidentally shared between writers.
+// state — MetricsRegistry's relaxed atomics — from >= 8 threads and
+// assert exact totals afterwards.  Under a plain build these tests check
+// the arithmetic contract (relaxed RMWs lose no increments); under
+// SNOC_SANITIZE=thread (label `parallel`/`telemetry`, the CI
+// thread-sanitizer leg) they are the probes that would surface a
+// mis-relaxed ordering.
 //
-// The drain/size/write_* calls are deliberately *barriered* for the
-// flight recorder (after join) and deliberately *concurrent* for the
-// registry: that is each component's documented contract — recorder
-// lanes are single-writer with a join before the merge, registry
-// exposition races with writers by design and takes a non-atomic
-// snapshot.
+// Registry exposition is deliberately *concurrent* with the writers:
+// that is its documented contract — it races with writers by design and
+// takes a non-atomic snapshot.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,8 +21,6 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "sim/trace.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/heartbeat.hpp"
 #include "telemetry/metrics_registry.hpp"
 
@@ -35,14 +29,6 @@ namespace {
 
 constexpr std::size_t kThreads = 8;
 constexpr std::size_t kIters = 20'000;
-
-TraceEvent event(Round round, TraceEventKind kind, TileId tile) {
-    TraceEvent e;
-    e.round = round;
-    e.kind = kind;
-    e.tile = tile;
-    return e;
-}
 
 TEST(ConcurrencyStress, MetricsRegistryExactUnderContention) {
     MetricsRegistry reg;
@@ -87,43 +73,6 @@ TEST(ConcurrencyStress, MetricsRegistryExactUnderContention) {
     EXPECT_EQ(reg.histogram_bucket(MetricId::TrialRounds,
                                    kHistogramBucketCount - 1),
               kThreads * kIters);
-}
-
-TEST(ConcurrencyStress, FlightRecorderLanesExactAcrossDrains) {
-    constexpr std::size_t kWaves = 3;
-    constexpr std::size_t kPerWave = 4'000;
-    // Capacity large enough that nothing is overwritten: the assertion
-    // below is exact, not modulo ring wraparound.
-    FlightRecorder recorder(kWaves * kPerWave, kThreads);
-    for (std::size_t wave = 0; wave < kWaves; ++wave) {
-        std::vector<std::thread> producers;
-        producers.reserve(kThreads);
-        for (std::size_t t = 0; t < kThreads; ++t) {
-            producers.emplace_back([&recorder, wave, t] {
-                TraceSink& sink = recorder.lane(t);
-                for (std::size_t i = 0; i < kPerWave; ++i) {
-                    sink.record(event(
-                        static_cast<Round>(wave * kPerWave + i),
-                        i % 2 ? TraceEventKind::Transmitted
-                              : TraceEventKind::Delivered,
-                        static_cast<TileId>(t)));
-                }
-            });
-        }
-        for (auto& p : producers) p.join();
-        // Join above is the barrier the drain contract requires: lanes
-        // are single-writer and the merger reads only quiesced lanes.
-        const auto events = recorder.drain();
-        ASSERT_EQ(events.size(), kThreads * kPerWave * (wave + 1));
-        EXPECT_EQ(recorder.dropped(), 0u);
-        // Merge order is deterministic: ascending round, ties by lane.
-        for (std::size_t i = 1; i < events.size(); ++i)
-            EXPECT_LE(events[i - 1].round, events[i].round);
-    }
-    const auto totals = recorder.kind_totals();
-    std::size_t recorded = 0;
-    for (const std::size_t n : totals) recorded += n;
-    EXPECT_EQ(recorded, kThreads * kPerWave * kWaves);
 }
 
 TEST(ConcurrencyStress, RunTrialsFeedsSharedRegistryExactly) {

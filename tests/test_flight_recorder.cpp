@@ -1,6 +1,5 @@
 // Flight recorder + post-mortem bundle tests: ring wraparound semantics
-// at the capacity edge cases, deterministic multi-lane drain order (also
-// under concurrent lane writers), the golden bundle byte layout, and the
+// at the capacity edge cases, the golden bundle byte layout, and the
 // end-to-end guarantee that an injected conservation violation inside an
 // audited ScenarioRunner sweep produces a bundle containing the violating
 // round's events.
@@ -18,7 +17,6 @@
 #include <regex>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "check/invariant_auditor.hpp"
@@ -114,56 +112,6 @@ TEST(FlightRecorder, ClearForgetsEverything) {
     EXPECT_TRUE(recorder.drain().empty());
     recorder.record(event(3, TraceEventKind::Delivered, 7));
     EXPECT_EQ(recorder.drain().size(), 1u);
-}
-
-/// Lanes merge by ascending round with lane-index tie-breaks — the
-/// canonical order, independent of which lane was written first.
-TEST(FlightRecorder, MultiLaneDrainOrderIsCanonical) {
-    FlightRecorder recorder(16, 3);
-    // Write lanes in "wrong" wall order: lane 2 first, then 0, then 1.
-    for (const std::size_t lane : {2u, 0u, 1u})
-        for (Round r = 0; r < 4; ++r)
-            recorder.lane(lane).record(event(
-                r, TraceEventKind::Transmitted, static_cast<TileId>(lane)));
-    const auto drained = recorder.drain();
-    ASSERT_EQ(drained.size(), 12u);
-    for (std::size_t i = 0; i < drained.size(); ++i) {
-        EXPECT_EQ(drained[i].round, static_cast<Round>(i / 3));
-        EXPECT_EQ(drained[i].tile, static_cast<TileId>(i % 3)); // lane index
-    }
-}
-
-/// Concurrent shard writers (the --jobs shape): each lane is written by
-/// its own thread, yet the drain is identical to the serial fill — the
-/// cross-lane order depends only on (round, lane), never on thread
-/// scheduling.
-TEST(FlightRecorder, ConcurrentLaneWritersDrainDeterministically) {
-    constexpr std::size_t kLanes = 4;
-    constexpr Round kRounds = 200;
-    const auto fill = [](FlightRecorder& recorder, bool threaded) {
-        const auto writer = [&recorder](std::size_t lane) {
-            for (Round r = 0; r < kRounds; ++r)
-                recorder.lane(lane).record(
-                    event(r, TraceEventKind::Accepted,
-                          static_cast<TileId>(lane * 100 + r % 100)));
-        };
-        if (threaded) {
-            std::vector<std::thread> threads;
-            for (std::size_t lane = 0; lane < kLanes; ++lane)
-                threads.emplace_back(writer, lane);
-            for (auto& t : threads) t.join();
-        } else {
-            for (std::size_t lane = 0; lane < kLanes; ++lane) writer(lane);
-        }
-    };
-    FlightRecorder serial(64, kLanes);
-    fill(serial, false);
-    const std::string want = drain_image(serial);
-    for (int repeat = 0; repeat < 4; ++repeat) {
-        FlightRecorder threaded(64, kLanes);
-        fill(threaded, true);
-        EXPECT_EQ(drain_image(threaded), want) << "repeat " << repeat;
-    }
 }
 
 /// The bundle byte layout is golden-checked; build-dependent header

@@ -108,14 +108,14 @@ TEST(WormholeAlloc, SaturatedStepsDoNotAllocate) {
         for (std::size_t w = 0; w < 8; ++w)
             for (TileId s = 0; s < tiles; ++s)
                 for (TileId d = 0; d < tiles; ++d)
-                    if (s != d) net.inject(s, d);
+                    if (s != d) net.inject(s, d, 256);
         for (std::size_t i = 0; i < 200; ++i) net.step();
         const std::size_t delivered_before = net.delivered();
         const std::size_t before = g_allocations;
         for (std::size_t i = 0; i < kMeasured; ++i) net.step();
         EXPECT_EQ(g_allocations - before, 0U) << to_string(routing);
         EXPECT_GT(net.delivered(), delivered_before) << to_string(routing);
-        EXPECT_GT(net.outstanding(), 0U) << to_string(routing) << ": no longer saturated";
+        EXPECT_GT(net.in_flight(), 0U) << to_string(routing) << ": no longer saturated";
     }
 }
 

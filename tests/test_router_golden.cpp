@@ -124,14 +124,14 @@ FaultScenario faulty(double p_tiles = 0.12) {
 /// RouterCore cells: the spec's stage selection on the shared grid.
 /// `adaptive_b1` squeezes every input FIFO to one packet and crashes more
 /// tiles, so detours contend for downstream credit within a cycle.
-template <class Adapter, class Spec>
+template <class Spec>
 std::string router_core_image(const FaultScenario& scenario, std::uint64_t seed,
                               const TrafficTrace& trace,
                               std::size_t buffer_packets = 4) {
     Spec spec;
     spec.protect = {0, 4, 20, 24};
     spec.config.buffer_packets = buffer_packets;
-    Adapter adapter(std::move(spec), scenario, seed);
+    SteppedAdapter<Spec> adapter(std::move(spec), scenario, seed);
     return run_image(adapter, trace, 10000);
 }
 
@@ -196,24 +196,24 @@ std::string golden_image(const std::string& name) {
                     spec.config.routing = name == "wormhole_wf"
                                               ? wormhole::Routing::WestFirst
                                               : wormhole::Routing::Xy;
-                    WormholeAdapter adapter(std::move(spec), scenario, seed);
+                    SteppedAdapter<WormholeSpec> adapter(std::move(spec), scenario, seed);
                     os << run_image(adapter, trace, 10000);
                 } else if (name == "deflection") {
                     DeflectionSpec spec;
                     spec.protect = corners;
-                    DeflectionAdapter adapter(std::move(spec), scenario, seed);
+                    SteppedAdapter<DeflectionSpec> adapter(std::move(spec), scenario, seed);
                     os << run_image(adapter, trace, 10000);
                 } else if (name == "store_forward") {
-                    os << router_core_image<StoreForwardAdapter, StoreForwardSpec>(
+                    os << router_core_image<StoreForwardSpec>(
                         scenario, seed, trace);
                 } else if (name == "cut_through") {
-                    os << router_core_image<CutThroughAdapter, CutThroughSpec>(
+                    os << router_core_image<CutThroughSpec>(
                         scenario, seed, trace);
                 } else if (name == "adaptive") {
-                    os << router_core_image<AdaptiveAdapter, AdaptiveSpec>(
+                    os << router_core_image<AdaptiveSpec>(
                         scenario, seed, trace);
                 } else if (name == "adaptive_b1") {
-                    os << router_core_image<AdaptiveAdapter, AdaptiveSpec>(
+                    os << router_core_image<AdaptiveSpec>(
                         scenario, seed, trace, /*buffer_packets=*/1);
                 } else {
                     ADD_FAILURE() << "unknown golden backend " << name;

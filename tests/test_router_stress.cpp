@@ -160,7 +160,7 @@ TEST(DeflectionStress, AdapterStaysAuditCleanUnderHeavyLoad) {
     }
     for (std::uint64_t seed = 0; seed < 3; ++seed) {
         check::InvariantAuditor auditor;
-        DeflectionAdapter adapter(DeflectionSpec{}, FaultScenario::none(), seed);
+        SteppedAdapter<DeflectionSpec> adapter(DeflectionSpec{}, FaultScenario::none(), seed);
         adapter.set_auditor(&auditor);
         const RunReport report = adapter.run(trace, 100000);
         EXPECT_TRUE(report.completed) << seed;

@@ -468,7 +468,7 @@ TEST(Prof, BusXyAndDeflectionScopesRecordWhenArmed) {
     // network's cycle, the XY replay and the shared-bus run.
     const char* const names[] = {"deflection/step", "xy/replay", "bus/run"};
     const auto run = [] {
-        DeflectionAdapter deflection(DeflectionSpec{}, FaultScenario::none(), 1);
+        SteppedAdapter<DeflectionSpec> deflection(DeflectionSpec{}, FaultScenario::none(), 1);
         XyAdapter xy(XySpec{}, FaultScenario::none(), 1);
         BusAdapter bus(BusSpec{}, FaultScenario::none(), 1);
         EXPECT_TRUE(deflection.run(corner_trace(), 400).completed);
@@ -537,13 +537,13 @@ TEST(Prof, RouterScopesCountCyclesAndDumpDeterministically) {
     wedge.phases[0].messages.push_back({10, 14, 256}); // XY crosses tile 12
     wedge.phases[0].messages.push_back({0, 24, 256});
     const auto run = [&] {
-        StoreForwardAdapter saf(StoreForwardSpec{}, FaultScenario::none(), 1);
+        SteppedAdapter<StoreForwardSpec> saf(StoreForwardSpec{}, FaultScenario::none(), 1);
         WormholeSpec spec;
         for (TileId t = 0; t < 25; ++t)
             if (t != 12) spec.protect.push_back(t);
         FaultScenario centre;
         centre.p_tiles = 1.0; // only the unprotected centre dies.
-        WormholeAdapter worm(spec, centre, 1);
+        SteppedAdapter<WormholeSpec> worm(spec, centre, 1);
         return std::pair{saf.run(corner_trace(), 400), worm.run(wedge, 400)};
     };
     const auto calls = [](const char* name) {
