@@ -35,12 +35,18 @@ std::uint32_t Network::inject(TileId source, TileId destination,
     SNOC_EXPECT(source < topo_.node_count());
     SNOC_EXPECT(destination < topo_.node_count());
     SNOC_EXPECT(source != destination);
-    SNOC_EXPECT(!dead_[source]);
     const auto id = static_cast<std::uint32_t>(records_.size());
     records_.push_back(router::PacketRecord{id, source, destination, bits, cycle_,
                                             std::nullopt, 0, false});
-    flying_.push_back({id, source});
     trace_event(TraceEventKind::MessageCreated, source, kNoTile, records_.back());
+    if (dead_[source]) {
+        // A dead source accepts nothing: the packet dies where it was born.
+        records_.back().dropped = true;
+        ++dropped_;
+        trace_event(TraceEventKind::CrashDrop, source, kNoTile, records_.back());
+        return id;
+    }
+    flying_.push_back({id, source});
     return id;
 }
 

@@ -35,6 +35,7 @@ public:
     void apply_crashes(const CrashState& crashes);
 
     /// A `bits`-bit packet enters at `source` this cycle; returns its id.
+    /// At a dead source it is crash-dropped at once.
     std::uint32_t inject(TileId source, TileId destination, std::size_t bits);
     void step();
     void run(std::size_t cycles);
@@ -43,14 +44,15 @@ public:
     std::size_t delivered() const { return delivered_; }
     std::size_t dropped() const { return dropped_; }
     std::size_t in_flight() const;
-    /// One record per injected packet; `dropped` means the hop budget ran
-    /// out (the livelock guard).
+    /// One record per injected packet; `dropped` means it was injected
+    /// at a dead source or the hop budget ran out (the livelock guard).
     const std::vector<router::PacketRecord>& records() const { return records_; }
 
     /// Attach a flight recorder (not owned; nullptr detaches).  Rounds are
     /// cycles; one Transmitted per link traversal (a walled-in stall burns
     /// hop budget without one), Delivered on arrival, TtlExpired when the
-    /// hop budget — deflection's TTL analogue — runs out.
+    /// hop budget — deflection's TTL analogue — runs out, CrashDrop for a
+    /// packet injected at a dead source.
     void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
 private:

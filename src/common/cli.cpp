@@ -66,20 +66,30 @@ std::string CliArgs::get_string(const std::string& name, std::string fallback) c
     return v ? *v : std::move(fallback);
 }
 
+namespace {
+
+/// `--name N` for a count that has no meaning at 0: an explicit 0 exits 2
+/// with a message that names the flag.
+std::size_t get_count(const CliArgs& args, const std::string& name, std::size_t fallback) {
+    const auto count = args.get_u64(name, static_cast<std::uint64_t>(fallback));
+    if (count == 0 && args.value(name)) {
+        std::cerr << args.program() << ": --" << name << " must be at least 1\n";
+        std::exit(2);
+    }
+    return static_cast<std::size_t>(count);
+}
+
+} // namespace
+
 std::size_t resolve_jobs(const CliArgs& args) {
-    const auto jobs = static_cast<std::size_t>(
-        args.get_u64("jobs", static_cast<std::uint64_t>(default_jobs())));
-    return jobs > 0 ? jobs : 1;
+    return get_count(args, "jobs", default_jobs());
 }
 
 BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeats) {
     BenchOptions options;
     options.csv = args.has("csv");
     options.json = args.has("json");
-    const auto repeats = args.get_u64(
-        "repeats", static_cast<std::uint64_t>(default_repeats));
-    options.repeats =
-        repeats > 0 ? static_cast<std::size_t>(repeats) : default_repeats;
+    options.repeats = get_count(args, "repeats", default_repeats);
     options.jobs = resolve_jobs(args);
     options.seed = args.get_u64("seed", 0);
     options.telemetry.trace_jsonl_out = args.get_string("trace-out", "");
@@ -89,10 +99,7 @@ BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeat
     options.telemetry.grid_width =
         static_cast<std::size_t>(args.get_u64("grid-width", 0));
     options.telemetry.postmortem_out = args.get_string("postmortem-out", "");
-    options.telemetry.flight_capacity =
-        static_cast<std::size_t>(args.get_u64("flight-capacity", 4096));
-    if (options.telemetry.flight_capacity == 0)
-        options.telemetry.flight_capacity = 1;
+    options.telemetry.flight_capacity = get_count(args, "flight-capacity", 4096);
     options.telemetry.heartbeat_out = args.get_string("heartbeat-out", "");
     options.telemetry.heartbeat_every =
         static_cast<std::size_t>(args.get_u64("heartbeat-every", 1));

@@ -46,7 +46,8 @@ private:
 
 /// Worker count for the parallel trial fan-out (common/parallel.hpp):
 /// `--jobs N` beats the SNOC_JOBS environment variable beats the
-/// hardware concurrency.  Always >= 1; `--jobs 1` forces serial runs.
+/// hardware concurrency.  Always >= 1; `--jobs 1` forces serial runs and
+/// `--jobs 0` exits 2 naming the flag.
 std::size_t resolve_jobs(const CliArgs& args);
 
 /// Telemetry export destinations (plain paths — this lives below the
@@ -102,7 +103,8 @@ struct TelemetryOptions {
 /// --seed=N, plus the telemetry/profiling flags
 /// (--trace-out=PATH, --chrome-out=PATH, --heatmap-out=PATH,
 /// --grid-width=N, --manifest, --prof).  Benches with extra flags
-/// construct CliArgs themselves and call the CliArgs overload.
+/// construct CliArgs themselves and call the CliArgs overload.  A 0 for
+/// --repeats, --jobs or --flight-capacity exits 2 naming the flag.
 struct BenchOptions {
     bool csv{false};
     bool json{false};

@@ -84,6 +84,9 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
     metrics_.packets_by_link.assign(topology_.link_count(), 0);
     crash_state_.dead_tiles.assign(n, false);
     crash_state_.dead_links.assign(topology_.link_count(), false);
+    std::vector<std::size_t> in_links(n, 0);
+    for (LinkId l = 0; l < topology_.link_count(); ++l)
+        max_in_links_ = std::max(max_in_links_, ++in_links[topology_.link(l).to]);
 }
 
 double GossipNetwork::elapsed_seconds() const {
@@ -224,7 +227,10 @@ void GossipNetwork::step() {
 }
 
 void GossipNetwork::receive_phase() {
-    auto& bucket = in_flight_[round_ % kInFlightRing];
+    const std::size_t slot = round_ % kInFlightRing;
+    metrics_.duplicates_ignored += known_dups_[slot];
+    known_dups_[slot] = 0;
+    auto& bucket = in_flight_[slot];
     if (bucket.empty()) return;
     // Detach the bucket before processing: slow-clock deferrals re-enter
     // the ring at the next round's slot, which may alias this one's
@@ -370,8 +376,24 @@ void GossipNetwork::compute_phase() {
     merge_activations();
 }
 
+bool GossipNetwork::known_duplicates_exact() const {
+    // A sink records each duplicate in bucket order; dense clocks can
+    // defer an arrival; the byte oracle decodes every copy; the overflow
+    // stream draws once per arrival in bucket order.  And every copy a
+    // tile dedups takes an inbox slot first, so eliding one could let a
+    // later arrival in past a full input buffer: skip only when no tile
+    // can receive more copies in a round than its buffer holds.
+    if (trace_ || dense_clocks_ || config_.reference_encode_path ||
+        injector_.scenario().p_overflow > 0.0)
+        return false;
+    std::size_t held = 0;
+    for (const TileId t : active_) held = std::max(held, tiles_[t].send_buffer.size());
+    return held * max_in_links_ <= config_.in_buffer_capacity;
+}
+
 void GossipNetwork::forward_phase() {
     upset_source_ = nullptr;
+    elide_known_dups_ = known_duplicates_exact();
     for (const TileId t : active_) {
         if (!tile_active_this_round(t)) continue;
         auto& tile = tiles_[t];
@@ -422,12 +444,7 @@ std::vector<std::byte> GossipNetwork::encode_message(const HeldMessage& m) const
 
 void GossipNetwork::enqueue_transmission(TileId from, TileId to, LinkId link,
                                          const HeldMessage& m) {
-    Arrival arrival{m.body, nullptr, m.ttl};
-    // The reference path serialises every transmission, as real hardware
-    // does; otherwise a clean transmission carries no bytes at all.
-    if (config_.reference_encode_path)
-        arrival.wire = std::make_unique<std::vector<std::byte>>(encode_message(m));
-    if (injector_.upset_roll()) upset_transmission(m, arrival);
+    const bool upset = injector_.upset_roll();
     const std::size_t bits = wire_size(*m.body) * 8;
     ++metrics_.packets_sent;
     ++packets_this_round_;
@@ -436,6 +453,21 @@ void GossipNetwork::enqueue_transmission(TileId from, TileId to, LinkId link,
     ++metrics_.packets_by_link[link];
     const MessageId id = m.id();
     trace(TraceEventKind::Transmitted, from, to, id);
+    // Known rumors stay known and crashes roll only at start, so a clean
+    // copy to a live tile that knows `id` is a duplicate on arrival, in
+    // round_ + 1 (no skew without dense clocks).
+    if (elide_known_dups_ && !upset && !crash_state_.dead_tiles[to] &&
+        tiles_[to].send_buffer.knows(id)) {
+        ++known_dups_[(round_ + 1) % kInFlightRing];
+        return;
+    }
+
+    Arrival arrival{m.body, nullptr, m.ttl};
+    // The reference path serialises every transmission, as real hardware
+    // does; otherwise a clean transmission carries no bytes at all.
+    if (config_.reference_encode_path)
+        arrival.wire = std::make_unique<std::vector<std::byte>>(encode_message(m));
+    if (upset) upset_transmission(m, arrival);
 
     // A transmission into a crashed tile still burns bandwidth/energy but
     // is never received; model it by enqueuing (receive_phase drops it).
@@ -545,9 +577,7 @@ void GossipNetwork::advance_clocks() {
 }
 
 bool GossipNetwork::quiescent() const {
-    for (const auto& bucket : in_flight_)
-        if (!bucket.empty()) return false;
-    return active_.empty();
+    return active_.empty() && in_flight_packets() == 0;
 }
 
 void GossipNetwork::drain(Round max_extra_rounds) {
@@ -604,7 +634,8 @@ const SendBuffer& GossipNetwork::send_buffer(TileId t) const {
 
 std::size_t GossipNetwork::in_flight_packets() const {
     std::size_t n = 0;
-    for (const auto& bucket : in_flight_) n += bucket.size();
+    for (std::size_t slot = 0; slot < kInFlightRing; ++slot)
+        n += in_flight_[slot].size() + known_dups_[slot];
     return n;
 }
 

@@ -85,7 +85,9 @@ public:
 
     /// Attach a flight recorder (see sim/trace.hpp).  The sink must
     /// outlive the network; nullptr detaches.  Tracing never changes
-    /// behaviour — sinks are write-only observers.
+    /// behaviour — sinks are write-only observers.  Attach before a
+    /// step: copies sent untraced that the receiver already knows are
+    /// counted without a DuplicateIgnored event.
     void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
     struct RunResult {
@@ -131,7 +133,8 @@ public:
     std::size_t tiles_knowing(const MessageId& id);
     const SendBuffer& send_buffer(TileId t) const;
 
-    /// Packets enqueued on links but not yet received (all ring buckets).
+    /// Packets enqueued on links but not yet received (all ring buckets,
+    /// plus the clean copies counted as known duplicates at send time).
     std::size_t in_flight_packets() const;
 
     /// Snapshot the conservation ledger (check/ledger.hpp) from live
@@ -212,6 +215,11 @@ private:
     std::size_t wire_size(const MessageBody& body) const;
     /// Serialise + CRC (+ optional FEC) a held message into wire bytes.
     std::vector<std::byte> encode_message(const HeldMessage& m) const;
+    /// True iff this round's forward phase may count a clean copy to a
+    /// live tile that already knows the rumor as a duplicate at send
+    /// time: no receiver-side rule reads where it sits in its bucket
+    /// (DESIGN.md §12).
+    bool known_duplicates_exact() const;
     /// Send `m` from `from` to `to` over `link`.  `m` must stay in place
     /// until the forward phase ends: upset transmissions of one held
     /// message in a round copy a single cached encoding of it.
@@ -260,6 +268,16 @@ private:
     // (no hashing, no rehash, vector capacity survives across rounds).
     static constexpr std::size_t kInFlightRing = 4;
     std::array<std::vector<std::pair<TileId, Arrival>>, kInFlightRing> in_flight_;
+    // Clean copies whose receiver already knew the rumor when they were
+    // sent, per arrival round: they count as duplicates in the round they
+    // would have been received and never enter a bucket.  Only while
+    // elide_known_dups_, which the forward phase sets each round.
+    std::array<std::size_t, kInFlightRing> known_dups_{};
+    bool elide_known_dups_{false};
+    /// Most links into any one tile, parallel links counted: with every
+    /// send buffer holding at most `held` rumors, no tile receives more
+    /// than held * max_in_links_ copies in a round.
+    std::size_t max_in_links_{0};
     std::vector<std::pair<TileId, Arrival>> arrivals_scratch_;
     // The forward phase's encoding of the held message it last had to
     // materialise for an upset; reset at every forward phase's start,

@@ -61,9 +61,16 @@ std::uint32_t Network::inject(TileId source, TileId destination, std::size_t bit
     const std::uint32_t id = next_packet_++;
     records_.push_back(router::PacketRecord{id, source, destination, bits, cycle_,
                                             std::nullopt, 0, false});
+    trace_event(TraceEventKind::MessageCreated, source, kNoTile, id);
+    if (dead_[source]) {
+        // A dead source accepts nothing: the packet dies where it was born.
+        records_.back().dropped = true;
+        ++dropped_;
+        trace_event(TraceEventKind::CrashDrop, source, kNoTile, id);
+        return id;
+    }
     injection_queues_[source].push_back(id);
     frozen_ = false;
-    trace_event(TraceEventKind::MessageCreated, source, kNoTile, id);
     return id;
 }
 

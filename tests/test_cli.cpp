@@ -97,9 +97,13 @@ TEST(BenchOptions, JsonFlag) {
     EXPECT_FALSE(opt.csv);
 }
 
-TEST(BenchOptions, ZeroRepeatsFallsBackToDefault) {
-    const auto opt = parse_bench_options(make({"--repeats=0"}), 9);
-    EXPECT_EQ(opt.repeats, 9u);
+TEST(BenchOptionsDeathTest, ZeroCountExitsTwoNamingTheFlag) {
+    EXPECT_EXIT(parse_bench_options(make({"--repeats=0"}), 9),
+                ::testing::ExitedWithCode(2), "prog: --repeats must be at least 1");
+    EXPECT_EXIT(parse_bench_options(make({"--jobs", "0"}), 9),
+                ::testing::ExitedWithCode(2), "prog: --jobs must be at least 1");
+    EXPECT_EXIT(parse_bench_options(make({"--flight-capacity=0"}), 9),
+                ::testing::ExitedWithCode(2), "prog: --flight-capacity must be at least 1");
 }
 
 TEST(BenchOptions, RequestedFlagsNameEveryTelemetryExport) {

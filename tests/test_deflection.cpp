@@ -107,7 +107,11 @@ TEST(Deflection, InjectionValidation) {
     auto crashes = crashes_none(16, topo.link_count());
     crashes.dead_tiles[2] = true;
     net.apply_crashes(crashes);
-    EXPECT_THROW(net.inject(2, 5, kBits), ContractViolation);
+    // A dead source accepts nothing: the packet is crash-dropped at birth.
+    const std::uint32_t id = net.inject(2, 5, kBits);
+    EXPECT_TRUE(net.records()[id].dropped);
+    EXPECT_EQ(net.dropped(), 1u);
+    EXPECT_EQ(net.in_flight(), 0u);
 }
 
 } // namespace

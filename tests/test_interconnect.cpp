@@ -21,12 +21,14 @@
 #include "apps/trace_app.hpp"
 #include "bus/bus.hpp"
 #include "bus/xy_router.hpp"
+#include "check/invariant_auditor.hpp"
 #include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "fault/injector.hpp"
 #include "sim/backends.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace snoc {
 namespace {
@@ -414,6 +416,48 @@ TEST(Factory, BackendsRunTheSameTrace) {
         EXPECT_TRUE(report.completed) << to_string(kind);
         EXPECT_EQ(report.messages, 4u) << to_string(kind);
         EXPECT_EQ(report.deliveries, 4u) << to_string(kind);
+    }
+}
+
+/// A trace message whose source tile is dead dies at injection in every
+/// stepped backend: one CrashDrop at its source, never delivered, and
+/// nothing throws.  No endpoint is protected, as the benches do.
+TEST(Factory, DeadSourcesCrashDropAtInjection) {
+    FaultScenario faults;
+    faults.p_tiles = 0.2;
+    TrafficTrace trace;
+    TrafficPhase phase;
+    for (TileId s = 0; s < 25; ++s) phase.messages.push_back({s, (s + 7) % 25, 256});
+    trace.phases.push_back(phase);
+    // The crash pattern every stepped adapter rolls from seed 1.
+    RngPool pool(1);
+    FaultInjector injector(faults, pool);
+    const CrashState crashes = injector.roll_crashes(Topology::mesh(5, 5), {});
+    std::size_t dead_sources = 0;
+    for (TileId s = 0; s < 25; ++s) dead_sources += crashes.dead_tiles[s] ? 1 : 0;
+    ASSERT_GT(dead_sources, 0u);
+
+    for (const BackendKind kind :
+         {BackendKind::Wormhole, BackendKind::Deflection, BackendKind::StoreForward}) {
+        const auto backend = make_interconnect(kind, faults, 1);
+        Telemetry telemetry;
+        check::InvariantAuditor auditor;
+        backend->set_trace_sink(&telemetry);
+        backend->set_auditor(&auditor);
+        RunReport report;
+        ASSERT_NO_THROW(report = backend->run(trace, 5000)) << to_string(kind);
+        std::vector<std::size_t> born_dead(25, 0);
+        for (const TraceEvent& e : telemetry.events()) {
+            if (!crashes.dead_tiles[e.message.origin]) continue;
+            EXPECT_NE(e.kind, TraceEventKind::Delivered) << to_string(kind);
+            if (e.kind == TraceEventKind::CrashDrop && e.tile == e.message.origin)
+                ++born_dead[e.tile];
+        }
+        for (TileId s = 0; s < 25; ++s)
+            EXPECT_EQ(born_dead[s], crashes.dead_tiles[s] ? 1u : 0u)
+                << to_string(kind) << " source " << s;
+        EXPECT_GE(report.dropped, dead_sources) << to_string(kind);
+        EXPECT_EQ(auditor.violation_count(), 0u) << to_string(kind) << auditor.summary();
     }
 }
 

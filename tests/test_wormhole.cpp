@@ -111,6 +111,16 @@ TEST(Wormhole, SelfInjectionRejected) {
     EXPECT_THROW(net.inject(3, 3, kBits), ContractViolation);
 }
 
+TEST(Wormhole, DeadSourceCrashDropsAtInjection) {
+    Network net(4, 4, small_config());
+    crash(net, 5);
+    const std::uint32_t id = net.inject(5, 0, kBits);
+    EXPECT_TRUE(net.records()[id].dropped);
+    EXPECT_EQ(net.dropped(), 1u);
+    EXPECT_EQ(net.in_flight(), 0u);
+    EXPECT_FALSE(net.step()); // nothing was queued
+}
+
 TEST(Wormhole, ContentionIncreasesLatency) {
     // Everyone hammers tile 0: serialisation at the hotspot.
     Network quiet(4, 4, small_config());
