@@ -111,7 +111,10 @@ BENCHMARK(BM_GossipRoundRecorded)
 // otherwise idle mesh, the shape of the late gossip tail and the low-p
 // fault sweeps.  The executor pays O(active band) per round, so ns per
 // round should stay nearly flat as the mesh grows; scripts/bench_snapshot.sh
-// records the series.
+// records the series.  The iteration count is fixed: Google Benchmark
+// sizes it on the timed rounds alone, and each iteration also builds a
+// whole mesh off the timer, so a free count ran 256x256 for minutes.
+constexpr benchmark::IterationCount kSparseBroadcastIterations = 50;
 void BM_SparseBroadcast(benchmark::State& state) {
     const auto side = static_cast<std::size_t>(state.range(0));
     GossipConfig c;
@@ -140,6 +143,7 @@ BENCHMARK(BM_SparseBroadcast)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256)
+    ->Iterations(kSparseBroadcastIterations)
     ->Unit(benchmark::kMillisecond);
 
 // One router-core trial shaped like perfbench's router_mesh: 16 phases of

@@ -15,6 +15,7 @@ Network::Network(std::size_t width, std::size_t height, Config config,
       config_(config),
       rng_(splitmix64(seed)),
       dead_(topo_.node_count(), false),
+      productive_(topo_, std::make_unique<router::ProductivePolicy>()),
       residents_(topo_.node_count()) {
     SNOC_EXPECT(config.max_hops >= 1);
 }
@@ -22,6 +23,7 @@ Network::Network(std::size_t width, std::size_t height, Config config,
 void Network::apply_crashes(const CrashState& crashes) {
     SNOC_EXPECT(crashes.dead_tiles.size() == topo_.node_count());
     dead_ = crashes.dead_tiles;
+    productive_.reset(dead_, /*dead_links=*/{});
 }
 
 void Network::trace_event(TraceEventKind kind, TileId tile, TileId peer,
@@ -67,7 +69,6 @@ void Network::step() {
     std::sort(occupied_.begin(), occupied_.end());
 
     next_.clear();
-    const router::ProductivePolicy productive;
     for (const TileId tile : occupied_) {
         auto& residents = residents_[tile];
         const auto& nbrs = topo_.neighbours(tile);
@@ -82,8 +83,8 @@ void Network::step() {
             // stage lists the live Manhattan-reducing ports in ascending
             // port order; the first one not already taken this cycle wins.
             std::optional<std::size_t> chosen;
-            for (const std::size_t p : productive.candidates(
-                     topo_, tile, kNoTile, rec.destination, dead_)) {
+            for (const std::size_t p : productive_.route(
+                     topo_, tile, /*in_port=*/nbrs.size(), rec.destination)) {
                 if (port_used_[p]) continue;
                 chosen = p;
                 break;

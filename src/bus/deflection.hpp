@@ -19,6 +19,7 @@
 #include "fault/injector.hpp"
 #include "noc/topology.hpp"
 #include "router/accounting.hpp"
+#include "router/route_table.hpp"
 #include "sim/trace.hpp"
 
 namespace snoc::deflection {
@@ -65,6 +66,9 @@ private:
     Config config_;
     RngStream rng_;
     std::vector<bool> dead_;
+    /// Productive ports, keyed by the local input port (the policy
+    /// ignores upstream) and filtered by dead tiles only.
+    router::RouteTable productive_;
     std::vector<Moving> flying_;
     /// Per-cycle scratch, reused so a cycle never allocates: the flying_
     /// indexes resident at each tile, the occupied tiles, the survivors,

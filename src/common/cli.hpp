@@ -67,7 +67,7 @@ struct TelemetryOptions {
     /// invariant-auditor finding or deadlock-sentinel firing aborts the
     /// trial.  Cheap enough to leave on for real sweeps.
     std::string postmortem_out;
-    /// --flight-capacity: newest events kept per flight-recorder lane.
+    /// --flight-capacity: the newest events the flight recorder keeps.
     std::size_t flight_capacity{4096};
     /// --heartbeat-out: stream JSONL progress heartbeats here (snoc_top
     /// tails this file).

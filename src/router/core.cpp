@@ -22,17 +22,15 @@ RouterCore::RouterCore(Topology topo, RouterConfig config,
                        std::unique_ptr<const RoutingPolicy> policy)
     : topo_(std::move(topo)),
       config_(config),
-      policy_(std::move(policy)),
       ports_(topo_),
+      routes_(topo_, std::move(policy)),
       dead_tiles_(topo_.node_count(), false),
-      dead_links_(topo_.link_count(), false),
       fifo_(ports_.slot_count()),
       occupied_(topo_.node_count(), 0),
       doomed_(topo_.node_count(), 0),
       link_free_at_(ports_.link_slot_count(), 0),
       pending_(topo_.node_count()) {
     config_.validate();
-    SNOC_EXPECT(policy_ != nullptr);
     SNOC_EXPECT(topo_.is_grid());
     // Auto watchdog threshold: by the time every buffer slot in the mesh
     // could have streamed a full packet, a silent network is wedged, not
@@ -59,7 +57,7 @@ void RouterCore::apply_crashes(const CrashState& crashes) {
     SNOC_EXPECT(crashes.dead_links.size() == topo_.link_count());
     SNOC_EXPECT(records_.empty() && "apply crashes before injecting");
     dead_tiles_ = crashes.dead_tiles;
-    dead_links_ = crashes.dead_links;
+    routes_.reset(crashes.dead_tiles, crashes.dead_links);
 }
 
 std::uint32_t RouterCore::inject(TileId source, TileId destination,
@@ -117,17 +115,12 @@ bool RouterCore::head_ready(const Buffered& head) const {
                : head.head_at <= cycle_;
 }
 
-RouterCore::Buffered RouterCore::arrival(std::uint32_t id, TileId t, TileId from,
-                                         std::size_t head_at,
-                                         std::size_t full_at) const {
+RouterCore::Buffered RouterCore::arrival(std::uint32_t id, TileId t,
+                                         std::size_t in_port, std::size_t head_at,
+                                         std::size_t full_at) {
     const PacketRecord& rec = records_[id];
-    Buffered packet{id, rec.destination, head_at, full_at, {}, Fate::Live};
-    for (const std::size_t c :
-         policy_->candidates(topo_, t, from, rec.destination, dead_tiles_)) {
-        const PortTable::Port& port = ports_.out(t, c);
-        if (!dead_tiles_[port.next] && !dead_links_[port.link])
-            packet.route.push_back(c);
-    }
+    Buffered packet{id, rec.destination, head_at, full_at,
+                    routes_.route(topo_, t, in_port, rec.destination), Fate::Live};
     if (rec.destination == t) return packet; // ejects, never drops
     if (rec.hops >= config_.max_hops)
         packet.fate = Fate::Ttl;
@@ -188,7 +181,7 @@ std::size_t RouterCore::inject_stage() {
         if (fifo_[ports_.slot(t, local_port(t))].size >= config_.buffer_packets)
             continue;
         push(t, local_port(t),
-             arrival(pending_[t].front(), t, kNoTile, cycle_, cycle_));
+             arrival(pending_[t].front(), t, local_port(t), cycle_, cycle_));
         pending_[t].pop_front();
         ++admitted;
     }
@@ -287,7 +280,7 @@ void RouterCore::move_stage() {
             std::max(head.full_at + 1, cycle_ + config_.flits_per_packet);
         link_free_at_[ports_.link_slot(m.tile, m.out)] = full_at_next;
         push(port.next, port.in_port,
-             arrival(head.id, port.next, m.tile, cycle_ + 1, full_at_next));
+             arrival(head.id, port.next, port.in_port, cycle_ + 1, full_at_next));
     }
 }
 

@@ -35,6 +35,7 @@
 #include "router/arbiter.hpp"
 #include "router/policy.hpp"
 #include "router/ports.hpp"
+#include "router/route_table.hpp"
 #include "sim/trace.hpp"
 
 namespace snoc::router {
@@ -126,7 +127,7 @@ public:
     const std::vector<PacketRecord>& records() const { return records_; }
     const Topology& topology() const { return topo_; }
     const RouterConfig& config() const { return config_; }
-    const RoutingPolicy& policy() const { return *policy_; }
+    const RoutingPolicy& policy() const { return routes_.policy(); }
 
     /// Full shared-accounting metrics (per-round/tile/link histograms
     /// included); rounds are link cycles.
@@ -152,9 +153,7 @@ private:
         std::size_t head_at{0};  ///< cycle the header arrived.
         std::size_t full_at{0};  ///< cycle the tail arrived / arrives.
         /// The policy's candidates at this hop that lead to a live tile
-        /// over a live link, computed once on arrival: the policy is a
-        /// pure function of (tile, from, destination, static crash
-        /// pattern), so the list cannot change while the packet waits.
+        /// over a live link, read from the RouteTable on arrival.
         PortList route;
         Fate fate{Fate::Live};
     };
@@ -185,10 +184,10 @@ private:
     void push(TileId t, std::size_t ip, const Buffered& packet);
 
     bool head_ready(const Buffered& head) const;
-    /// `id` entering an input FIFO at `t` from `from`, its route cached
-    /// and its fate decided.
-    Buffered arrival(std::uint32_t id, TileId t, TileId from, std::size_t head_at,
-                     std::size_t full_at) const;
+    /// `id` entering input FIFO `in_port` of `t`, its route cached and
+    /// its fate decided.
+    Buffered arrival(std::uint32_t id, TileId t, std::size_t in_port,
+                     std::size_t head_at, std::size_t full_at);
     /// First available candidate output for `head` at `t`: route order,
     /// filtered by link occupancy and downstream buffer space, counting
     /// the slot an output granted earlier this cycle (`granted` bit c)
@@ -210,10 +209,9 @@ private:
 
     Topology topo_;
     RouterConfig config_;
-    std::unique_ptr<const RoutingPolicy> policy_;
     PortTable ports_;
+    RouteTable routes_;
     std::vector<bool> dead_tiles_;
-    std::vector<bool> dead_links_;
 
     /// Every input FIFO as a ring of buffer_packets entries, in one array
     /// ([slot * buffer_packets + i], slots as in PortTable).

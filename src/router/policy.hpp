@@ -79,6 +79,11 @@ private:
 /// fault-blind ones ignore it and route as if the mesh were healthy.
 /// `from` is the upstream neighbour the packet arrived from (kNoTile at
 /// its source); only detour policies consult it, to avoid u-turns.
+///
+/// The cycle-stepped simulators do not call candidates() per hop: each
+/// network asks once per (tile, input port, destination) through its
+/// RouteTable (router/route_table.hpp), which is exact only because a
+/// policy is a pure function of these arguments.
 class RoutingPolicy {
 public:
     virtual ~RoutingPolicy() = default;
