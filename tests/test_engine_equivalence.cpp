@@ -77,6 +77,7 @@ struct Scenario {
     bool unicast_traffic{false};
     bool use_pi_app{false};
     bool forward_cap{false};
+    bool gated{false};
     bool islands{false};
     std::size_t broadcast_payload{24};
     std::size_t width{4};
@@ -159,6 +160,17 @@ std::vector<Scenario> scenarios() {
     all_secded.config.link_protection = LinkProtection::SecdedCorrect;
     out.push_back(all_secded);
 
+    // Every gate on the forward loop at once: budgets of 1, 2 and 3
+    // under a degree of 4 (the budget stops the coin draws), route
+    // filters, dead links and upsets.
+    Scenario gated = plain;
+    gated.name = "gated_forwarding";
+    gated.gated = true;
+    gated.unicast_traffic = true;
+    gated.faults.p_links = 0.1;
+    gated.faults.p_upset = 0.3;
+    out.push_back(gated);
+
     return out;
 }
 
@@ -239,6 +251,15 @@ std::unique_ptr<GossipNetwork> run_network(const Scenario& s, std::uint64_t seed
         if (s.forward_cap) {
             net->set_forward_capacity(5, 2);
             net->set_forward_capacity(6, 1);
+        }
+        if (s.gated) {
+            net->set_forward_capacity(5, 2);
+            net->set_forward_capacity(6, 1);
+            net->set_forward_capacity(10, 3);
+            net->set_route_filter(9, [](const MessageBody&, TileId next) { return next != 13; });
+            net->set_route_filter(10, [](const MessageBody& body, TileId next) {
+                return body.destination == kBroadcast || next < 10;
+            });
         }
         if (s.islands) {
             net->set_clock_scale(3, 2.0);
