@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 
 #include "common/expect.hpp"
@@ -70,11 +71,8 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
     config_.validate();
     const std::size_t n = topology_.node_count();
     tiles_.reserve(n);
-    forward_rng_.reserve(n);
-    for (TileId t = 0; t < n; ++t) {
-        tiles_.emplace_back(config_.send_buffer_capacity);
-        forward_rng_.push_back(pool_.stream("gossip/forward", t));
-    }
+    for (TileId t = 0; t < n; ++t) tiles_.emplace_back(config_.send_buffer_capacity);
+    forward_rng_ = pool_.streams("gossip/forward", n);
     app_rng_.resize(n);
     forward_capacity_.assign(n, static_cast<std::size_t>(-1));
     route_filter_.resize(n);
@@ -394,11 +392,16 @@ bool GossipNetwork::known_duplicates_exact() const {
 void GossipNetwork::forward_phase() {
     upset_source_ = nullptr;
     elide_known_dups_ = known_duplicates_exact();
+    // upset_roll() draws nothing at p_upset <= 0, so skipping it there
+    // moves no draw.
+    const bool upsets = injector_.scenario().p_upset > 0.0;
     for (const TileId t : active_) {
         if (!tile_active_this_round(t)) continue;
         auto& tile = tiles_[t];
+        auto& coins = forward_rng_[t];
         const auto& nbrs = topology_.neighbours(t);
         const auto& links = topology_.out_links(t);
+        const auto& filter = route_filter_[t];
         std::size_t budget = forward_capacity_[t];
         const auto& msgs = tile.send_buffer.messages();
         // A capacity-limited tile (bus bridge) serves its buffer with a
@@ -411,14 +414,26 @@ void GossipNetwork::forward_phase() {
             if (budget == 0) break; // serialised medium saturated this round
             if (config_.stop_spread_on_delivery && delivered_unicasts_.contains(m.id()))
                 continue; // spread terminated early (Sec. 3.2.2)
-            for (std::size_t i = 0; i < nbrs.size() && budget > 0; ++i) {
-                // Fig. 3-4: the message is presented on every output port
-                // and a random decision (probability p) gates each port.
-                if (!forward_rng_[t].bernoulli(config_.forward_p)) continue;
-                if (crash_state_.dead_links[links[i]]) continue;
-                if (route_filter_[t] && !route_filter_[t](*m.body, nbrs[i])) continue;
-                enqueue_transmission(t, nbrs[i], links[i], m);
-                --budget;
+            const Outgoing out{m, m.id(), wire_size(*m.body) * 8};
+            // Fig. 3-4: the message is presented on every output port
+            // and a random decision (probability p) gates each port.  One
+            // coin per port, in port order, stopping once the budget runs
+            // out: the coins of a chunk of ports are drawn as one mask,
+            // and a chunk is no longer than the budget, so the budget
+            // cannot run out before the chunk's last coin.
+            for (std::size_t first = 0; first < nbrs.size() && budget > 0;) {
+                const std::size_t chunk =
+                    std::min({nbrs.size() - first, budget, std::size_t{64}});
+                for (std::uint64_t mask = coins.bernoulli_mask(config_.forward_p, chunk);
+                     mask != 0; mask &= mask - 1) {
+                    const std::size_t i = first + static_cast<std::size_t>(std::countr_zero(mask));
+                    if (crash_state_.dead_links[links[i]]) continue;
+                    if (filter && !filter(*m.body, nbrs[i])) continue;
+                    enqueue_transmission(t, nbrs[i], links[i], out,
+                                         upsets && injector_.upset_roll());
+                    --budget;
+                }
+                first += chunk;
             }
         }
     }
@@ -443,15 +458,14 @@ std::vector<std::byte> GossipNetwork::encode_message(const HeldMessage& m) const
 }
 
 void GossipNetwork::enqueue_transmission(TileId from, TileId to, LinkId link,
-                                         const HeldMessage& m) {
-    const bool upset = injector_.upset_roll();
-    const std::size_t bits = wire_size(*m.body) * 8;
+                                         const Outgoing& out, bool upset) {
+    const HeldMessage& m = out.message;
+    const MessageId id = out.id;
     ++metrics_.packets_sent;
     ++packets_this_round_;
-    metrics_.bits_sent += bits;
-    metrics_.bits_sent_by_tile[from] += bits;
+    metrics_.bits_sent += out.bits;
+    metrics_.bits_sent_by_tile[from] += out.bits;
     ++metrics_.packets_by_link[link];
-    const MessageId id = m.id();
     trace(TraceEventKind::Transmitted, from, to, id);
     // Known rumors stay known and crashes roll only at start, so a clean
     // copy to a live tile that knows `id` is a duplicate on arrival, in

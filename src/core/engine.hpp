@@ -220,10 +220,19 @@ private:
     /// time: no receiver-side rule reads where it sits in its bucket
     /// (DESIGN.md §12).
     bool known_duplicates_exact() const;
-    /// Send `m` from `from` to `to` over `link`.  `m` must stay in place
-    /// until the forward phase ends: upset transmissions of one held
-    /// message in a round copy a single cached encoding of it.
-    void enqueue_transmission(TileId from, TileId to, LinkId link, const HeldMessage& m);
+    /// A held message as the forward phase sends it: what all its copies
+    /// in a round share.
+    struct Outgoing {
+        const HeldMessage& message;
+        MessageId id;
+        std::size_t bits; ///< on the wire, per copy.
+    };
+    /// Send `out`'s message from `from` to `to` over `link`; `upset` is
+    /// this copy's upset_roll().  The message must stay in place until
+    /// the forward phase ends: upset transmissions of one held message in
+    /// a round copy a single cached encoding of it.
+    void enqueue_transmission(TileId from, TileId to, LinkId link, const Outgoing& out,
+                              bool upset);
     /// An upset struck `arrival`, a transmission of `m`: decide its
     /// verdict from the flip positions, or corrupt bytes where only the
     /// bytes can tell.

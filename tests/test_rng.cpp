@@ -197,5 +197,51 @@ TEST(Rng, InTreeEngineMatchesStdMt19937_64) {
     }
 }
 
+TEST(Rng, BernoulliMaskMatchesPerCoinDraws) {
+    // Every (p, n) pair in turn, so p changes between calls and the
+    // cached threshold is recomputed mid-stream; the words drawn after
+    // each mask must match too.
+    const std::array<double, 4> ps{0.0, 1.0, 0.5, 0.3};
+    const std::array<std::size_t, 5> ns{0, 1, 3, 4, 64};
+    for (const std::uint64_t seed : oracle_seeds()) {
+        RngStream stream(seed);
+        ReferenceStream reference(seed);
+        for (std::size_t round = 0; round < 3; ++round)
+            for (const double p : ps)
+                for (const std::size_t n : ns) {
+                    std::uint64_t expected = 0;
+                    for (std::size_t i = 0; i < n; ++i)
+                        expected |= std::uint64_t{reference.bernoulli(p)} << i;
+                    ASSERT_EQ(stream.bernoulli_mask(p, n), expected)
+                        << seed << " p=" << p << " n=" << n;
+                    ASSERT_EQ(stream.bits(), reference.bits())
+                        << seed << " p=" << p << " n=" << n;
+                }
+    }
+}
+
+TEST(Rng, BatchSeedingMatchesStdMt19937_64) {
+    // 1-9 streams: full groups of four, and every remainder after them.
+    constexpr std::size_t kWords = Mt19937_64::kStateWords + 50; // one regeneration
+    const std::vector<std::uint64_t> seeds = oracle_seeds();
+    for (std::size_t count = 1; count <= 9; ++count) {
+        auto streams = RngStream::batch(count, [&](std::size_t i) { return seeds[i]; });
+        ASSERT_EQ(streams.size(), count);
+        for (std::size_t i = 0; i < count; ++i) {
+            std::mt19937_64 oracle(seeds[i]);
+            for (std::size_t w = 0; w < kWords; ++w)
+                ASSERT_EQ(streams[i].bits(), oracle())
+                    << count << " streams, stream " << i << " word " << w;
+        }
+    }
+    // The pool's batch is stream(purpose, i) for each i.
+    const RngPool pool(20031);
+    auto batch = pool.streams("gossip/forward", 6);
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        RngStream single = pool.stream("gossip/forward", i);
+        for (std::size_t w = 0; w < 20; ++w) ASSERT_EQ(batch[i].bits(), single.bits()) << i;
+    }
+}
+
 } // namespace
 } // namespace snoc
