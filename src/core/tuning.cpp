@@ -1,11 +1,8 @@
 #include "core/tuning.hpp"
 
 #include <cmath>
-#include <memory>
-#include <queue>
 
 #include "common/expect.hpp"
-#include "core/engine.hpp"
 
 namespace snoc {
 
@@ -16,128 +13,6 @@ std::uint16_t estimate_ttl(std::size_t diameter, double forward_p) {
     // the stochastic tail.
     const double rounds = hops / forward_p + 2.0 * std::log2(hops + 2.0);
     return static_cast<std::uint16_t>(std::ceil(rounds));
-}
-
-namespace {
-
-/// BFS distances from `from` over live links (topology is fault-free here).
-std::vector<std::size_t> bfs_distances(const Topology& topo, TileId from) {
-    constexpr auto kUnreached = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> dist(topo.node_count(), kUnreached);
-    std::queue<TileId> frontier;
-    dist[from] = 0;
-    frontier.push(from);
-    while (!frontier.empty()) {
-        const TileId cur = frontier.front();
-        frontier.pop();
-        for (TileId next : topo.neighbours(cur)) {
-            if (dist[next] != kUnreached) continue;
-            dist[next] = dist[cur] + 1;
-            frontier.push(next);
-        }
-    }
-    return dist;
-}
-
-class ProbeSource final : public IpCore {
-public:
-    explicit ProbeSource(TileId dst) : dst_(dst) {}
-    void on_start(TileContext& ctx) override {
-        ctx.send(dst_, 0x77, {std::byte{0x42}});
-    }
-    void on_message(const Message&, TileContext&) override {}
-
-private:
-    TileId dst_;
-};
-
-class ProbeSink final : public IpCore {
-public:
-    void on_message(const Message&, TileContext&) override { received_ = true; }
-    bool received() const { return received_; }
-
-private:
-    bool received_{false};
-};
-
-/// Fraction of trials in which one rumor with this TTL reaches dst.
-double delivery_probability(const Topology& topo, double p, std::uint16_t ttl,
-                            TileId src, TileId dst, std::uint64_t seed,
-                            std::size_t trials) {
-    std::size_t delivered = 0;
-    for (std::size_t trial = 0; trial < trials; ++trial) {
-        GossipConfig config;
-        config.forward_p = p;
-        config.default_ttl = ttl;
-        GossipNetwork net(topo, config, FaultScenario::none(),
-                          derive_seed(seed, trial));
-        auto sink = std::make_unique<ProbeSink>();
-        const ProbeSink& s = *sink;
-        net.attach(src, std::make_unique<ProbeSource>(dst));
-        net.attach(dst, std::move(sink));
-        net.run_until([&s] { return s.received(); },
-                      static_cast<Round>(ttl) + 2);
-        if (s.received()) ++delivered;
-    }
-    return static_cast<double>(delivered) / static_cast<double>(trials);
-}
-
-} // namespace
-
-std::pair<TileId, TileId> farthest_pair(const Topology& topo) {
-    // Double-BFS heuristic (exact on trees, excellent on meshes): farthest
-    // node from 0, then farthest node from that.
-    const auto d0 = bfs_distances(topo, 0);
-    TileId a = 0;
-    for (TileId t = 0; t < topo.node_count(); ++t)
-        if (d0[t] != static_cast<std::size_t>(-1) && d0[t] > d0[a]) a = t;
-    const auto da = bfs_distances(topo, a);
-    TileId b = a;
-    for (TileId t = 0; t < topo.node_count(); ++t)
-        if (da[t] != static_cast<std::size_t>(-1) && da[t] > da[b]) b = t;
-    return {a, b};
-}
-
-TtlPlan plan_ttl(const Topology& topo, double forward_p, double target_delivery,
-                 std::uint64_t seed, std::size_t trials) {
-    SNOC_EXPECT(forward_p > 0.0 && forward_p <= 1.0);
-    SNOC_EXPECT(target_delivery > 0.0 && target_delivery <= 1.0);
-    SNOC_EXPECT(trials > 0);
-
-    TtlPlan plan;
-    const auto [src, dst] = farthest_pair(topo);
-    plan.worst_source = src;
-    plan.worst_destination = dst;
-    const auto da = bfs_distances(topo, src);
-    const std::size_t diameter = da[dst];
-
-    // Bracket: the closed-form estimate, grown until the target is met.
-    std::uint16_t hi = estimate_ttl(diameter, forward_p);
-    double hi_delivery =
-        delivery_probability(topo, forward_p, hi, src, dst, seed, trials);
-    while (hi_delivery < target_delivery && hi < 1024) {
-        hi = static_cast<std::uint16_t>(hi * 2);
-        hi_delivery = delivery_probability(topo, forward_p, hi, src, dst, seed, trials);
-    }
-    // Binary-search the smallest adequate TTL in [diameter, hi].
-    std::uint16_t lo = static_cast<std::uint16_t>(diameter);
-    std::uint16_t best = hi;
-    double best_delivery = hi_delivery;
-    while (lo < hi) {
-        const auto mid = static_cast<std::uint16_t>((lo + hi) / 2);
-        const double d =
-            delivery_probability(topo, forward_p, mid, src, dst, seed, trials);
-        if (d >= target_delivery) {
-            best = mid;
-            best_delivery = d;
-            hi = mid;
-        } else {
-            lo = static_cast<std::uint16_t>(mid + 1);
-        }
-    }
-    plan.recommended_ttl = best;
-    plan.achieved_delivery = best_delivery;
-    return plan;
 }
 
 } // namespace snoc

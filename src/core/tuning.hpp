@@ -1,40 +1,19 @@
-// Design-space tuning helpers (Sec. 3.2.2 / 4.1.3): p and TTL are the
-// knobs that trade performance against energy, and picking them today
-// means guessing.  This module turns the guess into a procedure:
+// Design-space tuning helper (Sec. 3.2.2 / 4.1.3): p and TTL are the
+// knobs that trade performance against energy.
 //
 //   * estimate_ttl   — closed-form first cut: the broadcast wave advances
 //                      about p hops per round toward any tile, so a rumor
 //                      needs ~diameter/p rounds plus logarithmic slack.
-//   * plan_ttl       — empirical calibration: Monte-Carlo the real engine
-//                      over the worst-case source/destination pair and
-//                      binary-search the smallest TTL whose delivery
-//                      probability meets the target.
+//
+// ablation_ttl measures delivery against TTL on the real engine.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "noc/topology.hpp"
 
 namespace snoc {
 
 /// Closed-form TTL first cut for a topology of the given diameter.
 std::uint16_t estimate_ttl(std::size_t diameter, double forward_p);
-
-struct TtlPlan {
-    std::uint16_t recommended_ttl{0};
-    double achieved_delivery{0.0}; ///< empirical delivery at that TTL.
-    TileId worst_source{0};
-    TileId worst_destination{0};
-};
-
-/// Calibrate the TTL on `topology` at forwarding probability `forward_p`
-/// so that a unicast between the farthest pair of tiles is delivered with
-/// probability >= `target_delivery` (per rumor, fault-free).  `trials`
-/// Monte-Carlo runs evaluate each candidate TTL.
-TtlPlan plan_ttl(const Topology& topology, double forward_p, double target_delivery,
-                 std::uint64_t seed, std::size_t trials = 60);
-
-/// Farthest-apart pair of tiles (graph eccentricity via BFS).
-std::pair<TileId, TileId> farthest_pair(const Topology& topology);
 
 } // namespace snoc

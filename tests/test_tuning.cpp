@@ -1,10 +1,8 @@
 #include "core/tuning.hpp"
 
-#include <memory>
-
 #include <gtest/gtest.h>
 
-#include "core/engine.hpp"
+#include "common/expect.hpp"
 
 namespace snoc {
 namespace {
@@ -28,85 +26,6 @@ TEST(EstimateTtl, GrowsWithDiameter) {
 TEST(EstimateTtl, RejectsBadP) {
     EXPECT_THROW(estimate_ttl(6, 0.0), ContractViolation);
     EXPECT_THROW(estimate_ttl(6, 1.5), ContractViolation);
-}
-
-TEST(FarthestPair, MeshCorners) {
-    const auto mesh = Topology::mesh(4, 4);
-    const auto [a, b] = farthest_pair(mesh);
-    EXPECT_EQ(mesh.manhattan(a, b), 6u);
-}
-
-TEST(FarthestPair, FullyConnectedAnyPair) {
-    const auto full = Topology::fully_connected(6);
-    const auto [a, b] = farthest_pair(full);
-    EXPECT_NE(a, b);
-}
-
-TEST(PlanTtl, RecommendationMeetsTarget) {
-    const auto mesh = Topology::mesh(4, 4);
-    const auto plan = plan_ttl(mesh, 0.5, 0.9, /*seed=*/1, /*trials=*/40);
-    EXPECT_GE(plan.achieved_delivery, 0.9);
-    EXPECT_GE(plan.recommended_ttl, 6u); // can't beat the diameter
-    EXPECT_EQ(mesh.manhattan(plan.worst_source, plan.worst_destination), 6u);
-
-    // Independent validation with fresh seeds.
-    class Probe final : public IpCore {
-    public:
-        explicit Probe(TileId dst) : dst_(dst) {}
-        void on_start(TileContext& ctx) override {
-            ctx.send(dst_, 1, {std::byte{1}});
-        }
-        void on_message(const Message&, TileContext&) override {}
-
-    private:
-        TileId dst_;
-    };
-    class Sink final : public IpCore {
-    public:
-        void on_message(const Message&, TileContext&) override { hit_ = true; }
-        bool hit() const { return hit_; }
-
-    private:
-        bool hit_{false};
-    };
-    std::size_t delivered = 0;
-    const std::size_t trials = 40;
-    for (std::uint64_t seed = 1000; seed < 1000 + trials; ++seed) {
-        GossipConfig c;
-        c.forward_p = 0.5;
-        c.default_ttl = plan.recommended_ttl;
-        GossipNetwork net(mesh, c, FaultScenario::none(), seed);
-        auto sink = std::make_unique<Sink>();
-        const Sink& s = *sink;
-        net.attach(plan.worst_source, std::make_unique<Probe>(plan.worst_destination));
-        net.attach(plan.worst_destination, std::move(sink));
-        net.run_until([&s] { return s.hit(); }, plan.recommended_ttl + 2u);
-        if (s.hit()) ++delivered;
-    }
-    // Allow sampling noise around the 0.9 target.
-    EXPECT_GE(static_cast<double>(delivered) / trials, 0.8);
-}
-
-TEST(PlanTtl, HigherPNeedsSmallerTtl) {
-    const auto mesh = Topology::mesh(4, 4);
-    const auto lazy = plan_ttl(mesh, 0.35, 0.9, 2, 30);
-    const auto eager = plan_ttl(mesh, 1.0, 0.9, 2, 30);
-    EXPECT_LT(eager.recommended_ttl, lazy.recommended_ttl);
-}
-
-TEST(PlanTtl, FloodingIsExactlyDiameterish) {
-    const auto mesh = Topology::mesh(4, 4);
-    const auto plan = plan_ttl(mesh, 1.0, 0.99, 3, 20);
-    // Flooding delivers deterministically once TTL >= diameter.
-    EXPECT_LE(plan.recommended_ttl, 7u);
-    EXPECT_DOUBLE_EQ(plan.achieved_delivery, 1.0);
-}
-
-TEST(PlanTtl, ValidatesArguments) {
-    const auto mesh = Topology::mesh(2, 2);
-    EXPECT_THROW(plan_ttl(mesh, 0.0, 0.9, 1), ContractViolation);
-    EXPECT_THROW(plan_ttl(mesh, 0.5, 0.0, 1), ContractViolation);
-    EXPECT_THROW(plan_ttl(mesh, 0.5, 0.9, 1, 0), ContractViolation);
 }
 
 } // namespace
