@@ -9,12 +9,13 @@
 # ns/cycle series and the anchor cells.  It also times five end-to-end
 # runs (fig4_8_mp3_latency, fig4_5_fault_surface, the FEC-vs-CRC
 # ablation, a single-threaded 128x128 dense broadcast and the
-# wormhole-vs-gossip ablation; median wall seconds and peak RSS of 3 runs
+# wormhole-vs-gossip ablation; median wall seconds and peak RSS of 6 runs
 # each) into the snapshot's `figures` block.  Each anchor cell records
 # its table's post-construction `wall [s]` and the whole process's wall
 # time and peak RSS.  Given a baseline build dir
 # (e.g. a build of the parent commit), every cell is measured there too
-# and recorded as `before` next to `after` (figure runs interleaved), with
+# and recorded as `before` next to `after` (figure runs interleaved, the
+# side that runs first alternating per round), with
 # the commit of the baseline's source tree (read from its CMakeCache.txt)
 # as `before_sha`.  Also runs the flow-control ablation (xy /
 # wormhole / deflection / store-forward / cut-through / adaptive on the
@@ -58,7 +59,10 @@ BUILD_DIR="$BUILD_DIR" BASELINE_DIR="$BASELINE_DIR" FIGURES_JSON="$FIGURES_JSON"
 python3 - <<'PY'
 import json, os, platform, statistics, subprocess, sys, time
 
-RUNS = 3  # per cell and side; the median wall time is recorded
+# Per cell and side; the median wall time is recorded.  Rounds alternate
+# which side runs first, so an order or neighbour effect lands on both
+# sides alike instead of always on `after`.
+RUNS = 6
 
 # (name, bench binary, arguments): default sweep arguments, so the wall
 # time is what regenerating the figure costs.
@@ -123,8 +127,8 @@ except OSError:
 benches = {}
 for name, binary, args in CELLS:
     samples = {side: [] for side, _ in sides}
-    for _ in range(RUNS):  # interleaved, so host drift hits both sides
-        for side, build in sides:
+    for r in range(RUNS):  # interleaved, so host drift hits both sides
+        for side, build in (sides if r % 2 == 0 else sides[::-1]):
             samples[side].append(timed(os.path.join(build, "bench", binary), args))
     row = {"command": " ".join([binary, *args]), "runs": RUNS}
     for side, _ in sides:

@@ -19,9 +19,20 @@ namespace {
 // format.  Tolerant by design: a line missing a required field (or a
 // kind this binary doesn't know) is counted in `skipped`, not fatal, so
 // newer dumps degrade gracefully in older tools.
+
+/// `"key"` then `tail`: the text a field of the writer's format starts
+/// with.  Built by appending, since GCC 12 warns a false -Wrestrict on
+/// `"\"" + std::string(key)` in optimised builds.
+std::string field_needle(std::string_view key, std::string_view tail) {
+    std::string needle;
+    needle.reserve(key.size() + 2 + tail.size());
+    needle.append("\"").append(key).append("\"").append(tail);
+    return needle;
+}
+
 std::optional<std::uint64_t> find_number(std::string_view line,
                                          std::string_view key) {
-    const std::string needle = "\"" + std::string(key) + "\":";
+    const std::string needle = field_needle(key, ":");
     const auto pos = line.find(needle);
     if (pos == std::string_view::npos) return std::nullopt;
     const char* begin = line.data() + pos + needle.size();
@@ -34,7 +45,7 @@ std::optional<std::uint64_t> find_number(std::string_view line,
 
 std::optional<std::string_view> find_string(std::string_view line,
                                             std::string_view key) {
-    const std::string needle = "\"" + std::string(key) + "\":\"";
+    const std::string needle = field_needle(key, ":\"");
     const auto pos = line.find(needle);
     if (pos == std::string_view::npos) return std::nullopt;
     const auto start = pos + needle.size();
