@@ -53,7 +53,7 @@ std::vector<double> parse_sides(const std::string& csv) {
 int main(int argc, char** argv) {
     using namespace snoc;
     const CliArgs args(argc, argv);
-    const auto opt = bench::options(argc, argv, 10);
+    const auto opt = bench::options(argc, argv, 10, {"sides", "ttl"});
     constexpr double kP = 0.5;
 
     std::vector<double> sides = {4, 6, 8, 10, 12, 16};

@@ -47,10 +47,12 @@ inline std::string& prof_out_path() {
 /// stderr at exit; --prof-out additionally dumps the deterministic
 /// "snoc-prof-v1" JSON snapshot to the given path (run manifests record
 /// the path under prof_out) — the hooks live here rather than in cli.cpp
-/// because snoc_common sits below the telemetry layer.
-inline BenchOptions options(int argc, char** argv, std::size_t default_repeats = 1) {
+/// because snoc_common sits below the telemetry layer.  `own_flags` names
+/// the bench's own flags; any flag outside both sets exits 2.
+inline BenchOptions options(int argc, char** argv, std::size_t default_repeats = 1,
+                            const std::vector<std::string>& own_flags = {}) {
     reject_engine_selector(CliArgs(argc, argv), argv[0]);
-    BenchOptions parsed = parse_bench_options(argc, argv, default_repeats);
+    BenchOptions parsed = parse_bench_options(argc, argv, default_repeats, own_flags);
     if (parsed.prof) {
         prof::set_enabled(true);
         std::atexit([] { std::cerr << prof::report(); });

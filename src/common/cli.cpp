@@ -85,7 +85,19 @@ std::size_t resolve_jobs(const CliArgs& args) {
     return get_count(args, "jobs", default_jobs());
 }
 
-BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeats) {
+BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeats,
+                                 const std::vector<std::string>& own_flags) {
+    // Every flag read below, then the bench's own.
+    std::vector<std::string> known = {
+        "csv", "json", "repeats", "jobs", "seed", "trace-out", "chrome-out",
+        "heatmap-out", "manifest", "grid-width", "postmortem-out",
+        "flight-capacity", "heartbeat-out", "heartbeat-every", "metrics-out",
+        "prof", "prof-out"};
+    known.insert(known.end(), own_flags.begin(), own_flags.end());
+    const auto unknown = args.unknown_options(known);
+    for (const auto& name : unknown)
+        std::cerr << args.program() << ": unknown flag --" << name << '\n';
+    if (!unknown.empty()) std::exit(2);
     BenchOptions options;
     options.csv = args.has("csv");
     options.json = args.has("json");
@@ -111,8 +123,9 @@ BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeat
     return options;
 }
 
-BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repeats) {
-    return parse_bench_options(CliArgs(argc, argv), default_repeats);
+BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repeats,
+                                 const std::vector<std::string>& own_flags) {
+    return parse_bench_options(CliArgs(argc, argv), default_repeats, own_flags);
 }
 
 std::vector<std::string> TelemetryOptions::requested_flags() const {

@@ -62,7 +62,8 @@ struct TelemetryOptions {
                                  ///< every exported artifact.
     std::size_t grid_width{0};   ///< --grid-width: adds x,y heatmap columns.
 
-    /// --postmortem-out: arm a flight recorder per trial and dump a
+    /// --postmortem-out: keep the newest --flight-capacity events of each
+    /// trial (the flight recorder) and dump a
     /// `*.postmortem.jsonl` bundle there when a contract violation,
     /// invariant-auditor finding or deadlock-sentinel firing aborts the
     /// trial.  Cheap enough to leave on for real sweeps.
@@ -89,10 +90,6 @@ struct TelemetryOptions {
         return !trace_jsonl_out.empty() || !chrome_out.empty() ||
                !heatmap_out.empty();
     }
-    /// Any trial-side observability requested (tracing or post-mortems)?
-    bool observes_trials() const {
-        return enabled() || !postmortem_out.empty();
-    }
     /// Command-line spellings ("--trace-out", ...) of every export
     /// destination that is set; empty when no export was requested.
     std::vector<std::string> requested_flags() const;
@@ -102,9 +99,10 @@ struct TelemetryOptions {
 /// place: --csv | --json (table output format), --repeats=N, --jobs=N,
 /// --seed=N, plus the telemetry/profiling flags
 /// (--trace-out=PATH, --chrome-out=PATH, --heatmap-out=PATH,
-/// --grid-width=N, --manifest, --prof).  Benches with extra flags
-/// construct CliArgs themselves and call the CliArgs overload.  A 0 for
-/// --repeats, --jobs or --flight-capacity exits 2 naming the flag.
+/// --grid-width=N, --manifest, --prof).  A bench with flags of its own
+/// names them in `own_flags` and reads them from its own CliArgs.  Any
+/// other flag exits 2 naming it, so a typo is never silently ignored; a 0
+/// for --repeats, --jobs or --flight-capacity exits 2 naming the flag.
 struct BenchOptions {
     bool csv{false};
     bool json{false};
@@ -118,8 +116,10 @@ struct BenchOptions {
     std::string prof_out;
 };
 
-BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeats);
-BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repeats);
+BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeats,
+                                 const std::vector<std::string>& own_flags = {});
+BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repeats,
+                                 const std::vector<std::string>& own_flags = {});
 
 /// `--engine` and the SNOC_ENGINE environment variable used to pick one
 /// of two round executors; one executor runs every trial now.  If either

@@ -3,7 +3,10 @@
 #   1. a bench run with --trace-out and --heartbeat-out exits 0 and writes
 #      both files;
 #   2. --seed reaches the trials: two base seeds print different tables;
-#   3. --repeats 0 exits 2 naming the flag instead of running the default.
+#   3. --repeats 0 exits 2 naming the flag instead of running the default,
+#      on all 18 figure and ablation benches;
+#   4. an unknown flag (--bogus 1) exits 2 naming it on every one of them,
+#      before any sweep runs.
 file(REMOVE ${OUT_DIR}/bench_flags_trace.jsonl ${OUT_DIR}/bench_flags_heartbeat.jsonl)
 execute_process(
   COMMAND ${SCALABILITY} --sides 4 --repeats 1
@@ -41,3 +44,33 @@ execute_process(
 if(NOT rc EQUAL 2 OR NOT err MATCHES "--repeats must be at least 1")
   message(FATAL_ERROR "ablation_ttl --repeats 0: rc=${rc}, stderr: ${err}")
 endif()
+
+set(benches
+  fig3_1_rumor_spreading fig4_4_latency_energy fig4_5_fault_surface
+  fig4_6_bus_comparison fig4_8_mp3_latency fig4_9_mp3_energy
+  fig4_10_mp3_failures fig4_11_mp3_bitrate fig5_3_diversity
+  ablation_xy_vs_gossip ablation_ttl ablation_fec_vs_crc
+  ablation_reliable_transport ablation_islands ablation_scalability
+  ablation_wormhole_vs_gossip ablation_broadcast ablation_flow_control)
+list(LENGTH benches n_benches)
+if(NOT n_benches EQUAL 18)
+  message(FATAL_ERROR "expected 18 figure and ablation benches, listed ${n_benches}")
+endif()
+foreach(bench ${benches})
+  execute_process(
+    COMMAND ${BENCH_DIR}/${bench} --repeats 0
+    OUTPUT_QUIET
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "--repeats must be at least 1")
+    message(FATAL_ERROR "${bench} --repeats 0: rc=${rc}, stderr: ${err}")
+  endif()
+  execute_process(
+    COMMAND ${BENCH_DIR}/${bench} --bogus 1
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown flag --bogus" OR NOT out STREQUAL "")
+    message(FATAL_ERROR "${bench} --bogus 1: rc=${rc}, stderr: ${err}")
+  endif()
+endforeach()
