@@ -20,7 +20,7 @@
 #include "noc/crc.hpp"
 #include "noc/packet.hpp"
 #include "router/core.hpp"
-#include "telemetry/flight_recorder.hpp"
+#include "telemetry/telemetry.hpp"
 #include "wormhole/router.hpp"
 
 namespace {
@@ -57,17 +57,16 @@ public:
 };
 
 void gossip_round_impl(benchmark::State& state, bool reference_encode,
-                       bool flight_recorder = false) {
+                       TraceSink* sink = nullptr) {
     const auto side = static_cast<std::size_t>(state.range(0));
     GossipConfig c;
     c.forward_p = 0.5;
     c.default_ttl = 1000; // keep the rumor alive through the benchmark
     c.reference_encode_path = reference_encode;
-    FlightRecorder recorder(4096);
     for (auto _ : state) {
         state.PauseTiming();
         GossipNetwork net(Topology::mesh(side, side), c, FaultScenario::none(), 1);
-        if (flight_recorder) net.set_trace_sink(&recorder);
+        if (sink) net.set_trace_sink(sink);
         net.attach(0, std::make_unique<BroadcastSource>());
         for (int i = 0; i < 5; ++i) net.step(); // warm the spread up
         state.ResumeTiming();
@@ -93,12 +92,34 @@ BENCHMARK(BM_GossipRoundReference)
     ->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
-// Same round loop with an always-on FlightRecorder attached: the ratio
-// against BM_GossipRound is the flight-recorder overhead
-// scripts/bench_snapshot.sh records (budget: <= 5%; a ring write is one
-// array store plus an index bump).
+// A sink that keeps nothing.  Attaching any sink puts a round on the
+// traced path, which enqueues and receives every duplicate copy that an
+// untraced round counts at send time (DESIGN.md §12).
+class NullSink final : public TraceSink {
+public:
+    void record(const TraceEvent&) override {}
+};
+
+// The traced path with nothing recorded: the baseline of the flight
+// recorder's overhead.
+void BM_GossipRoundNullSink(benchmark::State& state) {
+    NullSink sink;
+    gossip_round_impl(state, false, &sink);
+}
+BENCHMARK(BM_GossipRoundNullSink)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMicrosecond);
+
+// Same round loop with a flight recorder attached (a Telemetry window of
+// 4096 events, the --flight-capacity default).  Both this and
+// BM_GossipRoundNullSink take the traced path, so their ratio is what
+// recording itself costs; scripts/bench_snapshot.sh records it as
+// flight_recorder_overhead.
 void BM_GossipRoundRecorded(benchmark::State& state) {
-    gossip_round_impl(state, false, /*flight_recorder=*/true);
+    Telemetry recorder(4096);
+    gossip_round_impl(state, false, &recorder);
 }
 BENCHMARK(BM_GossipRoundRecorded)
     ->Arg(4)

@@ -7,7 +7,7 @@
 // A detector calls `postmortem::notify(reason, detail)` immediately
 // before it records/throws its violation.  If the current thread has a
 // handler installed (a ScopedHandler, normally owned by a telemetry
-// PostmortemDumper wrapping a FlightRecorder), the handler runs right
+// PostmortemDumper wrapping the trial's Telemetry), the handler runs right
 // there — while the evidence still exists — and typically dumps a
 // `*.postmortem.jsonl` bundle.  With no handler armed, notify() is a
 // cheap no-op, so detectors may call it unconditionally.

@@ -131,8 +131,9 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
                                     bool single_trial) const {
     const std::uint64_t seed0 =
         spec_.base_seed + static_cast<std::uint64_t>(repeat);
-    const bool record = spec_.telemetry.enabled();
-    const bool postmortem = !spec_.telemetry.postmortem_out.empty();
+    const auto& t = spec_.telemetry;
+    const bool record = t.enabled();
+    const bool postmortem = !t.postmortem_out.empty();
     auto& registry = MetricsRegistry::global();
     registry.inc(MetricId::ActiveTrials);
     // The gauge must come back down on the exception path too (a
@@ -143,11 +144,14 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
     } active_guard{registry};
 
     RunReport report;
-    Telemetry telemetry;
-    // Always-on flight recorder: O(1) ring writes, so arming it is cheap
-    // enough for production sweeps (BM_GossipRoundRecorded guards the
-    // overhead).  Sized 1 when post-mortems are off — never recorded into.
-    FlightRecorder recorder(postmortem ? spec_.telemetry.flight_capacity : 1);
+    // One recorder at most: the full log when an export is on, else the
+    // flight recorder's window when post-mortems are on, else none.  A
+    // bundle holds the newest flight_capacity events either way.
+    std::optional<Telemetry> recorder;
+    if (record)
+        recorder.emplace();
+    else if (postmortem)
+        recorder.emplace(t.flight_capacity);
     std::string backend_name = "custom";
     for (std::size_t attempt = 0; attempt < spec_.max_attempts; ++attempt) {
         const std::uint64_t seed =
@@ -155,8 +159,7 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
         // A retried attempt starts from a clean recording: artifacts
         // describe the attempt that produced the reported run, not the
         // concatenation of every failed try.
-        telemetry.clear();
-        recorder.clear();
+        if (recorder) recorder->clear();
         SNOC_PROF("scenario/trial");
         // Construct the backend first (its name belongs in the bundle
         // header), then arm the post-mortem hook for exactly the scope
@@ -173,9 +176,8 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
             info.experiment = point.label().empty() ? spec_.name : point.label();
             info.backend = backend_name;
             info.seed = seed;
-            dumper.emplace(trial_path(spec_.telemetry.postmortem_out, cell,
-                                      repeat, single_trial),
-                           &recorder, std::move(info));
+            dumper.emplace(trial_path(t.postmortem_out, cell, repeat, single_trial),
+                           *recorder, std::move(info), t.flight_capacity);
             // Asked at dump time: a router adapter publishes its
             // counters only inside run().  The backend outlives the
             // dumper (declared first, destroyed last).
@@ -183,11 +185,7 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
                 dumper->set_metrics_source(
                     [b = backend.get()] { return b->live_metrics(); });
         }
-        TeeSink tee;
-        if (record) tee.add(&telemetry);
-        if (postmortem) tee.add(&recorder);
-        TraceSink* sink =
-            (record || postmortem) ? static_cast<TraceSink*>(&tee) : nullptr;
+        TraceSink* sink = recorder ? &*recorder : nullptr;
         if (spec_.trial) {
             report = spec_.trial(point, seed, sink);
         } else {
@@ -210,30 +208,30 @@ RunReport ScenarioRunner::run_trial(const SweepPoint& point, std::size_t cell,
     registry.observe(MetricId::TrialRounds, report.rounds);
     registry.observe(MetricId::TrialDeliveries, report.deliveries);
     if (postmortem)
-        registry.inc(MetricId::FlightEventsOverwrittenTotal, recorder.dropped());
+        registry.inc(MetricId::FlightEventsOverwrittenTotal,
+                     bundle_overwritten(*recorder, t.flight_capacity));
     if (!record) return report;
 
-    const auto& totals = telemetry.totals();
+    const auto& totals = recorder->totals();
     report.trace_counts.assign(totals.begin(), totals.end());
 
-    const auto& t = spec_.telemetry;
     std::vector<std::string> artifacts;
     if (!t.trace_jsonl_out.empty()) {
         const auto path = trial_path(t.trace_jsonl_out, cell, repeat, single_trial);
-        write_jsonl(telemetry, path);
+        write_jsonl(*recorder, path);
         artifacts.push_back(path);
     }
     if (!t.chrome_out.empty()) {
         const auto path = trial_path(t.chrome_out, cell, repeat, single_trial);
-        write_chrome_trace(telemetry, path);
+        write_chrome_trace(*recorder, path);
         artifacts.push_back(path);
     }
     if (!t.heatmap_out.empty()) {
         const auto path = trial_path(t.heatmap_out, cell, repeat, single_trial);
-        write_heatmap_csv(telemetry, path, t.grid_width);
+        write_heatmap_csv(*recorder, path, t.grid_width);
         artifacts.push_back(path);
         const auto links = path + ".links.csv";
-        write_link_csv(telemetry, links);
+        write_link_csv(*recorder, links);
         artifacts.push_back(links);
     }
     if (t.manifest && !artifacts.empty()) {

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "common/expect.hpp"
-
 namespace snoc {
 
 std::optional<TraceEventKind> trace_kind_from_string(std::string_view name) {
@@ -22,15 +20,6 @@ std::string format_event(const TraceEvent& event) {
         os << " msg (" << event.message.origin << ',' << event.message.sequence
            << ')';
     return os.str();
-}
-
-void TeeSink::add(TraceSink* sink) {
-    SNOC_EXPECT(sink != nullptr);
-    sinks_.push_back(sink);
-}
-
-void TeeSink::record(const TraceEvent& event) {
-    for (TraceSink* sink : sinks_) sink->record(event);
 }
 
 } // namespace snoc

@@ -1,12 +1,14 @@
-// Structured event tracing — the simulator's flight recorder.
+// Structured event tracing: the vocabulary every backend emits.
 //
 // The engine emits one TraceEvent per interesting happening (creation,
-// transmission, delivery, each drop cause, TTL expiry, skew deferral);
-// sinks decide what to do with them: format human-readable lines and fan
-// out here; count, export and keep the last N for post-mortems in the
-// telemetry layer (Telemetry, FlightRecorder).  Tracing is off unless a sink
-// is attached, and sinks are engine-agnostic (pure data in, no calls
-// back), so they cannot perturb a simulation.
+// transmission, delivery, each drop cause, TTL expiry, skew deferral)
+// into at most one attached TraceSink.  This header holds the event
+// kinds, the event record, the sink interface and a human-readable
+// formatter.  The telemetry layer's Telemetry (telemetry/telemetry.hpp)
+// is the sink that keeps them: the full log for exports, or the newest N
+// events as the flight recorder for post-mortems.  Tracing is off unless
+// a sink is attached, and sinks are engine-agnostic (pure data in, no
+// calls back), so they cannot perturb a simulation.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +16,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -88,15 +89,5 @@ public:
 
 /// "r12 transmitted tile 5 -> 6 msg (5,0)" style formatting.
 std::string format_event(const TraceEvent& event);
-
-/// Fan-out to several sinks.
-class TeeSink final : public TraceSink {
-public:
-    void add(TraceSink* sink);
-    void record(const TraceEvent& event) override;
-
-private:
-    std::vector<TraceSink*> sinks_;
-};
 
 } // namespace snoc

@@ -5,6 +5,8 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "common/prof.hpp"
@@ -26,6 +28,29 @@ constexpr long long kMicrosPerRound = 1000;
 bool terminal_kind(TraceEventKind k) {
     return k == TraceEventKind::Delivered || k == TraceEventKind::TtlExpired ||
            k == TraceEventKind::BufferEvicted;
+}
+
+// Per-tile per-kind counts, index [tile][kind], derived from the full
+// log: one row for every tile up to the highest one any event names.
+std::vector<Telemetry::KindCounts> tile_counts(const Telemetry& telemetry) {
+    std::vector<Telemetry::KindCounts> tiles;
+    for (const TraceEvent& e : telemetry.events()) {
+        if (e.tile == kNoTile) continue;
+        if (tiles.size() <= e.tile) tiles.resize(static_cast<std::size_t>(e.tile) + 1);
+        ++tiles[e.tile][static_cast<std::size_t>(e.kind)];
+    }
+    return tiles;
+}
+
+// (from, to) -> transmissions over that directed link.  Ordered, so the
+// CSV rows come out in a deterministic order.
+std::map<std::pair<TileId, TileId>, std::size_t> link_counts(const Telemetry& telemetry) {
+    std::map<std::pair<TileId, TileId>, std::size_t> links;
+    for (const TraceEvent& e : telemetry.events())
+        if (e.kind == TraceEventKind::Transmitted && e.tile != kNoTile &&
+            e.peer != kNoTile)
+            ++links[{e.tile, e.peer}];
+    return links;
 }
 
 std::string async_span_id(const MessageId& id) {
@@ -73,7 +98,7 @@ void write_chrome_trace(const Telemetry& telemetry, std::ostream& os) {
 
     emit("{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
          "\"args\":{\"name\":\"snoc\"}}");
-    const std::size_t tiles = telemetry.per_tile().size();
+    const std::size_t tiles = tile_counts(telemetry).size();
     for (std::size_t t = 0; t < tiles; ++t) {
         std::ostringstream line;
         line << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << t
@@ -172,7 +197,7 @@ void write_heatmap_csv(const Telemetry& telemetry, std::ostream& os,
     for (std::size_t k = 0; k < kTraceEventKinds; ++k)
         os << ',' << kTraceEventKindNames[k];
     os << '\n';
-    const auto& tiles = telemetry.per_tile();
+    const auto tiles = tile_counts(telemetry);
     for (std::size_t t = 0; t < tiles.size(); ++t) {
         os << t;
         if (grid_width > 0) os << ',' << t % grid_width << ',' << t / grid_width;
@@ -191,7 +216,7 @@ void write_heatmap_csv(const Telemetry& telemetry, const std::string& path,
 void write_link_csv(const Telemetry& telemetry, std::ostream& os) {
     SNOC_PROF("telemetry/export");
     os << "from,to,transmissions\n";
-    for (const auto& [link, count] : telemetry.link_transmissions())
+    for (const auto& [link, count] : link_counts(telemetry))
         os << link.first << ',' << link.second << ',' << count << '\n';
 }
 

@@ -9,8 +9,11 @@
 //   * CSV     — per-tile heatmap rows (x,y + one column per event kind)
 //               and per-link transmission counts.
 //
-// All writers are deterministic: identical recordings produce
-// byte-identical output (the golden-file tests depend on it).
+// Every writer reads the full event log: the per-tile and per-link counts
+// are derived from it as the export is written, and a recorder whose
+// window has overwritten events fails SNOC_EXPECT.  All writers are
+// deterministic: identical recordings produce byte-identical output (the
+// golden-file tests depend on it).
 #pragma once
 
 #include <cstddef>

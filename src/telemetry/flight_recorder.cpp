@@ -13,39 +13,6 @@
 
 namespace snoc {
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(capacity), totals_(kTraceEventKinds, 0) {
-    SNOC_EXPECT(capacity >= 1);
-    // Preallocate so steady-state record() never allocates.
-    ring_.reserve(capacity_);
-}
-
-void FlightRecorder::record(const TraceEvent& event) {
-    ++totals_[static_cast<std::size_t>(event.kind)];
-    if (ring_.size() < capacity_) {
-        ring_.push_back(event);
-        return;
-    }
-    ring_[next_] = event;
-    next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
-    ++dropped_;
-}
-
-std::vector<TraceEvent> FlightRecorder::drain() const {
-    // The oldest retained event sits at `next_` once the ring has wrapped.
-    const auto split = ring_.begin() + static_cast<std::ptrdiff_t>(next_);
-    std::vector<TraceEvent> events(split, ring_.end());
-    events.insert(events.end(), ring_.begin(), split);
-    return events;
-}
-
-void FlightRecorder::clear() {
-    ring_.clear();
-    next_ = 0;
-    dropped_ = 0;
-    std::fill(totals_.begin(), totals_.end(), 0);
-}
-
 namespace {
 
 // Minimal JSON string escaping for detector-formatted detail text.
@@ -70,9 +37,9 @@ void write_json_string(std::ostream& os, const std::string& text) {
 
 } // namespace
 
-void write_postmortem_bundle(const FlightRecorder& recorder,
-                             const PostmortemInfo& info, std::ostream& os) {
-    const auto events = recorder.drain();
+void write_postmortem_bundle(const Telemetry& recorder, const PostmortemInfo& info,
+                             std::ostream& os, std::size_t max_events) {
+    const auto events = recorder.newest(max_events);
     Round first_round = 0, last_round = 0;
     if (!events.empty()) {
         first_round = events.front().round;
@@ -91,10 +58,10 @@ void write_postmortem_bundle(const FlightRecorder& recorder,
     os << ",\"seed\":" << info.seed << ",\"git_sha\":\"" << build_git_sha()
        << "\",\"check_level\":" << SNOC_CHECK_LEVEL
        << ",\"events\":" << events.size()
-       << ",\"events_overwritten\":" << recorder.dropped()
+       << ",\"events_overwritten\":" << bundle_overwritten(recorder, max_events)
        << ",\"first_round\":" << first_round << ",\"last_round\":" << last_round
        << ",\"kind_totals\":{";
-    const auto& totals = recorder.kind_totals();
+    const auto& totals = recorder.totals();
     for (std::size_t k = 0; k < totals.size(); ++k)
         os << (k ? "," : "") << '"' << kTraceEventKindNames[k]
            << "\":" << totals[k];
@@ -124,22 +91,21 @@ void write_postmortem_bundle(const FlightRecorder& recorder,
     }
 }
 
-void write_postmortem_bundle(const FlightRecorder& recorder,
-                             const PostmortemInfo& info,
-                             const std::string& path) {
+void write_postmortem_bundle(const Telemetry& recorder, const PostmortemInfo& info,
+                             const std::string& path, std::size_t max_events) {
     std::ofstream os(path, std::ios::binary);
     SNOC_EXPECT(os.is_open());
-    write_postmortem_bundle(recorder, info, os);
+    write_postmortem_bundle(recorder, info, os, max_events);
 }
 
-PostmortemDumper::PostmortemDumper(std::string path,
-                                   const FlightRecorder* recorder,
-                                   PostmortemInfo info)
+PostmortemDumper::PostmortemDumper(std::string path, const Telemetry& recorder,
+                                   PostmortemInfo info, std::size_t max_events)
     : path_(std::move(path)),
       recorder_(recorder),
+      max_events_(max_events),
       info_(std::move(info)),
       scope_([this](const postmortem::Context& ctx) {
-          if (dumped_ || recorder_ == nullptr || path_.empty()) return;
+          if (dumped_ || path_.empty()) return;
           dumped_ = true; // first failure wins; set before I/O can throw.
           info_.reason = ctx.reason;
           info_.detail = ctx.detail;
@@ -148,7 +114,7 @@ PostmortemDumper::PostmortemDumper(std::string path,
               info_.has_metrics = true;
               info_.metrics = *live;
           }
-          write_postmortem_bundle(*recorder_, info_, path_);
+          write_postmortem_bundle(recorder_, info_, path_, max_events_);
           MetricsRegistry::global().inc(MetricId::PostmortemsTotal);
       }) {}
 

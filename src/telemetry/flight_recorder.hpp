@@ -1,79 +1,38 @@
-// The always-on flight recorder: a fixed-capacity ring-buffer TraceSink
-// cheap enough to leave attached in production runs, plus the post-mortem
-// bundle it dumps when something goes wrong.
+// The post-mortem bundle a flight recorder dumps when something goes
+// wrong.  The flight recorder itself is a Telemetry built with a window
+// (telemetry.hpp): it keeps the newest events in a preallocated ring,
+// cheap enough to leave attached on production sweeps.
 //
-// Telemetry (telemetry.hpp) keeps *everything* — per-round series,
-// per-tile heatmaps, the verbatim log — which is what you want for a
-// figure run and exactly what you cannot afford on a multi-hour sweep.
-// FlightRecorder keeps only the newest events in a preallocated ring:
-// record() is one array store plus an index increment, O(1) with no
-// allocation after construction.  Leaving it attached is still not free:
-// BM_GossipRoundRecorded / BM_GossipRound read 1.43, 1.35 and 1.25 on
-// 4x4, 8x8 and 16x16 meshes, and 1.72, 1.17 and 1.12 once the forward
-// phase drew its port coins as masks (BENCH_engine.json
-// `flight_recorder_overhead`), and the ring is not the cause.  Any
-// attached sink turns off GossipNetwork's known-duplicate shortcut
-// (known_duplicates_exact, DESIGN.md §12), so a recorded round enqueues
-// and receives every duplicate copy that an untraced round counts at
-// send time.  ROADMAP item 11 says how that could be mended.  When an
-// InvariantAuditor violation, a DeadlockSentinel firing
-// or any ContractViolation fires the post-mortem hook
-// (common/postmortem.hpp), a PostmortemDumper drains the ring into a
+// When an InvariantAuditor violation, a DeadlockSentinel firing or any
+// ContractViolation fires the post-mortem hook (common/postmortem.hpp),
+// a PostmortemDumper writes the recorder's newest events into a
 // `*.postmortem.jsonl` bundle: one header object (reason, metrics
-// snapshot, manifest echo) followed by the last N events in the exact
-// JSONL dialect snoc_trace already reads.
+// snapshot, manifest echo) followed by those events in the exact JSONL
+// dialect snoc_trace already reads.
 //
-// Concurrency model (DESIGN.md §16): deliberately lock-free and
-// atomic-free.  The recorder is single-writer by contract (one trial
-// records into its own recorder), and drain()/size()/postmortem dumps
-// read it only from that thread or after it has joined.  There is
-// therefore nothing for a mutex or an atomic to protect, and record()
-// stays one store + one increment.
+// Leaving a recorder attached is not free, and the ring is not the
+// cost: any attached sink turns off GossipNetwork's known-duplicate
+// shortcut (known_duplicates_exact, DESIGN.md §12), so a traced round
+// enqueues and receives every duplicate copy that an untraced round
+// counts at send time.  BM_GossipRoundRecorded against
+// BM_GossipRoundNullSink, which attaches a sink that keeps nothing,
+// isolates what the recorder itself costs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "common/postmortem.hpp"
 #include "core/metrics.hpp"
-#include "sim/trace.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace snoc {
-
-class FlightRecorder final : public TraceSink {
-public:
-    /// The `capacity` newest events are kept; older ones are overwritten
-    /// (and counted, so the bundle says what it lost).
-    explicit FlightRecorder(std::size_t capacity);
-
-    void record(const TraceEvent& event) override;
-
-    std::size_t capacity() const { return capacity_; }
-    /// Events currently held (<= capacity).
-    std::size_t size() const { return ring_.size(); }
-    /// Events overwritten since the last clear.
-    std::size_t dropped() const { return dropped_; }
-    /// Running per-kind totals over *every* event ever recorded — the
-    /// ring forgets old events, the totals do not.
-    const std::vector<std::size_t>& kind_totals() const { return totals_; }
-
-    /// The retained events, oldest first.
-    std::vector<TraceEvent> drain() const;
-
-    /// Forget everything (retry loops re-record an attempt from scratch).
-    void clear();
-
-private:
-    std::size_t capacity_;
-    std::size_t next_{0};    ///< ring write index once it has wrapped.
-    std::size_t dropped_{0}; ///< overwritten events.
-    std::vector<TraceEvent> ring_;    ///< grows to capacity, then wraps.
-    std::vector<std::size_t> totals_; ///< [kind], all time.
-};
 
 /// Everything the bundle header records beyond the events themselves.
 struct PostmortemInfo {
@@ -86,25 +45,35 @@ struct PostmortemInfo {
     NetworkMetrics metrics; ///< live counters at dump time, when reachable.
 };
 
-/// Serialise header + drained events.  Deterministic for identical
-/// recorder contents and info fields (the golden test depends on it).
-void write_postmortem_bundle(const FlightRecorder& recorder,
-                             const PostmortemInfo& info, std::ostream& os);
-void write_postmortem_bundle(const FlightRecorder& recorder,
-                             const PostmortemInfo& info,
-                             const std::string& path);
+inline constexpr std::size_t kAllEvents = std::numeric_limits<std::size_t>::max();
+
+/// Events a bundle of the recorder's newest `max_events` counts as
+/// overwritten: every event recorded that the bundle does not hold.
+inline std::size_t bundle_overwritten(const Telemetry& recorder, std::size_t max_events) {
+    return recorder.total() - std::min(recorder.size(), max_events);
+}
+
+/// Serialise header + the newest `max_events` events the recorder holds;
+/// every other event recorded counts as overwritten.  So a full log and a
+/// window of `max_events` give the same bundle.  Deterministic for
+/// identical recorder contents and info fields (the golden test depends
+/// on it).
+void write_postmortem_bundle(const Telemetry& recorder, const PostmortemInfo& info,
+                             std::ostream& os, std::size_t max_events = kAllEvents);
+void write_postmortem_bundle(const Telemetry& recorder, const PostmortemInfo& info,
+                             const std::string& path,
+                             std::size_t max_events = kAllEvents);
 
 /// RAII arming of the post-mortem hook for the current thread: on the
-/// first notify() in its scope, writes the bundle to `path` and counts it
-/// in the metrics registry; later notifies in the same scope are ignored
-/// (one bundle per trial describes the first failure, which is the one
-/// that matters).  The recorder must outlive the dumper.
+/// first notify() in its scope, writes the bundle of the recorder's
+/// newest `max_events` events to `path` and counts it in the metrics
+/// registry; later notifies in the same scope are ignored (one bundle per
+/// trial describes the first failure, which is the one that matters).
+/// The recorder must outlive the dumper.
 class PostmortemDumper {
 public:
-    PostmortemDumper(std::string path, const FlightRecorder* recorder,
-                     PostmortemInfo info);
-    /// nullptr recorder => dumper stays disarmed (postmortems not requested).
-    static const FlightRecorder* disarmed() { return nullptr; }
+    PostmortemDumper(std::string path, const Telemetry& recorder,
+                     PostmortemInfo info, std::size_t max_events = kAllEvents);
 
     bool dumped() const { return dumped_; }
     const std::string& path() const { return path_; }
@@ -119,7 +88,8 @@ public:
 
 private:
     std::string path_;
-    const FlightRecorder* recorder_;
+    const Telemetry& recorder_;
+    std::size_t max_events_;
     PostmortemInfo info_;
     MetricsSource metrics_source_;
     bool dumped_{false};

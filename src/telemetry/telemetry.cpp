@@ -1,59 +1,48 @@
 #include "telemetry/telemetry.hpp"
 
+#include <algorithm>
+
+#include "common/expect.hpp"
+
 namespace snoc {
 
+Telemetry::Telemetry(std::size_t window) : window_(window) {
+    SNOC_EXPECT(window >= 1);
+    // Preallocate so a full window's record() never allocates.
+    events_.reserve(window_);
+}
+
 void Telemetry::record(const TraceEvent& event) {
-    events_.push_back(event);
-    const auto kind = static_cast<std::size_t>(event.kind);
-    ++totals_[kind];
-    if (per_round_.size() <= event.round)
-        per_round_.resize(static_cast<std::size_t>(event.round) + 1);
-    ++per_round_[event.round][kind];
-    if (event.tile != kNoTile) {
-        if (per_tile_.size() <= event.tile)
-            per_tile_.resize(static_cast<std::size_t>(event.tile) + 1);
-        ++per_tile_[event.tile][kind];
-        if (event.kind == TraceEventKind::Transmitted && event.peer != kNoTile)
-            ++links_[{event.tile, event.peer}];
+    ++totals_[static_cast<std::size_t>(event.kind)];
+    if (events_.size() < window_) {
+        events_.push_back(event);
+        return;
     }
+    events_[next_] = event;
+    next_ = next_ + 1 == window_ ? 0 : next_ + 1;
+    ++overwritten_;
 }
 
 void Telemetry::clear() {
     events_.clear();
+    next_ = 0;
+    overwritten_ = 0;
     totals_.fill(0);
-    per_round_.clear();
-    per_tile_.clear();
-    links_.clear();
 }
 
-std::size_t Telemetry::total() const {
-    std::size_t sum = 0;
-    for (const std::size_t c : totals_) sum += c;
-    return sum;
+const std::vector<TraceEvent>& Telemetry::events() const {
+    SNOC_EXPECT(overwritten_ == 0 && "the window overwrote events: read newest()");
+    return events_;
 }
 
-std::vector<long long> Telemetry::in_flight_series() const {
-    // Wire-copy balance per round: every transmission puts one copy in
-    // flight; each receive-side fate (crash sink, port overflow, FEC or
-    // CRC drop, duplicate, accepted merge) takes one out.  Matches the
-    // conservation ledger's wire law, cumulated.
-    std::vector<long long> series(per_round_.size(), 0);
-    long long balance = 0;
-    for (std::size_t r = 0; r < per_round_.size(); ++r) {
-        const KindCounts& c = per_round_[r];
-        const auto at = [&](TraceEventKind k) {
-            return static_cast<long long>(c[static_cast<std::size_t>(k)]);
-        };
-        balance += at(TraceEventKind::Transmitted);
-        balance -= at(TraceEventKind::CrashDrop);
-        balance -= at(TraceEventKind::OverflowDrop);
-        balance -= at(TraceEventKind::FecUncorrectable);
-        balance -= at(TraceEventKind::CrcDrop);
-        balance -= at(TraceEventKind::DuplicateIgnored);
-        balance -= at(TraceEventKind::Accepted);
-        series[r] = balance;
-    }
-    return series;
+std::vector<TraceEvent> Telemetry::newest(std::size_t n) const {
+    n = std::min(n, events_.size());
+    std::vector<TraceEvent> out;
+    out.reserve(n);
+    // The oldest held event sits at next_ (0 until the ring wraps).
+    for (std::size_t i = events_.size() - n; i < events_.size(); ++i)
+        out.push_back(events_[(next_ + i) % events_.size()]);
+    return out;
 }
 
 } // namespace snoc

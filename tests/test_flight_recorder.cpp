@@ -1,8 +1,9 @@
 // Flight recorder + post-mortem bundle tests: ring wraparound semantics
-// at the capacity edge cases, the golden bundle byte layout, and the
-// end-to-end guarantee that an injected conservation violation inside an
-// audited ScenarioRunner sweep produces a bundle containing the violating
-// round's events.
+// of a windowed Telemetry at the capacity edge cases, the golden bundle
+// byte layout, the end-to-end guarantee that an injected conservation
+// violation inside an audited ScenarioRunner sweep produces a bundle
+// containing the violating round's events, and that exports and
+// post-mortems on together write what each writes alone.
 //
 // The last suite doubles as the CI post-mortem mutation self-test: with
 // SNOC_EXPECT_POSTMORTEM=1 in the environment it *requires* a bundle —
@@ -25,6 +26,7 @@
 #include "sim/scenario.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/metrics_registry.hpp"
 #include "telemetry/query.hpp"
 
 namespace snoc {
@@ -51,9 +53,13 @@ std::vector<TraceEvent> stream(std::size_t rounds) {
     return events;
 }
 
-std::string drain_image(const FlightRecorder& recorder) {
+std::vector<TraceEvent> held(const Telemetry& recorder) {
+    return recorder.newest(recorder.size());
+}
+
+std::string drain_image(const Telemetry& recorder) {
     std::ostringstream os;
-    for (const TraceEvent& e : recorder.drain())
+    for (const TraceEvent& e : held(recorder))
         os << e.round << ' ' << static_cast<int>(e.kind) << ' ' << e.tile
            << '\n';
     return os.str();
@@ -63,12 +69,12 @@ TEST(FlightRecorder, KeepsNewestAtEveryCapacityEdge) {
     const auto events = stream(8); // 16 events
     for (const std::size_t capacity : {std::size_t{1}, events.size() - 1,
                                        events.size(), events.size() + 1}) {
-        FlightRecorder recorder(capacity);
+        Telemetry recorder(capacity);
         for (const TraceEvent& e : events) recorder.record(e);
-        const auto drained = recorder.drain();
+        const auto drained = held(recorder);
         const std::size_t kept = std::min(capacity, events.size());
         ASSERT_EQ(drained.size(), kept) << "capacity " << capacity;
-        EXPECT_EQ(recorder.dropped(), events.size() - kept);
+        EXPECT_EQ(recorder.overwritten(), events.size() - kept);
         // The retained window is exactly the newest `kept` events, in
         // their original order.
         for (std::size_t i = 0; i < kept; ++i) {
@@ -77,6 +83,14 @@ TEST(FlightRecorder, KeepsNewestAtEveryCapacityEdge) {
             EXPECT_EQ(drained[i].kind, want.kind);
             EXPECT_EQ(drained[i].tile, want.tile);
         }
+        ASSERT_EQ(recorder.newest(1).size(), 1u);
+        EXPECT_EQ(recorder.newest(1)[0].round, events.back().round);
+        EXPECT_EQ(recorder.newest(1)[0].kind, events.back().kind);
+        // The full log is readable only while nothing was overwritten.
+        if (kept == events.size())
+            EXPECT_EQ(recorder.events().size(), kept);
+        else
+            EXPECT_THROW(recorder.events(), ContractViolation);
     }
 }
 
@@ -84,8 +98,8 @@ TEST(FlightRecorder, DrainIsByteIdenticalAcrossRepeats) {
     const auto events = stream(100);
     for (const std::size_t capacity : {std::size_t{1}, events.size() - 1,
                                        events.size(), events.size() + 1}) {
-        FlightRecorder a(capacity);
-        FlightRecorder b(capacity);
+        Telemetry a(capacity);
+        Telemetry b(capacity);
         for (const TraceEvent& e : events) a.record(e);
         for (const TraceEvent& e : events) b.record(e);
         EXPECT_EQ(drain_image(a), drain_image(b)) << "capacity " << capacity;
@@ -93,25 +107,27 @@ TEST(FlightRecorder, DrainIsByteIdenticalAcrossRepeats) {
 }
 
 TEST(FlightRecorder, TotalsSurviveOverwrites) {
-    FlightRecorder recorder(2);
+    Telemetry recorder(2);
     for (const TraceEvent& e : stream(10)) recorder.record(e);
-    const auto& totals = recorder.kind_totals();
+    const auto& totals = recorder.totals();
     EXPECT_EQ(totals[static_cast<std::size_t>(TraceEventKind::Transmitted)],
               10u);
     EXPECT_EQ(totals[static_cast<std::size_t>(TraceEventKind::Delivered)], 10u);
     EXPECT_EQ(recorder.size(), 2u);
-    EXPECT_EQ(recorder.dropped(), 18u);
+    EXPECT_EQ(recorder.overwritten(), 18u);
+    EXPECT_EQ(recorder.total(), 20u);
 }
 
 TEST(FlightRecorder, ClearForgetsEverything) {
-    FlightRecorder recorder(4);
+    Telemetry recorder(4);
     for (const TraceEvent& e : stream(10)) recorder.record(e);
     recorder.clear();
     EXPECT_EQ(recorder.size(), 0u);
-    EXPECT_EQ(recorder.dropped(), 0u);
-    EXPECT_TRUE(recorder.drain().empty());
+    EXPECT_EQ(recorder.overwritten(), 0u);
+    EXPECT_EQ(recorder.total(), 0u);
+    EXPECT_TRUE(recorder.events().empty());
     recorder.record(event(3, TraceEventKind::Delivered, 7));
-    EXPECT_EQ(recorder.drain().size(), 1u);
+    EXPECT_EQ(recorder.events().size(), 1u);
 }
 
 /// The bundle byte layout is golden-checked; build-dependent header
@@ -125,7 +141,7 @@ std::string scrub(std::string text) {
 }
 
 TEST(PostmortemBundle, GoldenBytes) {
-    FlightRecorder recorder(6);
+    Telemetry recorder(6);
     for (const TraceEvent& e : stream(5)) recorder.record(e);
     TraceEvent with_msg = event(5, TraceEventKind::MessageCreated, 3);
     with_msg.message = MessageId{3, 1};
@@ -163,7 +179,7 @@ TEST(PostmortemBundle, GoldenBytes) {
 }
 
 TEST(PostmortemBundle, RoundTripsThroughTracequery) {
-    FlightRecorder recorder(8);
+    Telemetry recorder(8);
     for (const TraceEvent& e : stream(6)) recorder.record(e);
     PostmortemInfo info;
     info.reason = "deadlock-sentinel";
@@ -198,14 +214,14 @@ TEST(PostmortemDumper, AuditorViolationProducesBundle) {
     const std::string path = ::testing::TempDir() + "auditor.postmortem.jsonl";
     std::remove(path.c_str());
 
-    FlightRecorder recorder(32);
+    Telemetry recorder(32);
     for (const TraceEvent& e : stream(9)) recorder.record(e);
 
     PostmortemInfo info;
     info.experiment = "unit";
     info.backend = "gossip";
     info.seed = 1;
-    PostmortemDumper dumper(path, &recorder, info);
+    PostmortemDumper dumper(path, recorder, info);
     EXPECT_FALSE(dumper.dumped());
 
     check::InvariantAuditor auditor;
@@ -296,6 +312,86 @@ TEST(PostmortemDumper, AuditedSweepMutationSelfTest) {
         if (e.round == loaded.postmortem->last_round) has_violating_round = true;
     EXPECT_TRUE(has_violating_round);
     std::remove(path.c_str());
+}
+
+/// One ScenarioRunner trial whose auditor reports a violation after the
+/// run, so an armed dumper writes a bundle.  The trial writes its JSONL
+/// export to `jsonl` and its bundle to `bundle`; an empty path leaves that
+/// artifact off.  Returns the growth of FlightEventsOverwrittenTotal.
+std::uint64_t run_violating_trial(const std::string& jsonl, const std::string& bundle) {
+    ExperimentSpec spec;
+    spec.name = "exports-and-postmortems";
+    spec.repeats = 1;
+    spec.base_seed = 11;
+    spec.telemetry.trace_jsonl_out = jsonl;
+    spec.telemetry.postmortem_out = bundle;
+    spec.telemetry.flight_capacity = 16;
+    spec.trial = [](const SweepPoint&, std::uint64_t seed, TraceSink* sink) {
+        GossipSpec gs;
+        gs.topology = Topology::mesh(4, 4);
+        gs.config.forward_p = 0.6;
+        gs.config.default_ttl = 12;
+        auto backend = make_interconnect(std::move(gs), FaultScenario::none(), seed);
+        backend->set_trace_sink(sink);
+        TrafficTrace trace;
+        trace.phases.emplace_back().messages.push_back({0, 15, 64});
+        RunReport report = backend->run(trace, 60);
+        check::InvariantAuditor auditor;
+        auditor.begin_run("injected");
+        NetworkMetrics tampered;
+        tampered.packets_sent = 5; // packets with zero bits
+        auditor.check_metrics(tampered, true);
+        return report;
+    };
+    auto& registry = MetricsRegistry::global();
+    const auto before = registry.value(MetricId::FlightEventsOverwrittenTotal);
+    const auto results = ScenarioRunner(std::move(spec)).run();
+    EXPECT_EQ(results.size(), 1u);
+    return registry.value(MetricId::FlightEventsOverwrittenTotal) - before;
+}
+
+std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "missing " << path;
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/// With exports on the trial keeps the full log, with post-mortems alone
+/// only a window of flight_capacity events; either way the bundle holds
+/// the newest flight_capacity events and counts the rest as overwritten,
+/// so turning exports on next to post-mortems changes neither artifact.
+TEST(ScenarioRunner, ExportsAndPostmortemsTogetherMatchEachAlone) {
+    const std::string dir = ::testing::TempDir();
+    const std::string jsonl_only = dir + "exports_only.jsonl";
+    const std::string bundle_only = dir + "postmortem_only.postmortem.jsonl";
+    const std::string jsonl_both = dir + "both.jsonl";
+    const std::string bundle_both = dir + "both.postmortem.jsonl";
+    for (const auto* path : {&jsonl_only, &bundle_only, &jsonl_both, &bundle_both})
+        std::remove(path->c_str());
+
+    EXPECT_EQ(run_violating_trial(jsonl_only, ""), 0u);
+    const std::uint64_t overwritten_alone = run_violating_trial("", bundle_only);
+    const std::uint64_t overwritten_both = run_violating_trial(jsonl_both, bundle_both);
+
+    EXPECT_EQ(slurp(jsonl_both), slurp(jsonl_only));
+    EXPECT_EQ(slurp(bundle_both), slurp(bundle_only));
+    EXPECT_EQ(overwritten_both, overwritten_alone);
+
+    const auto loaded = tracequery::load_jsonl_file(bundle_both);
+    ASSERT_TRUE(loaded.postmortem.has_value());
+    EXPECT_EQ(loaded.events.size(), 16u);
+    EXPECT_GT(loaded.postmortem->events_overwritten, 0u) << "the window never wrapped";
+    EXPECT_EQ(loaded.postmortem->events_overwritten, overwritten_alone);
+    // The bundle's events are the last 16 lines of the full log.
+    const std::string full = slurp(jsonl_only);
+    std::size_t tail = full.size();
+    for (int lines = 0; lines <= 16; ++lines) tail = full.rfind('\n', tail - 1);
+    const std::string bundle = slurp(bundle_both);
+    EXPECT_EQ(bundle.substr(bundle.find('\n') + 1), full.substr(tail + 1));
+    for (const auto* path : {&jsonl_only, &bundle_only, &jsonl_both, &bundle_both})
+        std::remove(path->c_str());
 }
 
 /// A router-core backend publishes its live counters only inside run(),

@@ -27,7 +27,6 @@
 #include "fault/injector.hpp"
 #include "sim/backends.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace snoc {
@@ -246,10 +245,10 @@ TrafficTrace wedging_trace() {
     return trace;
 }
 
-/// FNV-1a over the recorder's drained events, in order.
-std::uint64_t trace_digest(const FlightRecorder& recorder) {
+/// FNV-1a over the recorder's events, in order.
+std::uint64_t trace_digest(const Telemetry& recorder) {
     std::ostringstream os;
-    for (const TraceEvent& e : recorder.drain())
+    for (const TraceEvent& e : recorder.events())
         os << e.round << ',' << static_cast<int>(e.kind) << ',' << e.tile << ','
            << e.peer << ',' << e.message.origin << ',' << e.message.sequence << ';';
     return key_of(os.str());
@@ -271,9 +270,9 @@ Fates record_fates(const std::vector<router::PacketRecord>& records) {
 }
 
 /// The same fates, read from a run's event stream.
-Fates event_fates(const FlightRecorder& recorder) {
+Fates event_fates(const Telemetry& recorder) {
     Fates fates;
-    for (const TraceEvent& e : recorder.drain()) {
+    for (const TraceEvent& e : recorder.events()) {
         std::string& fate = fates[e.message.sequence];
         if (e.kind == TraceEventKind::MessageCreated)
             fate = std::to_string(e.tile) + '@' + std::to_string(e.round) + " -";
@@ -294,7 +293,7 @@ void expect_adapter_matches(const Spec& spec, Net& net, const FaultScenario& sce
                             std::uint64_t seed, const TrafficTrace& trace, Round limit,
                             Traffic traffic) {
     SteppedAdapter<Spec> adapter(spec, scenario, seed);
-    FlightRecorder adapter_trace(1 << 16);
+    Telemetry adapter_trace;
     adapter.set_trace_sink(&adapter_trace);
     const RunReport report = adapter.run(trace, limit);
 
@@ -302,7 +301,7 @@ void expect_adapter_matches(const Spec& spec, Net& net, const FaultScenario& sce
     FaultInjector injector(scenario, pool);
     const CrashState crashes =
         injector.roll_crashes(Topology::mesh(spec.width, spec.height), spec.protect);
-    FlightRecorder hand_trace(1 << 16);
+    Telemetry hand_trace;
     net.set_trace_sink(&hand_trace);
     net.apply_crashes(crashes);
     std::size_t local = 0;

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/expect.hpp"
 #include "common/prof.hpp"
 #include "sim/backends.hpp"
 #include "sim/scenario.hpp"
@@ -93,6 +94,32 @@ TEST(TelemetryGolden, HeatmapAndLinkCsv) {
     std::ostringstream links;
     write_link_csv(fixed_recording(), links);
     EXPECT_EQ(links.str(), "from,to,transmissions\n0,1,1\n");
+}
+
+/// The exports need the full log: a window that never wrapped exports the
+/// same bytes as an unbounded recorder, one that overwrote events fails.
+TEST(TelemetryGolden, ExportsNeedTheFullLog) {
+    const Telemetry full = fixed_recording();
+    Telemetry roomy(full.size());
+    Telemetry wrapped(full.size() - 1);
+    for (const TraceEvent& e : full.events()) {
+        roomy.record(e);
+        wrapped.record(e);
+    }
+    const auto exports = [](const Telemetry& t) {
+        std::ostringstream os;
+        write_jsonl(t, os);
+        write_chrome_trace(t, os);
+        write_heatmap_csv(t, os, 2);
+        write_link_csv(t, os);
+        return os.str();
+    };
+    EXPECT_EQ(exports(roomy), exports(full));
+    std::ostringstream os;
+    EXPECT_THROW(write_jsonl(wrapped, os), ContractViolation);
+    EXPECT_THROW(write_chrome_trace(wrapped, os), ContractViolation);
+    EXPECT_THROW(write_heatmap_csv(wrapped, os, 2), ContractViolation);
+    EXPECT_THROW(write_link_csv(wrapped, os), ContractViolation);
 }
 
 TEST(TelemetryGolden, ChromeTraceShape) {

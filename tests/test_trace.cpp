@@ -35,17 +35,6 @@ TEST(TraceSinks, FormatIsHumanReadable) {
               "r3 crc-drop tile 9");
 }
 
-TEST(TraceSinks, TeeFansOut) {
-    Telemetry a, b;
-    TeeSink tee;
-    tee.add(&a);
-    tee.add(&b);
-    tee.record({0, TraceEventKind::Delivered, 0, kNoTile, MessageId{0, 0}});
-    EXPECT_EQ(a.total(), 1u);
-    EXPECT_EQ(b.total(), 1u);
-    EXPECT_THROW(tee.add(nullptr), ContractViolation);
-}
-
 GossipConfig flood() {
     GossipConfig c;
     c.forward_p = 1.0;

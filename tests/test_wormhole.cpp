@@ -11,7 +11,7 @@
 #include "common/expect.hpp"
 #include "common/rng.hpp"
 #include "noc/traffic.hpp"
-#include "telemetry/flight_recorder.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace snoc::wormhole {
 namespace {
@@ -285,10 +285,10 @@ TrafficTrace wedging_trace() {
     return trace;
 }
 
-/// FNV-1a over the recorder's drained events, in order.
-std::uint64_t trace_digest(const FlightRecorder& recorder) {
+/// FNV-1a over the recorder's events, in order.
+std::uint64_t trace_digest(const Telemetry& recorder) {
     std::ostringstream os;
-    for (const TraceEvent& e : recorder.drain())
+    for (const TraceEvent& e : recorder.events())
         os << e.round << ',' << static_cast<int>(e.kind) << ',' << e.tile << ','
            << e.peer << ',' << e.message.origin << ',' << e.message.sequence << ';';
     return key_of(os.str());
@@ -304,14 +304,14 @@ TEST(WormholeFastForward, RunSkipsFrozenCyclesExactly) {
         return net;
     };
     auto fast = build();
-    FlightRecorder fast_trace(1 << 16);
+    Telemetry fast_trace;
     fast->set_trace_sink(&fast_trace);
     fast->run(kLimit);
 
     // The reference simulates every cycle: re-applying the same crashes
     // changes no state but clears the frozen skip.
     auto slow = build();
-    FlightRecorder slow_trace(1 << 16);
+    Telemetry slow_trace;
     slow->set_trace_sink(&slow_trace);
     const CrashState crashes = dead_tile(*slow, kCentre);
     std::size_t frozen_steps = 0;
@@ -361,20 +361,20 @@ TEST(WormholeFastForward, AFrozenStepIsAFixedPoint) {
     const CrashState crashes = dead_tile(net, kCentre);
     net.apply_crashes(crashes);
     net.inject(10, 14, kBits); // wedges on the dead centre
-    FlightRecorder recorder(1 << 12);
+    Telemetry recorder;
     net.set_trace_sink(&recorder);
     std::size_t guard = 0;
     while (net.step()) ASSERT_LT(++guard, kLimit) << "never froze";
 
     const std::size_t cycle = net.cycle();
     const std::size_t hops = net.flit_hops();
-    const std::size_t events = recorder.size();
+    const std::size_t events = recorder.events().size();
     const std::uint64_t digest = trace_digest(recorder);
     const auto expect_unchanged_but_clock = [&](std::size_t steps) {
         EXPECT_EQ(net.cycle(), cycle + steps);
         EXPECT_EQ(net.flit_hops(), hops);
         EXPECT_EQ(net.delivered(), 0u);
-        EXPECT_EQ(recorder.size(), events);
+        EXPECT_EQ(recorder.events().size(), events);
         EXPECT_EQ(trace_digest(recorder), digest);
     };
 
