@@ -6,7 +6,10 @@
 # dead) and the two scalability
 # anchor cells (256x256 full broadcast; 1000x1000 sparse wavefront), then
 # writes BENCH_engine.json — machine info, git SHA, the ns/round and
-# ns/cycle series and the anchor cells.  It also times five end-to-end
+# ns/cycle series (the median of 5 runs per side, the side that runs
+# first alternating per pair), the flight-recorder overhead (a recorded
+# gossip round over one with a no-op sink attached) and the anchor
+# cells.  It also times five end-to-end
 # runs (fig4_8_mp3_latency, fig4_5_fault_surface, the FEC-vs-CRC
 # ablation, a single-threaded 128x128 dense broadcast and the
 # wormhole-vs-gossip ablation; median wall seconds and peak RSS of 6 runs
@@ -233,8 +236,9 @@ ROUTER_CYCLE_CELLS = {"0": "adaptive_p_tiles_0.1", "1": "store_forward"}
 WORMHOLE_CYCLE_CELLS = {"0": "xy_saturated", "1": "xy_saturated_centre_dead"}
 
 def microbench(build):
-    """Per-side ns/round of BM_SparseBroadcast, BM_GossipRound and
-    BM_GossipRoundRecorded ns/round, and BM_RouterCycle and
+    """One perf_microbench run: per-side ns/round of BM_SparseBroadcast;
+    BM_GossipRound (detached), BM_GossipRoundNullSink and
+    BM_GossipRoundRecorded ns/round per side; BM_RouterCycle and
     BM_WormholeStep ns/cycle per cell (empty for a baseline that predates
     them).  A baseline that still has one sparse benchmark per engine
     contributes its faster one per side."""
@@ -246,7 +250,7 @@ def microbench(build):
     # benchmark JSON; raw_decode stops at the end of the JSON object.
     micro, _ = json.JSONDecoder().raw_decode(text)
     sparse = {}
-    gossip_round = {"detached": {}, "recorded": {}}
+    gossip_round = {"detached": {}, "null_sink": {}, "recorded": {}}
     router_cycle = {}
     wormhole_cycle = {}
     for b in micro["benchmarks"]:
@@ -265,11 +269,19 @@ def microbench(build):
             side = int(m.group(1))
             sparse[side] = min(ns, sparse.get(side, ns))
             continue
-        m = re.match(r"BM_GossipRound(Recorded)?/(\d+)$", b["name"])
+        m = re.match(r"BM_GossipRound(NullSink|Recorded)?/(\d+)$", b["name"])
         if m:
-            variant = "recorded" if m.group(1) else "detached"
+            variant = {"NullSink": "null_sink", "Recorded": "recorded"}.get(
+                m.group(1), "detached")
             gossip_round[variant][int(m.group(2))] = ns
-    return sparse, gossip_round, router_cycle, wormhole_cycle
+    return {"ns_per_round": sparse, "gossip_round_ns": gossip_round,
+            "router_cycle_ns": router_cycle, "wormhole_cycle_ns": wormhole_cycle}
+
+def median_cells(runs):
+    """Per-cell median over runs of one shape ({key: number or dict})."""
+    return {key: median_cells([r[key] for r in runs]) if isinstance(value, dict)
+            else statistics.median(r[key] for r in runs)
+            for key, value in runs[0].items()}
 
 def wall_cell(build, args):
     """The cell's table row, plus the process's own wall time and peak
@@ -307,27 +319,45 @@ SCALABILITY = {
 
 build, baseline = os.environ["BUILD_DIR"], os.environ["BASELINE_DIR"]
 
-ns_per_round, gossip_round, router_cycle, wormhole_cycle = microbench(build)
+# Microbench cells: one run per side read drift between the two runs as a
+# change, so each side runs MICRO_PAIRS times, the side that runs first
+# alternating per pair as the figure runs do, and every cell records its
+# median.
+MICRO_PAIRS = 5
+sides = [("after", build)] + ([("before", baseline)] if baseline else [])
+micro_runs = {side: [] for side, _ in sides}
+for pair in range(MICRO_PAIRS):
+    for side, path in (sides if pair % 2 == 0 else sides[::-1]):
+        micro_runs[side].append(microbench(path))
+micro = {side: median_cells(runs) for side, runs in micro_runs.items()}
+ns_per_round = micro["after"]["ns_per_round"]
+gossip_round = micro["after"]["gossip_round_ns"]
+router_cycle = micro["after"]["router_cycle_ns"]
+wormhole_cycle = micro["after"]["wormhole_cycle_ns"]
+
 scalability = {name: wall_cell(build, args) for name, args in SCALABILITY.items()}
 # The short-TTL wavefront reaches a few hundred of a million tiles, which
 # rounds to 0.0%; the tile count is the anchor there.
 del scalability["sparse_1000x1000"]["coverage_pct"]
 ns_per_round_before = router_cycle_before = wormhole_cycle_before = None
 if baseline:
-    ns_per_round_before, _, router_cycle_before, wormhole_cycle_before = (
-        microbench(baseline))
+    ns_per_round_before = micro["before"]["ns_per_round"]
+    router_cycle_before = micro["before"]["router_cycle_ns"]
+    wormhole_cycle_before = micro["before"]["wormhole_cycle_ns"]
     for name, args in SCALABILITY.items():
         cell = wall_cell(baseline, args)
         scalability[name]["before"] = {
             key: cell[key] for key in ("wall_s", "process_wall_s", "peak_rss_mb")}
 
-# Flight-recorder overhead: BM_GossipRoundRecorded vs BM_GossipRound,
-# per mesh side.  Budget is <= 5% (a ring write is one array store); the
-# ratio is recorded in the snapshot so regressions show up in review, but
-# is not hard-gated here.  One run per side read 0.70-1.26 for code no
-# change touched, so the snapshot records the median of RECORDER_PAIRS
-# back-to-back pairs whose order alternates, as perfbench pairs its A/B
-# runs: drift between the two runs of a pair cancels in its ratio.
+# Flight-recorder overhead: BM_GossipRoundRecorded vs
+# BM_GossipRoundNullSink, per mesh side.  Both attach a sink, so both take
+# the traced path (which enqueues every duplicate copy, DESIGN.md §12),
+# and the ratio is what recording costs.  It is recorded in the snapshot
+# so regressions show up in review, but is not hard-gated here.  One run
+# per side read 0.70-1.26 for code no change touched, so the snapshot
+# records the median of RECORDER_PAIRS back-to-back pairs whose order
+# alternates, as perfbench pairs its A/B runs: drift between the two runs
+# of a pair cancels in its ratio.
 RECORDER_PAIRS = 5
 
 def gossip_round_ns(build, name):
@@ -340,13 +370,13 @@ def gossip_round_ns(build, name):
 
 ratios = {}
 for pair in range(RECORDER_PAIRS):
-    names = ["BM_GossipRound", "BM_GossipRoundRecorded"]
+    names = ["BM_GossipRoundNullSink", "BM_GossipRoundRecorded"]
     if pair % 2:
         names.reverse()
     ns = {name: gossip_round_ns(build, name) for name in names}
-    for side in ns["BM_GossipRound"]:
+    for side in ns["BM_GossipRoundNullSink"]:
         ratios.setdefault(side, []).append(
-            ns["BM_GossipRoundRecorded"][side] / ns["BM_GossipRound"][side])
+            ns["BM_GossipRoundRecorded"][side] / ns["BM_GossipRoundNullSink"][side])
 recorder_overhead = {side: statistics.median(r) for side, r in sorted(ratios.items())}
 
 cpu = ""

@@ -103,7 +103,7 @@ def check_engine(path, snap):
     if "ns_per_round_before" in snap:
         ok &= check_numeric_map(path, snap, "ns_per_round_before")
     ok &= check_numeric_table(path, snap, "gossip_round_ns",
-                              ("detached", "recorded"))
+                              ("detached", "null_sink", "recorded"))
     ok &= check_numeric_map(path, snap, "router_cycle_ns")
     if "router_cycle_ns_before" in snap:
         ok &= check_numeric_map(path, snap, "router_cycle_ns_before")
