@@ -68,18 +68,32 @@ std::string CliArgs::get_string(const std::string& name, std::string fallback) c
 
 namespace {
 
+[[noreturn]] void usage_error(const CliArgs& args, const std::string& message) {
+    std::cerr << args.program() << ": " << message << '\n';
+    std::exit(2);
+}
+
 /// `--name N` for a count that has no meaning at 0: an explicit 0 exits 2
 /// with a message that names the flag.
 std::size_t get_count(const CliArgs& args, const std::string& name, std::size_t fallback) {
-    const auto count = args.get_u64(name, static_cast<std::uint64_t>(fallback));
-    if (count == 0 && args.value(name)) {
-        std::cerr << args.program() << ": --" << name << " must be at least 1\n";
-        std::exit(2);
-    }
+    const auto count = flag_u64(args, name, static_cast<std::uint64_t>(fallback));
+    if (count == 0 && args.value(name))
+        usage_error(args, "--" + name + " must be at least 1");
     return static_cast<std::size_t>(count);
 }
 
 } // namespace
+
+std::uint64_t flag_u64(const CliArgs& args, const std::string& name, std::uint64_t fallback) {
+    if (!args.has(name)) return fallback;
+    const auto v = args.value(name);
+    if (!v) usage_error(args, "--" + name + " needs a value");
+    char* end = nullptr;
+    const auto parsed = std::strtoull(v->c_str(), &end, 10);
+    if (v->empty() || *end != '\0' || (*v)[0] == '-')
+        usage_error(args, "--" + name + " takes a non-negative integer, not '" + *v + "'");
+    return parsed;
+}
 
 std::size_t resolve_jobs(const CliArgs& args) {
     return get_count(args, "jobs", default_jobs());
@@ -98,23 +112,36 @@ BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeat
     for (const auto& name : unknown)
         std::cerr << args.program() << ": unknown flag --" << name << '\n';
     if (!unknown.empty()) std::exit(2);
+    if (!args.positional().empty())
+        usage_error(args, "unexpected argument '" + args.positional().front() +
+                              "': every option is a --flag");
+    // A bare switch reads no value, and every other flag needs one.
+    const std::vector<std::string> switches = {"csv", "json", "manifest", "prof"};
+    for (const auto& name : known) {
+        const bool is_switch =
+            std::find(switches.begin(), switches.end(), name) != switches.end();
+        if (is_switch && args.value(name))
+            usage_error(args, "--" + name + " takes no value, got '" + *args.value(name) + "'");
+        if (!is_switch && args.has(name) && !args.value(name))
+            usage_error(args, "--" + name + " needs a value");
+    }
     BenchOptions options;
     options.csv = args.has("csv");
     options.json = args.has("json");
     options.repeats = get_count(args, "repeats", default_repeats);
     options.jobs = resolve_jobs(args);
-    options.seed = args.get_u64("seed", 0);
+    options.seed = flag_u64(args, "seed", 0);
     options.telemetry.trace_jsonl_out = args.get_string("trace-out", "");
     options.telemetry.chrome_out = args.get_string("chrome-out", "");
     options.telemetry.heatmap_out = args.get_string("heatmap-out", "");
     options.telemetry.manifest = args.has("manifest");
     options.telemetry.grid_width =
-        static_cast<std::size_t>(args.get_u64("grid-width", 0));
+        static_cast<std::size_t>(flag_u64(args, "grid-width", 0));
     options.telemetry.postmortem_out = args.get_string("postmortem-out", "");
     options.telemetry.flight_capacity = get_count(args, "flight-capacity", 4096);
     options.telemetry.heartbeat_out = args.get_string("heartbeat-out", "");
     options.telemetry.heartbeat_every =
-        static_cast<std::size_t>(args.get_u64("heartbeat-every", 1));
+        static_cast<std::size_t>(flag_u64(args, "heartbeat-every", 1));
     options.telemetry.metrics_out = args.get_string("metrics-out", "");
     options.prof = args.has("prof");
     options.prof_out = args.get_string("prof-out", "");

@@ -44,6 +44,11 @@ private:
     std::vector<std::string> positional_;
 };
 
+/// `--name N` of a bench: `fallback` when the flag is absent; a bare flag
+/// or a value that is not a non-negative integer exits 2 naming the flag
+/// (CliArgs::get_u64 throws instead, for the tools).
+std::uint64_t flag_u64(const CliArgs& args, const std::string& name, std::uint64_t fallback);
+
 /// Worker count for the parallel trial fan-out (common/parallel.hpp):
 /// `--jobs N` beats the SNOC_JOBS environment variable beats the
 /// hardware concurrency.  Always >= 1; `--jobs 1` forces serial runs and
@@ -100,9 +105,12 @@ struct TelemetryOptions {
 /// --seed=N, plus the telemetry/profiling flags
 /// (--trace-out=PATH, --chrome-out=PATH, --heatmap-out=PATH,
 /// --grid-width=N, --manifest, --prof).  A bench with flags of its own
-/// names them in `own_flags` and reads them from its own CliArgs.  Any
-/// other flag exits 2 naming it, so a typo is never silently ignored; a 0
-/// for --repeats, --jobs or --flight-capacity exits 2 naming the flag.
+/// names them in `own_flags` (each takes a value) and reads them from its
+/// own CliArgs.  Any other flag exits 2 naming it, so a typo is never
+/// silently ignored.  So do a positional argument, a value after a switch
+/// (--csv, --json, --manifest, --prof), a flag without its value, a
+/// number that does not parse, and a 0 for --repeats, --jobs or
+/// --flight-capacity.
 struct BenchOptions {
     bool csv{false};
     bool json{false};

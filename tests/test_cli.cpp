@@ -106,6 +106,25 @@ TEST(BenchOptionsDeathTest, ZeroCountExitsTwoNamingTheFlag) {
                 ::testing::ExitedWithCode(2), "prog: --flight-capacity must be at least 1");
 }
 
+TEST(BenchOptionsDeathTest, BadOrMissingValueExitsTwoNamingTheFlag) {
+    EXPECT_EXIT(parse_bench_options(make({"--jobs", "abc"}), 9),
+                ::testing::ExitedWithCode(2),
+                "prog: --jobs takes a non-negative integer, not 'abc'");
+    EXPECT_EXIT(parse_bench_options(make({"--seed=-3"}), 9), ::testing::ExitedWithCode(2),
+                "prog: --seed takes a non-negative integer, not '-3'");
+    EXPECT_EXIT(parse_bench_options(make({"--csv", "--seed"}), 9),
+                ::testing::ExitedWithCode(2), "prog: --seed needs a value");
+    EXPECT_EXIT(parse_bench_options(make({"--trace-out"}), 9), ::testing::ExitedWithCode(2),
+                "prog: --trace-out needs a value");
+    EXPECT_EXIT(parse_bench_options(make({"--csv=yes"}), 9), ::testing::ExitedWithCode(2),
+                "prog: --csv takes no value, got 'yes'");
+    EXPECT_EXIT(parse_bench_options(make({"5", "--repeats", "1"}), 9),
+                ::testing::ExitedWithCode(2), "prog: unexpected argument '5'");
+    EXPECT_EXIT(flag_u64(make({"--ttl", "4x"}), "ttl", 512), ::testing::ExitedWithCode(2),
+                "prog: --ttl takes a non-negative integer, not '4x'");
+    EXPECT_EQ(flag_u64(make({}), "ttl", 512), 512u);
+}
+
 TEST(BenchOptions, RequestedFlagsNameEveryTelemetryExport) {
     EXPECT_TRUE(parse_bench_options(make({"--csv", "--manifest", "--prof"}), 1)
                     .telemetry.requested_flags()
