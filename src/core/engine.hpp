@@ -248,13 +248,13 @@ private:
     Topology topology_;
     GossipConfig config_;
     RngPool pool_;
+    /// Rekeyed per (round, tile): a tile's port coins depend on nothing
+    /// else (common/rng.hpp, contract v4).
+    ForwardCoins forward_coins_;
     FaultInjector injector_;
     GalsClocks clocks_;
 
     std::vector<Tile> tiles_;
-    /// Eager and contiguous in ascending tile order, the order the
-    /// forward phase visits them in.
-    std::vector<RngStream> forward_rng_;
     /// Built by Context::rng() on a tile's first draw.
     std::vector<std::unique_ptr<RngStream>> app_rng_;
     std::vector<std::size_t> forward_capacity_;

@@ -1,6 +1,8 @@
 #include "core/engine.hpp"
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -306,6 +308,52 @@ TEST(Engine, RouteFilterSuppressesPorts) {
     net.set_route_filter(5, [](const MessageBody&, TileId) { return false; });
     for (int i = 0; i < 10; ++i) net.step();
     EXPECT_EQ(net.metrics().packets_sent, 0u);
+}
+
+/// Records every transmission from one tile.
+class SendsFrom final : public TraceSink {
+public:
+    explicit SendsFrom(TileId tile) : tile_(tile) {}
+    void record(const TraceEvent& e) override {
+        if (e.kind == TraceEventKind::Transmitted && e.tile == tile_)
+            sends.emplace_back(e.round, e.peer, e.message);
+    }
+    std::vector<std::tuple<Round, TileId, MessageId>> sends;
+
+private:
+    TileId tile_;
+};
+
+TEST(Engine, ForwardCoinsOfATileIgnoreOtherTiles) {
+    // Tile 5's own rumor is first in its send buffer, so it takes the
+    // first coins of tile 5's every round.  When three more tiles inject,
+    // tile 5 also holds their rumors and draws more coins per round, but
+    // its own rumor's copies go out on the same ports in the same rounds.
+    GossipConfig config;
+    config.forward_p = 0.5;
+    config.default_ttl = 12;
+    const auto own_sends = [&](std::uint64_t seed, bool crowded) {
+        GossipNetwork net(Topology::mesh(4, 4), config, FaultScenario::none(), seed);
+        SendsFrom trace(5);
+        net.set_trace_sink(&trace);
+        net.attach(5, std::make_unique<OneShotSource>(kBroadcast));
+        if (crowded)
+            for (const TileId t : {0u, 10u, 15u})
+                net.attach(t, std::make_unique<OneShotSource>(kBroadcast));
+        net.drain();
+        std::vector<std::tuple<Round, TileId, MessageId>> own;
+        for (const auto& send : trace.sends)
+            if (std::get<2>(send).origin == 5) own.push_back(send);
+        if (crowded) {
+            EXPECT_GT(trace.sends.size(), own.size()) << "no other rumor at tile 5";
+        }
+        return own;
+    };
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const auto alone = own_sends(seed, false);
+        EXPECT_GT(alone.size(), 0u);
+        EXPECT_EQ(alone, own_sends(seed, true)) << "seed " << seed;
+    }
 }
 
 TEST(Engine, AttachAfterStartThrows) {

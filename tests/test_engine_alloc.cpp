@@ -1,8 +1,8 @@
-// Per-tile memory of a GossipNetwork.  Every tile owns an eager forward
-// stream (2.5 KB of MT19937-64 state); the `app` stream is built only on
-// a tile's first TileContext::rng() call, since only IP cores draw from
-// it.  This binary replaces the global operator new with a counting one
-// (it is local to this test executable) to pin both.
+// Per-tile memory of a GossipNetwork.  No tile owns forward-coin state
+// (the coins are counter-based, common/rng.hpp), and the `app` stream is
+// built only on a tile's first TileContext::rng() call, since only IP
+// cores draw from it.  This binary replaces the global operator new with
+// a counting one (it is local to this test executable) to pin both.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -49,14 +49,13 @@ private:
     bool drawn_{false};
 };
 
-TEST(EngineAlloc, ConstructionStaysUnderThreeKilobytesPerTile) {
+TEST(EngineAlloc, ConstructionStaysUnderHalfAKilobytePerTile) {
     constexpr std::size_t kSide = 64;
     const Topology mesh = Topology::mesh(kSide, kSide);
     const std::size_t before = g_bytes;
     GossipNetwork net(mesh, GossipConfig{}, FaultScenario::none(), 1);
     const std::size_t per_tile = (g_bytes - before) / (kSide * kSide);
-    EXPECT_LT(per_tile, 3072u);
-    EXPECT_GE(per_tile, sizeof(RngStream)) << "the forward stream is eager";
+    EXPECT_LT(per_tile, 512u);
 }
 
 TEST(EngineAlloc, OnlyTilesThatDrawBuildAnAppStream) {
