@@ -15,7 +15,7 @@
 # wormhole-vs-gossip ablation; median wall seconds and peak RSS of 6 runs
 # each) into the snapshot's `figures` block.  Each anchor cell records
 # its table's post-construction `wall [s]` and the whole process's wall
-# time and peak RSS.  Given a baseline build dir
+# time, peak RSS and peak RSS per tile.  Given a baseline build dir
 # (e.g. a build of the parent commit), every cell is measured there too
 # and recorded as `before` next to `after` (figure runs interleaved, the
 # side that runs first alternating per round), with
@@ -302,6 +302,7 @@ def wall_cell(build, args):
     start = text.index("\n[\n") + 1
     end = text.index("\n]", start) + 2
     row = json.loads(text[start:end])[0]
+    width, height = (int(side) for side in row["mesh"].split("x"))
     return {
         "mesh": row["mesh"],
         "rounds": float(row["rounds"]),
@@ -310,6 +311,9 @@ def wall_cell(build, args):
         "wall_s": float(row["wall [s]"]),
         "process_wall_s": round(process_wall, 3),
         "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 1),  # KiB on Linux
+        # Everything the process held at its peak, spread over the tiles:
+        # at 1000x1000 the per-tile network state dominates it.
+        "peak_rss_bytes_per_tile": round(usage.ru_maxrss * 1024.0 / (width * height)),
     }
 
 SCALABILITY = {
@@ -347,7 +351,8 @@ if baseline:
     for name, args in SCALABILITY.items():
         cell = wall_cell(baseline, args)
         scalability[name]["before"] = {
-            key: cell[key] for key in ("wall_s", "process_wall_s", "peak_rss_mb")}
+            key: cell[key] for key in ("wall_s", "process_wall_s", "peak_rss_mb",
+                                       "peak_rss_bytes_per_tile")}
 
 # Flight-recorder overhead: BM_GossipRoundRecorded vs
 # BM_GossipRoundNullSink, per mesh side.  Both attach a sink, so both take
