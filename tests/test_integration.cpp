@@ -96,18 +96,21 @@ TEST(Integration, TileCrashesBarelyMoveLatency) {
 }
 
 TEST(Integration, UpsetsAboveHalfInflateLatency) {
-    // Fig. 4-5: upsets dominate latency once p_upset > 0.5.
+    // Fig. 4-5: upsets dominate latency once p_upset > 0.5.  At p_upset 0.7
+    // a rumor can die out within its TTL, so about 1 noisy run in 200
+    // fails (2 of seeds 0-399); the latency is compared over the runs that
+    // complete.
     Accumulator clean, noisy;
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
         FaultScenario s;
         const auto a = run_pi(0.5, s, seed);
         s.p_upset = 0.7;
         const auto b = run_pi(0.5, s, seed);
-        ASSERT_TRUE(a.completed);
-        ASSERT_TRUE(b.completed);
+        ASSERT_TRUE(a.completed) << "seed " << seed;
         clean.add(a.rounds);
-        noisy.add(b.rounds);
+        if (b.completed) noisy.add(b.rounds);
     }
+    EXPECT_GE(noisy.count(), 38u);
     EXPECT_GT(noisy.mean(), clean.mean() * 1.5);
 }
 

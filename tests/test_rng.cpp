@@ -115,15 +115,32 @@ TEST(RngStream, NormalZeroStddevIsDegenerate) {
     EXPECT_DOUBLE_EQ(s.normal(3.0, -1.0), 3.0);
 }
 
-// --- The in-tree engine against the standard one ------------------------
+// --- The engine against an independent copy of the reference ----------
 
-// The in-tree engine replaced a std::mt19937_64 member and must not be
-// larger than it: every fault, clock and app stream is one.
-static_assert(sizeof(Mt19937_64) <= sizeof(std::mt19937_64));
-static_assert(sizeof(RngStream) <= sizeof(std::mt19937_64) + 2 * sizeof(std::uint64_t));
+// Every fault, clock and app stream is one: eight bytes of engine plus the
+// cached Bernoulli threshold.
+static_assert(sizeof(RngStream) <= 24);
 
-/// The stream draws of contract v4 restated over std::mt19937_64: what
-/// RngStream's draws must return for the same seed.
+/// Vigna's reference splitmix64.c, restated without the simulator's code.
+class ReferenceSplitMix64 {
+public:
+    using result_type = std::uint64_t;
+    explicit ReferenceSplitMix64(std::uint64_t seed) : x_(seed) {}
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() {
+        std::uint64_t z = (x_ += 0x9e3779b97f4a7c15ULL);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    }
+
+private:
+    std::uint64_t x_;
+};
+
+/// The stream draws of contract v5 restated over the reference engine:
+/// what RngStream's draws must return for the same key.
 class ReferenceStream {
 public:
     explicit ReferenceStream(std::uint64_t seed) : engine_(seed) {}
@@ -152,9 +169,22 @@ public:
     std::size_t rejections() const { return rejections_; }
 
 private:
-    std::mt19937_64 engine_;
+    ReferenceSplitMix64 engine_;
     std::size_t rejections_{0};
 };
+
+TEST(Rng, SplitMix64MatchesReferenceVectors) {
+    // The first words of splitmix64.c seeded with 1234567.
+    const std::array<std::uint64_t, 5> expected{
+        6457827717110365317ULL, 3203168211198807973ULL, 9817491932198370423ULL,
+        4593380528125082431ULL, 16408922859458223821ULL};
+    SplitMix64 engine(1234567);
+    ReferenceSplitMix64 reference(1234567);
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(reference(), expected[i]) << "word " << i;
+        EXPECT_EQ(engine(), expected[i]) << "word " << i;
+    }
+}
 
 /// The edge seeds plus 64 derived the way per-tile keys are.
 std::vector<std::uint64_t> oracle_seeds() {
@@ -165,17 +195,16 @@ std::vector<std::uint64_t> oracle_seeds() {
     return seeds;
 }
 
-TEST(Rng, InTreeEngineMatchesStdMt19937_64) {
-    // Four full regenerations of the 312-word state plus a partial fifth.
-    constexpr std::size_t kWords = 4 * Mt19937_64::kStateWords + 100;
-    for (const std::uint64_t seed : oracle_seeds()) {
-        Mt19937_64 engine(seed);
-        std::mt19937_64 oracle(seed);
-        for (std::size_t i = 0; i < kWords; ++i)
-            ASSERT_EQ(engine(), oracle()) << "seed " << seed << " word " << i;
+TEST(Rng, StreamDrawsMatchReferenceStream) {
+    // A pool's stream is the engine keyed by the derived (purpose, index) key.
+    for (const std::uint64_t root : oracle_seeds()) {
+        auto stream = RngPool(root).stream("fault/upset", 3);
+        ReferenceSplitMix64 reference(derive_seed(derive_seed(root, key_of("fault/upset")), 3));
+        for (std::size_t i = 0; i < 100; ++i)
+            ASSERT_EQ(stream.bits(), reference()) << "root " << root << " word " << i;
     }
 
-    // The draws, interleaved so each one starts mid-state; below(2^63 + 1)
+    // The draws, interleaved so each one follows a different draw; below(2^63 + 1)
     // rejects almost half its words, so its retry loop runs too.
     const std::array<std::uint64_t, 4> bounds{5, 13, (std::uint64_t{1} << 63) + 1,
                                               std::numeric_limits<std::uint64_t>::max()};

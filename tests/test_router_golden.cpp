@@ -137,15 +137,15 @@ std::string router_core_image(const FaultScenario& scenario, std::uint64_t seed,
 
 /// One report line plus an FNV-1a digest of the metrics JSON and the full
 /// event JSONL (every packet's injection, hops and fate, with cycles) per
-/// backend, on the contended trace with p_tiles = 0.1 and the endpoints
-/// protected.  Seed 1's crashes miss every path, so all five run the full
-/// contended trace; seed 3's wedge wormhole and cost every other backend
-/// drops or detours.
+/// backend, on the contended trace with the endpoints protected.  The
+/// fault-free pass runs the full contended trace on all five; seeds 1 and
+/// 3 at p_tiles = 0.1 wedge wormhole and cost every other backend drops
+/// or detours.
 std::string contended_image() {
     const TrafficTrace trace = contended_trace();
-    const FaultScenario scenario = faulty(0.1);
     const std::vector<TileId> endpoints{0, 2, 4, 10, 14, 20, 22, 24};
     std::ostringstream os;
+    FaultScenario scenario = FaultScenario::none();
     const auto cell = [&](auto spec, std::uint64_t seed) {
         spec.protect = endpoints;
         const auto backend = make_interconnect(std::move(spec), scenario, seed);
@@ -158,16 +158,20 @@ std::string contended_image() {
         char digest[17];
         std::snprintf(digest, sizeof digest, "%016llx",
                       static_cast<unsigned long long>(key_of(records.str())));
-        os << "# " << to_string(backend->kind()) << " seed=" << seed << '\n'
+        os << "# " << to_string(backend->kind()) << " p_tiles=" << scenario.p_tiles
+           << " seed=" << seed << '\n'
            << report_line(report) << "digest " << digest << '\n';
     };
-    for (const std::uint64_t seed : {1, 3}) {
+    const auto all_backends = [&](std::uint64_t seed) {
         cell(WormholeSpec{}, seed);
         cell(DeflectionSpec{}, seed);
         cell(StoreForwardSpec{}, seed);
         cell(CutThroughSpec{}, seed);
         cell(AdaptiveSpec{}, seed);
-    }
+    };
+    all_backends(1);
+    scenario = faulty(0.1);
+    for (const std::uint64_t seed : {1, 3}) all_backends(seed);
     return os.str();
 }
 
