@@ -43,24 +43,6 @@ std::optional<std::string> CliArgs::value(const std::string& name) const {
     return it->second;
 }
 
-std::uint64_t CliArgs::get_u64(const std::string& name, std::uint64_t fallback) const {
-    const auto v = value(name);
-    if (!v) return fallback;
-    char* end = nullptr;
-    const auto parsed = std::strtoull(v->c_str(), &end, 10);
-    SNOC_EXPECT(end != nullptr && *end == '\0' && !v->empty());
-    return parsed;
-}
-
-double CliArgs::get_double(const std::string& name, double fallback) const {
-    const auto v = value(name);
-    if (!v) return fallback;
-    char* end = nullptr;
-    const double parsed = std::strtod(v->c_str(), &end);
-    SNOC_EXPECT(end != nullptr && *end == '\0' && !v->empty());
-    return parsed;
-}
-
 std::string CliArgs::get_string(const std::string& name, std::string fallback) const {
     const auto v = value(name);
     return v ? *v : std::move(fallback);
@@ -95,6 +77,24 @@ std::uint64_t flag_u64(const CliArgs& args, const std::string& name, std::uint64
     return parsed;
 }
 
+double flag_double(const CliArgs& args, const std::string& name, double fallback) {
+    if (!args.has(name)) return fallback;
+    const auto v = args.value(name);
+    if (!v) usage_error(args, "--" + name + " needs a value");
+    char* end = nullptr;
+    const double parsed = std::strtod(v->c_str(), &end);
+    if (v->empty() || *end != '\0')
+        usage_error(args, "--" + name + " takes a number, not '" + *v + "'");
+    return parsed;
+}
+
+void reject_unknown_flags(const CliArgs& args, const std::vector<std::string>& known) {
+    const auto unknown = args.unknown_options(known);
+    for (const auto& name : unknown)
+        std::cerr << args.program() << ": unknown flag --" << name << '\n';
+    if (!unknown.empty()) std::exit(2);
+}
+
 std::size_t resolve_jobs(const CliArgs& args) {
     return get_count(args, "jobs", default_jobs());
 }
@@ -108,10 +108,7 @@ BenchOptions parse_bench_options(const CliArgs& args, std::size_t default_repeat
         "flight-capacity", "heartbeat-out", "heartbeat-every", "metrics-out",
         "prof", "prof-out"};
     known.insert(known.end(), own_flags.begin(), own_flags.end());
-    const auto unknown = args.unknown_options(known);
-    for (const auto& name : unknown)
-        std::cerr << args.program() << ": unknown flag --" << name << '\n';
-    if (!unknown.empty()) std::exit(2);
+    reject_unknown_flags(args, known);
     if (!args.positional().empty())
         usage_error(args, "unexpected argument '" + args.positional().front() +
                               "': every option is a --flag");

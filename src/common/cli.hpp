@@ -26,9 +26,8 @@ public:
     /// Value of `--name=value` / `--name value`; nullopt if absent or bare.
     std::optional<std::string> value(const std::string& name) const;
 
-    /// Typed accessors with defaults.
-    std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
-    double get_double(const std::string& name, double fallback) const;
+    /// `--name`'s value, `fallback` if absent or bare.  Numbers are read
+    /// by flag_u64 and flag_double below.
     std::string get_string(const std::string& name, std::string fallback) const;
 
     const std::vector<std::string>& positional() const { return positional_; }
@@ -44,10 +43,17 @@ private:
     std::vector<std::string> positional_;
 };
 
-/// `--name N` of a bench: `fallback` when the flag is absent; a bare flag
-/// or a value that is not a non-negative integer exits 2 naming the flag
-/// (CliArgs::get_u64 throws instead, for the tools).
+/// `--name N` of a bench or tool: `fallback` when the flag is absent; a
+/// bare flag or a value that is not a non-negative integer exits 2 naming
+/// the flag.
 std::uint64_t flag_u64(const CliArgs& args, const std::string& name, std::uint64_t fallback);
+
+/// `--name X` for a real number, read like flag_u64: a bare flag or a value
+/// that is not a number exits 2 naming the flag.
+double flag_double(const CliArgs& args, const std::string& name, double fallback);
+
+/// Exit 2, naming each, if any flag other than `known` was given.
+void reject_unknown_flags(const CliArgs& args, const std::vector<std::string>& known);
 
 /// Worker count for the parallel trial fan-out (common/parallel.hpp):
 /// `--jobs N` beats the SNOC_JOBS environment variable beats the

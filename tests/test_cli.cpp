@@ -4,8 +4,6 @@
 
 #include <cstdlib>
 
-#include "common/expect.hpp"
-
 namespace snoc {
 namespace {
 
@@ -29,14 +27,14 @@ TEST(Cli, BareFlags) {
 
 TEST(Cli, EqualsSyntax) {
     const auto args = make({"--seed=42", "--p=0.75", "--name=fig4_4"});
-    EXPECT_EQ(args.get_u64("seed", 0), 42u);
-    EXPECT_DOUBLE_EQ(args.get_double("p", 0.0), 0.75);
+    EXPECT_EQ(flag_u64(args, "seed", 0), 42u);
+    EXPECT_DOUBLE_EQ(flag_double(args, "p", 0.0), 0.75);
     EXPECT_EQ(args.get_string("name", ""), "fig4_4");
 }
 
 TEST(Cli, SpaceSyntax) {
     const auto args = make({"--repeats", "12", "--csv"});
-    EXPECT_EQ(args.get_u64("repeats", 0), 12u);
+    EXPECT_EQ(flag_u64(args, "repeats", 0), 12u);
     EXPECT_TRUE(args.has("csv"));
 }
 
@@ -49,15 +47,21 @@ TEST(Cli, PositionalArguments) {
 
 TEST(Cli, DefaultsWhenAbsent) {
     const auto args = make({});
-    EXPECT_EQ(args.get_u64("seed", 7), 7u);
-    EXPECT_DOUBLE_EQ(args.get_double("p", 0.5), 0.5);
+    EXPECT_EQ(flag_u64(args, "seed", 7), 7u);
+    EXPECT_DOUBLE_EQ(flag_double(args, "p", 0.5), 0.5);
     EXPECT_EQ(args.get_string("name", "x"), "x");
 }
 
-TEST(Cli, MalformedNumbersThrow) {
-    const auto args = make({"--seed=abc", "--p=1.2.3"});
-    EXPECT_THROW(args.get_u64("seed", 0), ContractViolation);
-    EXPECT_THROW(args.get_double("p", 0.0), ContractViolation);
+TEST(CliDeathTest, MalformedNumbersExitTwo) {
+    const auto args = make({"--seed=abc", "--p=1.2.3", "--q"});
+    EXPECT_EXIT(flag_u64(args, "seed", 0), ::testing::ExitedWithCode(2),
+                "prog: --seed takes a non-negative integer, not 'abc'");
+    EXPECT_EXIT(flag_double(args, "p", 0.0), ::testing::ExitedWithCode(2),
+                "prog: --p takes a number, not '1.2.3'");
+    EXPECT_EXIT(flag_double(args, "q", 0.0), ::testing::ExitedWithCode(2),
+                "prog: --q needs a value");
+    EXPECT_EXIT(reject_unknown_flags(args, {"seed", "p"}), ::testing::ExitedWithCode(2),
+                "prog: unknown flag --q");
 }
 
 TEST(Cli, UnknownOptionDetection) {
@@ -69,7 +73,7 @@ TEST(Cli, UnknownOptionDetection) {
 
 TEST(Cli, LastValueWins) {
     const auto args = make({"--seed=1", "--seed=2"});
-    EXPECT_EQ(args.get_u64("seed", 0), 2u);
+    EXPECT_EQ(flag_u64(args, "seed", 0), 2u);
 }
 
 TEST(BenchOptions, DefaultsWhenNoFlags) {

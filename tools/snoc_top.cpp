@@ -12,7 +12,8 @@
 // --once never waits: it renders whatever the file holds right now (or
 // "no heartbeats yet") and exits 0, so CI smoke steps can assert on the
 // output without racing the producer.  Follow mode exits 0 on the done
-// record and 1 if --max-seconds elapses first.
+// record and 1 if --max-seconds elapses first.  An unknown flag or a value
+// that is not a number exits 2 naming the flag.
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -43,14 +44,15 @@ void render(const std::vector<snoc::HeartbeatRecord>& records, bool clear) {
 
 int main(int argc, char** argv) {
     const snoc::CliArgs args(argc, argv);
+    snoc::reject_unknown_flags(args, {"once", "interval-ms", "max-seconds", "no-clear"});
+    const auto interval =
+        std::chrono::milliseconds(snoc::flag_u64(args, "interval-ms", 1000));
+    const double max_seconds =
+        snoc::flag_double(args, "max-seconds", 0.0); // 0 = no deadline
     if (args.positional().size() != 1) return usage(argv[0]);
     const std::string path = args.positional()[0];
     const bool once = args.has("once");
     const bool clear = !args.has("no-clear") && !once;
-    const auto interval =
-        std::chrono::milliseconds(args.get_u64("interval-ms", 1000));
-    const double max_seconds =
-        args.get_double("max-seconds", 0.0); // 0 = no deadline
 
     if (once) {
         render(snoc::load_heartbeats_file(path), false);

@@ -11,7 +11,8 @@
 //
 // Every command accepts --last-rounds=N (keep only the N highest rounds)
 // and --since-round=N (drop everything before round N) to focus on the
-// window around a failure.
+// window around a failure.  An unknown flag or a value that is not a
+// non-negative integer exits 2 naming the flag.
 //
 // The heavy lifting lives in src/telemetry/query.{hpp,cpp} so tests can
 // exercise the exact code this binary runs.
@@ -42,6 +43,9 @@ int usage() {
 
 int main(int argc, char** argv) {
     const snoc::CliArgs args(argc, argv);
+    snoc::reject_unknown_flags(args, {"last-rounds", "since-round"});
+    const auto since_round = snoc::flag_u64(args, "since-round", 0);
+    const auto last_rounds = snoc::flag_u64(args, "last-rounds", 0);
     const auto& positional = args.positional();
     if (positional.size() < 2) return usage();
     const std::string& command = positional[0];
@@ -58,12 +62,10 @@ int main(int argc, char** argv) {
 
     if (args.has("since-round"))
         loaded.events = snoc::tracequery::since_round(
-            loaded.events,
-            static_cast<snoc::Round>(args.get_u64("since-round", 0)));
+            loaded.events, static_cast<snoc::Round>(since_round));
     if (args.has("last-rounds"))
         loaded.events = snoc::tracequery::last_rounds(
-            loaded.events,
-            static_cast<std::size_t>(args.get_u64("last-rounds", 0)));
+            loaded.events, static_cast<std::size_t>(last_rounds));
 
     if (command == "header") {
         if (!loaded.postmortem) {
