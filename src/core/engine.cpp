@@ -611,18 +611,6 @@ bool GossipNetwork::tile_alive(TileId t) {
     return !crash_state_.dead_tiles[t];
 }
 
-std::size_t GossipNetwork::live_link_count() {
-    ensure_started();
-    std::size_t live = 0;
-    for (LinkId l = 0; l < topology_.link_count(); ++l) {
-        const auto& ends = topology_.link(l);
-        if (!crash_state_.dead_links[l] && !crash_state_.dead_tiles[ends.from] &&
-            !crash_state_.dead_tiles[ends.to])
-            ++live;
-    }
-    return live;
-}
-
 std::size_t GossipNetwork::tiles_knowing(const MessageId& id) {
     ensure_started();
     const auto it = knowers_.find(id);

@@ -116,7 +116,6 @@ public:
     bool active_set_consistent() const;
 
     bool tile_alive(TileId t);
-    std::size_t live_link_count();
 
     /// True when no rumor is alive anywhere: all send buffers are empty
     /// and nothing is in flight.  Energy measurements should run to
