@@ -9,12 +9,12 @@
 // The thesis realises the Bernoulli(p) gate with an amplified-thermal-noise
 // circuit (Sec. 3.2.3); this is its deterministic functional equivalent.
 //
-// One engine serves every draw: SplitMix64 below, Vigna's splitmix64 read
-// as a counter.  Word i of a generator keyed k is
+// Only the law of each draw matters (Fig. 3-4 gates each output port with
+// an independent Bernoulli(p)), so one engine serves every draw:
+// SplitMix64 below, Vigna's splitmix64 read as a counter.  Word i of a
+// generator keyed k is
 //   splitmix64(k + i * 0x9e3779b97f4a7c15),
-// eight bytes of state.  Only the law of each draw matters (Fig. 3-4 gates
-// each output port with an independent Bernoulli(p)); up to v4 the streams
-// drew from a 2.5 KB MT19937-64.  Two keyed sequences share a word only
+// eight bytes of state.  Two keyed sequences share a word only
 // where their counter ranges overlap: the increment is odd, so every key
 // lies on one cycle of 2^64 counters, and with keys derived by splitmix64
 // a run that keys S sequences and draws W words in all has an overlap
