@@ -118,7 +118,7 @@ TEST(RngStream, NormalZeroStddevIsDegenerate) {
 // --- The engine against an independent copy of the reference ----------
 
 // Every fault, clock and app stream is one: eight bytes of engine plus the
-// cached Bernoulli threshold.
+// cached Bernoulli p and threshold.
 static_assert(sizeof(RngStream) <= 24);
 
 /// Vigna's reference splitmix64.c, restated without the simulator's code.
@@ -204,8 +204,9 @@ TEST(Rng, StreamDrawsMatchReferenceStream) {
             ASSERT_EQ(stream.bits(), reference()) << "root " << root << " word " << i;
     }
 
-    // The draws, interleaved so each one follows a different draw; below(2^63 + 1)
-    // rejects almost half its words, so its retry loop runs too.
+    // The draws, interleaved so each one follows a different draw;
+    // below(2^63 + 1) rejects almost half its words, so its retry loop
+    // runs too.
     const std::array<std::uint64_t, 4> bounds{5, 13, (std::uint64_t{1} << 63) + 1,
                                               std::numeric_limits<std::uint64_t>::max()};
     const std::array<double, 5> ps{0.3, 0.5, 1e-9, 0.999, 0.3};
