@@ -25,7 +25,7 @@
 // raw engine words directly instead of going through the standard
 // <random> distribution adaptors, because constructing a distribution
 // object per call dominated the hot paths.
-//   * stream words (new in v5; up to v4 an MT19937-64 seeded with the
+//   * stream words (new in v5; up to v4 another engine seeded with the
 //     key): word i of RngPool::stream(purpose, index) is word i of the
 //     engine keyed derive_seed(derive_seed(root, key_of(purpose)), index);
 //   * bernoulli(p): one engine word compared against a cached 64-bit
