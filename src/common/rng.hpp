@@ -21,7 +21,7 @@
 // with probability below S * W / 2^64 (under 1e-4 for 10^7 keys and
 // 10^8 words).
 //
-// Draw-sequence contract (v5): bernoulli(), below() and uniform() map
+// Draw-sequence contract (v6): bernoulli(), below() and uniform() map
 // raw engine words directly instead of going through the standard
 // <random> distribution adaptors, because constructing a distribution
 // object per call dominated the hot paths.
@@ -46,11 +46,20 @@
 //     per output port of each held message, in send-buffer and port
 //     order, up to the port that exhausts the tile's forward capacity.
 //     So a tile's coins depend on no other tile and on no earlier round.
-// Consumers document their own per-event draw counts where they matter;
-// notably the `fault/upset` stream (FaultInjector) draws one bernoulli()
-// gate per transmission and, per bit-error upset, one uniform() per
-// flipped bit plus one (geometric gap sampling; up to v2 it drew one
-// bernoulli() per wire bit), plus a below() when nothing flipped.
+//   * bit-error upsets (new in v6; up to v5 one uniform() per flipped
+//     bit plus one, walking geometric gaps, and a below() when nothing
+//     flipped): the `fault/upset` stream (FaultInjector) draws one
+//     bernoulli() gate per transmission and, per RandomBitError upset of
+//     an n-bit wire, one word w for its flip count
+//       K = 1 + #{k >= 1 : w < floor(P(K > k) * 2^64)},
+//     K ~ Binomial(n, 2/n) with the K = 0 mass on K = 1.  The positions
+//     of the injector's upset i (counting from 0) come from
+//     RngPool::stream("fault/upset-positions", i), not from the upset
+//     stream: Floyd's algorithm, for j = n - K .. n - 1 one below(j + 1)
+//     giving t, taking t, or j if t is taken, then sorted ascending.  A
+//     consumer that needs only K draws no position, and skipping them
+//     moves no other draw.
+// Consumers document their own per-event draw counts where they matter.
 // Any change to these mappings shifts every downstream stochastic
 // trajectory; tests assert distributions and determinism (and the
 // engine goldens pin exact sequences, regenerated deliberately when a

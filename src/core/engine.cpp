@@ -227,7 +227,9 @@ void GossipNetwork::step() {
 void GossipNetwork::receive_phase() {
     const std::size_t slot = round_ % kInFlightRing;
     metrics_.duplicates_ignored += known_dups_[slot];
+    metrics_.crc_drops += known_crc_drops_[slot];
     known_dups_[slot] = 0;
+    known_crc_drops_[slot] = 0;
     auto& bucket = in_flight_[slot];
     if (bucket.empty()) return;
     // Detach the bucket before processing: slow-clock deferrals re-enter
@@ -477,12 +479,22 @@ void GossipNetwork::enqueue_transmission(TileId from, TileId to, LinkId link,
         return;
     }
 
-    Arrival arrival{m.body, nullptr, m.ttl};
+    Arrival arrival{nullptr, nullptr, m.ttl};
     // The reference path serialises every transmission, as real hardware
     // does; otherwise a clean transmission carries no bytes at all.
     if (config_.reference_encode_path)
         arrival.wire = std::make_unique<std::vector<std::byte>>(encode_message(m));
-    if (upset) upset_transmission(m, arrival);
+    if (upset) {
+        upset_transmission(m, arrival);
+        // A CRC drop decided at send time is dropped on arrival whatever
+        // else arrives, under the same rule as a known duplicate.
+        if (elide_known_dups_ && arrival.verdict == Verdict::CrcDrop &&
+            !crash_state_.dead_tiles[to]) {
+            ++known_crc_drops_[(round_ + 1) % kInFlightRing];
+            return;
+        }
+    }
+    arrival.body = m.body; // shared only by copies that enter the ring
 
     // A transmission into a crashed tile still burns bandwidth/energy but
     // is never received; model it by enqueuing (receive_phase drops it).
@@ -510,19 +522,28 @@ void GossipNetwork::upset_transmission(const HeldMessage& m, Arrival& arrival) {
         return;
     }
     // Same draws as apply_upset() on the encoded wire, but the verdict
-    // comes from the flip positions: CRC-32 and SECDED are linear, so a
-    // corrupted copy's fate depends on its error vector alone.
+    // comes from the error vector: CRC-32 and SECDED are linear, so a
+    // corrupted copy's fate depends on its error vector alone, and under
+    // CRC alone fewer flips than the code's distance fail it wherever
+    // they fall.  The positions are drawn only where they can matter.
     const bool secded = config_.link_protection == LinkProtection::SecdedCorrect;
-    injector_.sample_flips(wire_size(*m.body) * 8, flips_);
-    const auto verdict = sparse_verdicts_.decide(
-        Packet::wire_bytes(m.body->payload.size()), flips_, secded);
+    const std::size_t packet_bytes = Packet::wire_bytes(m.body->payload.size());
+    const FaultInjector::BitUpset upset = injector_.draw_bit_upset(wire_size(*m.body) * 8);
+    std::optional<LinkVerdict> verdict;
+    if (!secded && SparseVerdicts::crc_drops_any(packet_bytes, upset.flips)) {
+        SNOC_PROF("noc/crc"); // every upset's verdict is timed once
+        verdict = LinkVerdict{WireAction::CrcDrop, 0};
+    } else {
+        FaultInjector::flip_positions(upset, flips_);
+        verdict = sparse_verdicts_.decide(packet_bytes, flips_, secded);
+    }
     if (!verdict) { // the bytes decide what gets through
         arrival.wire = upset_copy(m);
         FaultInjector::flip_bits(*arrival.wire, flips_);
         arrival.verdict = Verdict::Upset;
         return;
     }
-    SNOC_CHECK(2, bytes_agree(m, *verdict));
+    SNOC_CHECK(2, bytes_agree(m, upset, *verdict));
     switch (verdict->action) {
     case WireAction::CrcDrop: arrival.verdict = Verdict::CrcDrop; break;
     case WireAction::FecDrop: arrival.verdict = Verdict::FecDrop; break;
@@ -541,13 +562,18 @@ std::unique_ptr<std::vector<std::byte>> GossipNetwork::upset_copy(const HeldMess
     return std::make_unique<std::vector<std::byte>>(upset_wire_);
 }
 
-bool GossipNetwork::bytes_agree(const HeldMessage& m, const LinkVerdict& verdict) const {
-    // Untimed, so that a level-2 build profiles like the others.
+bool GossipNetwork::bytes_agree(const HeldMessage& m, const FaultInjector::BitUpset& upset,
+                                const LinkVerdict& verdict) const {
+    // Untimed, so that a level-2 build profiles like the others.  The
+    // positions are keyed by the upset, so drawing them here, also for
+    // an upset the count decided, moves no other draw.
     const bool secded = config_.link_protection == LinkProtection::SecdedCorrect;
     Packet packet = Packet::encode(*m.body, m.ttl);
     std::vector<std::byte> wire = secded ? fec::protect(packet.wire()).bytes
                                          : std::move(packet.mutable_wire());
-    FaultInjector::flip_bits(wire, flips_);
+    std::vector<std::size_t> flips;
+    FaultInjector::flip_positions(upset, flips);
+    FaultInjector::flip_bits(wire, flips);
     const WireDecode read = decode_link_wire(wire, secded, /*timed=*/false);
     if (read.verdict.action != verdict.action ||
         read.verdict.fec_corrected != verdict.fec_corrected)
@@ -638,7 +664,7 @@ const SendBuffer& GossipNetwork::send_buffer(TileId t) const {
 std::size_t GossipNetwork::in_flight_packets() const {
     std::size_t n = 0;
     for (std::size_t slot = 0; slot < kInFlightRing; ++slot)
-        n += in_flight_[slot].size() + known_dups_[slot];
+        n += in_flight_[slot].size() + known_dups_[slot] + known_crc_drops_[slot];
     return n;
 }
 

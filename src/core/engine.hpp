@@ -133,7 +133,8 @@ public:
     const SendBuffer& send_buffer(TileId t) const;
 
     /// Packets enqueued on links but not yet received (all ring buckets,
-    /// plus the clean copies counted as known duplicates at send time).
+    /// plus the copies counted at send time as known duplicates or known
+    /// CRC drops).
     std::size_t in_flight_packets() const;
 
     /// Snapshot the conservation ledger (check/ledger.hpp) from live
@@ -214,10 +215,11 @@ private:
     std::size_t wire_size(const MessageBody& body) const;
     /// Serialise + CRC (+ optional FEC) a held message into wire bytes.
     std::vector<std::byte> encode_message(const HeldMessage& m) const;
-    /// True iff this round's forward phase may count a clean copy to a
-    /// live tile that already knows the rumor as a duplicate at send
-    /// time: no receiver-side rule reads where it sits in its bucket
-    /// (DESIGN.md §12).
+    /// True iff this round's forward phase may count a copy to a live
+    /// tile whose fate is already known at send time (a clean copy of a
+    /// rumor the tile knows is a duplicate, an upset whose sparse verdict
+    /// is a CRC drop is a CRC drop): no receiver-side rule reads where it
+    /// sits in its bucket (DESIGN.md §12).
     bool known_duplicates_exact() const;
     /// A held message as the forward phase sends it: what all its copies
     /// in a round share.
@@ -238,9 +240,10 @@ private:
     void upset_transmission(const HeldMessage& m, Arrival& arrival);
     /// A copy of `m`'s encoding, made at most once per forward phase.
     std::unique_ptr<std::vector<std::byte>> upset_copy(const HeldMessage& m);
-    /// Level-2 cross-check: applying flips_ to `m`'s bytes gives the
-    /// sparse `verdict`, and a delivered packet decodes to `m`.
-    bool bytes_agree(const HeldMessage& m, const LinkVerdict& verdict) const;
+    /// Level-2 cross-check: flipping `upset`'s positions in `m`'s bytes
+    /// gives the sparse `verdict`, and a delivered packet decodes to `m`.
+    bool bytes_agree(const HeldMessage& m, const FaultInjector::BitUpset& upset,
+                     const LinkVerdict& verdict) const;
     void trace(TraceEventKind kind, TileId tile, TileId peer = kNoTile,
                MessageId message = MessageId{kNoTile, 0});
 
@@ -281,6 +284,10 @@ private:
     // would have been received and never enter a bucket.  Only while
     // elide_known_dups_, which the forward phase sets each round.
     std::array<std::size_t, kInFlightRing> known_dups_{};
+    // Upsets to live tiles whose CRC drop was decided at send time, per
+    // arrival round, under the same rule: they count as CRC drops in the
+    // round they would have been received and never enter a bucket.
+    std::array<std::size_t, kInFlightRing> known_crc_drops_{};
     bool elide_known_dups_{false};
     /// Most links into any one tile, parallel links counted: with every
     /// send buffer holding at most `held` rumors, no tile receives more
@@ -292,8 +299,9 @@ private:
     // since send-buffer slots are reused across rounds.
     const HeldMessage* upset_source_{nullptr};
     std::vector<std::byte> upset_wire_;
-    // The current upset's flip positions, and the CRC column table the
-    // sparse verdicts read (grown to the longest packet sent).
+    // The flip positions of the last upset that needed them, and the CRC
+    // column table the sparse verdicts read (grown to the longest packet
+    // sent).
     std::vector<std::size_t> flips_;
     SparseVerdicts sparse_verdicts_;
     NetworkMetrics metrics_;

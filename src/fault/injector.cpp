@@ -23,7 +23,8 @@ FaultInjector::FaultInjector(FaultScenario scenario, const RngPool& pool)
       crash_rng_(pool.stream("fault/crash")),
       upset_rng_(pool.stream("fault/upset")),
       overflow_rng_(pool.stream("fault/overflow")),
-      synchr_rng_(pool.stream("fault/synchr")) {
+      synchr_rng_(pool.stream("fault/synchr")),
+      positions_key_(derive_seed(pool.root_seed(), key_of("fault/upset-positions"))) {
     scenario_.validate();
 }
 
@@ -70,61 +71,97 @@ CrashState FaultInjector::roll_exact_tile_crashes(
     return state;
 }
 
-bool FaultInjector::maybe_upset(Packet& packet) {
-    if (!upset_roll()) return false;
-    apply_upset(packet.mutable_wire());
-    return true;
+// The RandomBitError law over an n-bit wire: each bit flips independently
+// with p_b = 2/n, and an upset that flipped nothing flips one uniformly
+// chosen bit instead.  Expected flips ~ 2 models a burst-free DSM noise
+// event (crosstalk glitch on a couple of wires) while keeping
+// P[packet scrambled] == p_upset exactly.  So the flip count K is
+// Binomial(n, 2/n) with the K = 0 mass moved to K = 1, and given K the
+// flipped bits are a uniform K-subset.  The sampler draws K from that law
+// with one word and the subset only on request (flip_positions());
+// tests/test_fault.cpp holds the chi-square oracles against the exact pmf
+// and the literal per-bit model.
+const FaultInjector::FlipCountLaw& FaultInjector::flip_count_law(std::size_t nbits) {
+    // Consecutive upsets are mostly of one held message's copies.
+    if (last_law_ < flip_laws_.size() && flip_laws_[last_law_].nbits == nbits)
+        return flip_laws_[last_law_];
+    for (last_law_ = 0; last_law_ < flip_laws_.size(); ++last_law_)
+        if (flip_laws_[last_law_].nbits == nbits) return flip_laws_[last_law_];
+    SNOC_EXPECT(nbits >= 8); // a wire is at least one byte, so p_b <= 1/4
+    // pmf[k] = C(n, k) p^k q^(n-k), from pmf[0] = q^n by the ratio
+    // (n - k) / (k + 1) * p / q, in long double: its 64-bit mantissa keeps
+    // every tail below exact to far better than the 2^-64 of a threshold.
+    // Beyond k = 64 the tail is below 10^-40 at every n.
+    const long double n = static_cast<long double>(nbits);
+    const long double p = 2.0L / n, q = 1.0L - p;
+    const std::size_t kmax = std::min<std::size_t>(nbits, 64);
+    std::vector<long double> pmf(kmax + 1);
+    pmf[0] = std::pow(q, n);
+    for (std::size_t k = 0; k < kmax; ++k)
+        pmf[k + 1] = pmf[k] * (n - static_cast<long double>(k)) /
+                     static_cast<long double>(k + 1) * p / q;
+    // above[j] = P(K > j + 1): the binomial tail past j + 1, summed from
+    // the small end.  K = 0 moved to K = 1 leaves every tail past 1 as is.
+    std::vector<long double> tail(kmax + 2, 0.0L);
+    for (std::size_t k = kmax + 1; k-- > 0;) tail[k] = tail[k + 1] + pmf[k];
+    FlipCountLaw law{nbits, {}};
+    for (std::size_t k = 2; k <= kmax; ++k) {
+        const long double scaled = std::ldexp(tail[k], 64);
+        if (scaled < 1.0L) break;
+        law.above.push_back(scaled >= 0x1p64L ? ~std::uint64_t{0}
+                                              : static_cast<std::uint64_t>(scaled));
+    }
+    flip_laws_.push_back(std::move(law));
+    return flip_laws_.back();
 }
 
-bool FaultInjector::upset_roll() {
-    return upset_rng_.bernoulli(scenario_.p_upset);
-}
-
-namespace {
-
-/// The RandomBitError walk over an `nbits`-bit wire: flip(bit) for each
-/// flipped bit, ascending.
-///
-/// e_1..e_n independent with small p_b = 2/n; conditioned on the packet
-/// being upset at least one bit flips.  Expected flips ~ 2 models a
-/// burst-free DSM noise event (crosstalk glitch on a couple of wires)
-/// while keeping P[packet scrambled] == p_upset exactly.
-///
-/// Rather than one Bernoulli(p_b) draw per wire bit, jump straight to the
-/// next flipped bit: the run of unflipped bits before it is Geometric(p_b),
-/// sampled by inversion as floor(log u / log(1-p_b)) with u uniform in
-/// (0, 1].  Same per-bit law, O(flips) draws: one uniform() per flip plus
-/// the one that overshoots the wire.  tests/test_fault.cpp holds the
-/// chi-square oracle against the per-bit reference.
-template <typename Flip>
-void walk_bit_errors(RngStream& rng, std::size_t nbits, Flip&& flip) {
-    const double log_keep = std::log1p(-2.0 / static_cast<double>(nbits));
-    std::size_t flips = 0;
-    for (std::size_t bit = 0;; ++bit) {
-        const double u = 1.0 - rng.uniform();
-        const double gap = std::floor(std::log(u) / log_keep);
-        // Compare as a double: a huge gap must not wrap in the cast.
-        if (gap >= static_cast<double>(nbits - bit)) break;
-        bit += static_cast<std::size_t>(gap);
-        flip(bit);
+FaultInjector::BitUpset FaultInjector::next_bit_upset(std::size_t nbits) {
+    const FlipCountLaw& law = flip_count_law(nbits);
+    // K = 1 + #{j : word < above[j]}; above[] falls, so stop at the first
+    // threshold the word reaches.
+    const std::uint64_t word = upset_rng_.bits();
+    std::size_t flips = 1;
+    for (const std::uint64_t threshold : law.above) {
+        if (word >= threshold) break;
         ++flips;
     }
-    if (flips == 0) flip(static_cast<std::size_t>(rng.below(nbits)));
+    return BitUpset{nbits, flips, derive_seed(positions_key_, upsets_++)};
 }
 
-} // namespace
+FaultInjector::BitUpset FaultInjector::draw_bit_upset(std::size_t nbits) {
+    SNOC_PROF("fault/upset");
+    SNOC_EXPECT(scenario_.upset_model == UpsetModel::RandomBitError);
+    return next_bit_upset(nbits);
+}
+
+void FaultInjector::flip_positions(const BitUpset& upset, std::vector<std::size_t>& out) {
+    // Floyd's algorithm: for j = n - K .. n - 1 take a uniform t <= j, or
+    // j itself if t is already taken.  Every K-subset comes out equally
+    // likely, with exactly K draws (up to below()'s rare rejections).
+    // Everything taken before is below j, so j goes last and `out` stays
+    // sorted.
+    RngStream rng(upset.key);
+    out.clear();
+    for (std::size_t j = upset.nbits - upset.flips; j < upset.nbits; ++j) {
+        const auto t = static_cast<std::size_t>(rng.below(j + 1));
+        const auto at = std::lower_bound(out.begin(), out.end(), t);
+        if (at != out.end() && *at == t)
+            out.push_back(j);
+        else
+            out.insert(at, t);
+    }
+}
 
 void FaultInjector::apply_upset(std::vector<std::byte>& wire) {
     SNOC_PROF("fault/upset");
     SNOC_EXPECT(!wire.empty());
-    ++upsets_;
     switch (scenario_.upset_model) {
     case UpsetModel::RandomBitError:
-        walk_bit_errors(upset_rng_, wire.size() * 8, [&wire](std::size_t bit) {
-            wire[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-        });
+        flip_positions(next_bit_upset(wire.size() * 8), positions_);
+        flip_bits(wire, positions_);
         break;
     case UpsetModel::RandomErrorVector: {
+        ++upsets_;
         // All 2^n - 1 non-null vectors equally likely: draw uniform random
         // bytes, redraw if the all-zero vector comes up.
         bool nonzero = false;
@@ -138,15 +175,6 @@ void FaultInjector::apply_upset(std::vector<std::byte>& wire) {
         break;
     }
     }
-}
-
-void FaultInjector::sample_flips(std::size_t nbits, std::vector<std::size_t>& out) {
-    SNOC_PROF("fault/upset");
-    SNOC_EXPECT(nbits > 0);
-    SNOC_EXPECT(scenario_.upset_model == UpsetModel::RandomBitError);
-    ++upsets_;
-    out.clear();
-    walk_bit_errors(upset_rng_, nbits, [&out](std::size_t bit) { out.push_back(bit); });
 }
 
 void FaultInjector::flip_bits(std::vector<std::byte>& wire, std::span<const std::size_t> bits) {

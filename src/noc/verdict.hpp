@@ -52,6 +52,16 @@ struct WireDecode {
 WireDecode decode_link_wire(const std::vector<std::byte>& wire, bool secded,
                             bool timed = true);
 
+/// CRC-32's distance on every wire this simulator sends: no pattern of
+/// fewer than kCrcDistance flipped bits anywhere on a wire of at most
+/// kCrcDistanceWireBytes bytes (CRC field included) passes the CRC.
+/// tests/test_verdict.cpp proves it over every weight-1, -2 and -3
+/// pattern at that length, which covers every shorter wire, and finds a
+/// weight-4 pattern that passes within it.  The length is at least the
+/// longest wire any bench or test sends (554 bytes).
+inline constexpr std::size_t kCrcDistance = 4;
+inline constexpr std::size_t kCrcDistanceWireBytes = 1024;
+
 /// Verdicts on upset copies of valid wires from their flip positions.
 /// Holds the CRC column table, grown to the longest packet seen.
 class SparseVerdicts {
@@ -64,6 +74,13 @@ public:
     /// arrival instead.
     std::optional<LinkVerdict> decide(std::size_t packet_bytes,
                                       std::span<const std::size_t> flips, bool secded);
+
+    /// True iff every pattern of `flips` flipped bits on a valid
+    /// CRC-only wire of a `packet_bytes`-byte packet fails the CRC, so the
+    /// upset is a CRC drop whichever bits it hit.
+    static constexpr bool crc_drops_any(std::size_t packet_bytes, std::size_t flips) {
+        return flips > 0 && flips < kCrcDistance && packet_bytes <= kCrcDistanceWireBytes;
+    }
 
 private:
     std::optional<LinkVerdict> crc_verdict(std::size_t packet_bytes,

@@ -23,6 +23,14 @@ Packet sample_packet(std::size_t payload_bytes = 64) {
     return Packet::encode(m);
 }
 
+/// One transmission through the injector: the upset_roll() gate, then
+/// apply_upset() on the packet's wire if it came up.  True iff upset.
+bool transmit(FaultInjector& inj, Packet& packet) {
+    if (!inj.upset_roll()) return false;
+    inj.apply_upset(packet.mutable_wire());
+    return true;
+}
+
 TEST(FaultScenario, ValidateAcceptsDefaults) {
     EXPECT_NO_THROW(FaultScenario::none().validate());
 }
@@ -55,7 +63,7 @@ TEST(FaultInjector, NoFaultsMeansNoEffects) {
     FaultInjector inj(FaultScenario::none(), pool);
     auto p = sample_packet();
     for (int i = 0; i < 100; ++i) {
-        EXPECT_FALSE(inj.maybe_upset(p));
+        EXPECT_FALSE(transmit(inj, p));
         EXPECT_FALSE(inj.overflow_drop());
     }
     EXPECT_TRUE(p.crc_ok());
@@ -134,7 +142,7 @@ TEST(FaultInjector, UpsetRateMatchesPUpset) {
     const int n = 5000;
     for (int i = 0; i < n; ++i) {
         auto p = sample_packet();
-        if (inj.maybe_upset(p)) ++corrupted;
+        if (transmit(inj, p)) ++corrupted;
     }
     EXPECT_NEAR(static_cast<double>(corrupted) / n, 0.4, 0.03);
     EXPECT_EQ(inj.upsets_injected(), static_cast<std::size_t>(corrupted));
@@ -149,7 +157,7 @@ TEST(FaultInjector, BitErrorModelAlwaysChangesWire) {
     for (int i = 0; i < 200; ++i) {
         auto p = sample_packet();
         const auto original = p.wire();
-        EXPECT_TRUE(inj.maybe_upset(p));
+        EXPECT_TRUE(transmit(inj, p));
         EXPECT_NE(p.wire(), original);
     }
 }
@@ -164,7 +172,7 @@ TEST(FaultInjector, BitErrorModelFlipsFewBits) {
     for (int i = 0; i < 500; ++i) {
         auto p = sample_packet();
         const auto original = p.wire();
-        inj.maybe_upset(p);
+        transmit(inj, p);
         int diff = 0;
         for (std::size_t b = 0; b < original.size(); ++b) {
             auto x = static_cast<unsigned>(original[b] ^ p.wire()[b]);
@@ -190,7 +198,7 @@ TEST(FaultInjector, ErrorVectorModelScramblesManyBits) {
     for (int i = 0; i < 200; ++i) {
         auto p = sample_packet();
         const auto original = p.wire();
-        inj.maybe_upset(p);
+        transmit(inj, p);
         int diff = 0;
         for (std::size_t b = 0; b < original.size(); ++b) {
             auto x = static_cast<unsigned>(original[b] ^ p.wire()[b]);
@@ -217,7 +225,7 @@ TEST(FaultInjector, UpsetsAreCaughtByCrc) {
         int undetected = 0;
         for (int i = 0; i < 500; ++i) {
             auto p = sample_packet();
-            inj.maybe_upset(p);
+            transmit(inj, p);
             if (p.crc_ok()) ++undetected;
         }
         // CRC-32 misses with probability ~2^-32; 500 trials should all catch.
@@ -226,8 +234,10 @@ TEST(FaultInjector, UpsetsAreCaughtByCrc) {
 }
 
 TEST(FaultInjector, SampledFlipsAreApplyUpsetsDraws) {
-    // The engine's sparse path samples flip positions where the byte path
-    // scrambles a wire; both must consume the upset stream identically.
+    // The engine's sparse path draws an upset's flip count, and its
+    // positions only where they matter, where the byte path scrambles a
+    // wire; both must consume the upset stream identically and flip the
+    // same bits.
     FaultScenario s;
     s.p_upset = 1.0;
     FaultInjector bytes(s, RngPool(12));
@@ -237,10 +247,13 @@ TEST(FaultInjector, SampledFlipsAreApplyUpsetsDraws) {
         const auto original = std::vector<std::byte>(n, std::byte{0x5A});
         auto scrambled = original;
         bytes.apply_upset(scrambled);
-        sparse.sample_flips(n * 8, flips);
-        ASSERT_FALSE(flips.empty());
+        const FaultInjector::BitUpset upset = sparse.draw_bit_upset(n * 8);
+        EXPECT_EQ(upset.nbits, n * 8);
+        FaultInjector::flip_positions(upset, flips);
+        ASSERT_EQ(flips.size(), upset.flips);
         EXPECT_TRUE(std::is_sorted(flips.begin(), flips.end()));
         EXPECT_EQ(std::adjacent_find(flips.begin(), flips.end()), flips.end());
+        EXPECT_LT(flips.back(), n * 8);
         auto flipped = original;
         FaultInjector::flip_bits(flipped, flips);
         EXPECT_EQ(flipped, scrambled) << n << " bytes";
@@ -289,7 +302,7 @@ TEST(FaultInjector, DeterministicAcrossRuns) {
     for (int i = 0; i < 100; ++i) {
         auto pa = sample_packet();
         auto pb = sample_packet();
-        EXPECT_EQ(a.maybe_upset(pa), b.maybe_upset(pb));
+        EXPECT_EQ(transmit(a, pa), transmit(b, pb));
         EXPECT_EQ(pa.wire(), pb.wire());
         EXPECT_EQ(a.overflow_drop(), b.overflow_drop());
     }
@@ -297,14 +310,19 @@ TEST(FaultInjector, DeterministicAcrossRuns) {
 
 // --- Distribution oracle for the bit-error sampler ------------------------
 //
-// FaultInjector::corrupt jumps between flipped bits with geometric gaps.
-// The law it must reproduce is the thesis's per-bit model: every wire bit
-// flips independently with p_b = 2/n, and an upset that flipped nothing
-// flips one uniformly chosen bit instead.  The reference below is that
-// model written out literally, one Bernoulli draw per bit.  Both samplers
-// run at fixed seeds and a two-sample chi-square test compares three
-// histograms: flips per upset, flipped-bit positions, and multi-flip
-// 64-bit words per upset (what decides SECDED correct vs. uncorrectable).
+// FaultInjector draws an upset's flip count K from one word and its
+// positions as a uniform K-subset.  The law it must reproduce is the
+// thesis's per-bit model: every wire bit flips independently with
+// p_b = 2/n, and an upset that flipped nothing flips one uniformly chosen
+// bit instead.  Three tests at fixed seeds:
+//   * against that model written out literally, one Bernoulli draw per
+//     bit: a two-sample chi-square test compares flips per upset,
+//     flipped-bit positions, and multi-flip 64-bit words per upset (what
+//     decides SECDED correct vs. uncorrectable);
+//   * the drawn K against its exact pmf, Binomial(n, 2/n) with the K = 0
+//     mass on K = 1;
+//   * the positions given K against a uniform K-subset: each position's
+//     bin, and at K = 2 the gap between the two bits.
 
 std::vector<std::byte> reference_upset(std::size_t bytes, RngStream& rng) {
     std::vector<std::byte> wire(bytes);
@@ -407,7 +425,111 @@ double chi_square_critical_999(std::size_t dof) {
     return k * t * t * t;
 }
 
+/// Chi-square of `observed` counts against `expected` ones, adjacent
+/// bins pooled until each pool expects at least 20 (a short last pool
+/// joins the one before).  `observed` may not be longer than `expected`.
+ChiSquare goodness_of_fit(const std::vector<double>& observed,
+                          const std::vector<double>& expected) {
+    EXPECT_LE(observed.size(), expected.size());
+    std::vector<double> po, pe;
+    double o = 0.0, e = 0.0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        o += i < observed.size() ? observed[i] : 0.0;
+        e += expected[i];
+        if (e >= 20.0) {
+            po.push_back(o);
+            pe.push_back(e);
+            o = e = 0.0;
+        }
+    }
+    if (pe.empty()) return {};
+    po.back() += o;
+    pe.back() += e;
+    ChiSquare out;
+    for (std::size_t i = 0; i < pe.size(); ++i)
+        out.statistic += (po[i] - pe[i]) * (po[i] - pe[i]) / pe[i];
+    out.dof = pe.size() - 1;
+    return out;
+}
+
+/// P(K = k) of an upset on an n-bit wire, k = 0..kmax: Binomial(n, 2/n)
+/// with the K = 0 mass moved to K = 1.
+std::vector<double> flip_count_pmf(std::size_t nbits, std::size_t kmax) {
+    const double n = static_cast<double>(nbits), p = 2.0 / n;
+    std::vector<double> pmf(kmax + 1, 0.0);
+    for (std::size_t k = 0; k <= std::min(kmax, nbits); ++k) {
+        const double kk = static_cast<double>(k);
+        pmf[k] = std::exp(std::lgamma(n + 1) - std::lgamma(kk + 1) - std::lgamma(n - kk + 1) +
+                          kk * std::log(p) + (n - kk) * std::log1p(-p));
+    }
+    pmf[1] += pmf[0];
+    pmf[0] = 0.0;
+    return pmf;
+}
+
 class UpsetSamplerOracle : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(UpsetSamplerOracle, FlipCountFollowsExactLaw) {
+    const std::size_t nbits = GetParam() * 8;
+    constexpr std::size_t kUpsets = 200000;
+    FaultScenario s;
+    s.p_upset = 1.0;
+    FaultInjector injector(s, RngPool(50090 + nbits));
+    std::vector<double> observed;
+    for (std::size_t i = 0; i < kUpsets; ++i) {
+        const std::size_t k = injector.draw_bit_upset(nbits).flips;
+        ASSERT_GE(k, 1u);
+        ASSERT_LE(k, nbits);
+        if (observed.size() <= k) observed.resize(k + 1, 0.0);
+        observed[k] += 1.0;
+    }
+    std::vector<double> expected = flip_count_pmf(nbits, std::max<std::size_t>(observed.size(), 40));
+    for (double& e : expected) e *= static_cast<double>(kUpsets);
+    const ChiSquare chi = goodness_of_fit(observed, expected);
+    EXPECT_LT(chi.statistic, chi_square_critical_999(chi.dof))
+        << nbits << " bits (dof " << chi.dof << ")";
+}
+
+TEST_P(UpsetSamplerOracle, PositionsGivenCountAreUniform) {
+    const std::size_t nbits = GetParam() * 8;
+    const std::size_t bins = std::min<std::size_t>(nbits, 64);
+    RngStream keys = RngPool(60120 + nbits).stream("keys");
+    std::vector<std::size_t> flips;
+    for (std::size_t k = 1; k <= std::min<std::size_t>(nbits, 6); ++k) {
+        const std::size_t upsets = 40000 / k;
+        std::vector<double> observed(bins, 0.0), gaps(nbits, 0.0);
+        for (std::size_t i = 0; i < upsets; ++i) {
+            FaultInjector::flip_positions({nbits, k, keys.bits()}, flips);
+            ASSERT_EQ(flips.size(), k);
+            for (std::size_t j = 0; j < k; ++j) {
+                ASSERT_LT(flips[j], nbits);
+                if (j > 0) {
+                    ASSERT_LT(flips[j - 1], flips[j]);
+                }
+                observed[flips[j] * bins / nbits] += 1.0;
+            }
+            if (k == 2) gaps[flips[1] - flips[0]] += 1.0;
+        }
+        // Each bit is in a uniform k-subset with probability k / n.
+        std::vector<double> expected(bins, 0.0);
+        for (std::size_t b = 0; b < nbits; ++b)
+            expected[b * bins / nbits] += static_cast<double>(upsets * k) / static_cast<double>(nbits);
+        const ChiSquare chi = goodness_of_fit(observed, expected);
+        EXPECT_LT(chi.statistic, chi_square_critical_999(chi.dof))
+            << "positions, K = " << k << " on " << nbits << " bits (dof " << chi.dof << ")";
+        if (k != 2) continue;
+        // Two uniform distinct bits lie d apart with probability
+        // 2 (n - d) / (n (n - 1)), d = 1 .. n - 1.
+        std::vector<double> gap_expected(nbits, 0.0);
+        const double n = static_cast<double>(nbits);
+        for (std::size_t d = 1; d < nbits; ++d)
+            gap_expected[d] = static_cast<double>(upsets) * 2.0 * (n - static_cast<double>(d)) /
+                              (n * (n - 1.0));
+        const ChiSquare gap_chi = goodness_of_fit(gaps, gap_expected);
+        EXPECT_LT(gap_chi.statistic, chi_square_critical_999(gap_chi.dof))
+            << "gap at K = 2 on " << nbits << " bits (dof " << gap_chi.dof << ")";
+    }
+}
 
 TEST_P(UpsetSamplerOracle, MatchesPerBitReference) {
     const std::size_t bytes = GetParam();

@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,7 +144,8 @@ TEST(SparseVerdict, RandomFlipsMatchTheBytePath) {
         }
         check(sparse, w, flips, "random #" + std::to_string(i), secded ? &fec : &crc);
     }
-    // CRC-32 catches every 1-4 bit error at these lengths.
+    // CRC-32 catches every 1-3 bit error at these lengths (the CrcDistance
+    // tests below) and a random 4-bit one all but surely.
     EXPECT_EQ(crc.crc_drop, 1500u);
     EXPECT_EQ(crc.declined, 0u);
     // SECDED repairs most, drops some, and hands a few to the bytes.
@@ -153,19 +156,31 @@ TEST(SparseVerdict, RandomFlipsMatchTheBytePath) {
 }
 
 TEST(SparseVerdict, UpsetSamplerFlipsMatchTheBytePath) {
-    // The flips the engine actually draws: FaultInjector::sample_flips.
+    // The upsets the engine actually draws: FaultInjector::draw_bit_upset
+    // and the positions keyed to each.  Where the flip count alone makes
+    // a CRC-only upset a drop, so must its bytes.
     FaultScenario scenario;
     scenario.p_upset = 1.0;
     FaultInjector injector(scenario, RngPool(5));
     RngStream rng(5);
     SparseVerdicts sparse;
     std::vector<std::size_t> flips;
+    std::size_t counted = 0;
     for (int i = 0; i < 2000; ++i) {
         const Wire w = make_wire(random_message(rng, static_cast<std::size_t>(rng.below(400))),
                                  i % 2 == 1);
-        injector.sample_flips(w.bytes.size() * 8, flips);
-        check(sparse, w, flips, "sampled #" + std::to_string(i));
+        const FaultInjector::BitUpset upset = injector.draw_bit_upset(w.bytes.size() * 8);
+        FaultInjector::flip_positions(upset, flips);
+        const std::string label = "sampled #" + std::to_string(i);
+        const auto verdict = check(sparse, w, flips, label);
+        if (!w.secded && SparseVerdicts::crc_drops_any(w.plain.size(), upset.flips)) {
+            ++counted;
+            ASSERT_TRUE(verdict.has_value()) << label;
+            EXPECT_EQ(verdict->action, WireAction::CrcDrop) << label;
+        }
     }
+    // About 6 in 7 upsets flip fewer than 4 bits.
+    EXPECT_GT(counted, 700u);
 }
 
 TEST(SparseVerdict, HeaderAndCrcFieldHits) {
@@ -351,6 +366,123 @@ TEST(SparseVerdict, CrcColumnsAreTheLinearPartOfCrc32) {
         }
         EXPECT_EQ(crc::crc32(y), crc::crc32(x) ^ lin);
     }
+}
+
+// --- CRC-32's distance, proved rather than trusted ------------------------
+//
+// The engine takes an upset of fewer than kCrcDistance flips on a CRC-only
+// wire of at most kCrcDistanceWireBytes bytes for a CRC drop without
+// drawing where the flips fell (SparseVerdicts::crc_drops_any).  A flip
+// pattern passes crc_verdict's syndrome test iff the XOR of its bits'
+// columns is zero: body bit b of the byte d bytes before the body's end
+// has Crc32Columns::column(d, b), and bit j of the CRC field has 1 << j.
+// A shorter wire's columns are a subset of a longer one's, so a proof at
+// the longest wire the rule trusts covers every wire it trusts.
+
+/// Every bit's column on a `wire_bytes`-byte wire: the CRC field's 32
+/// first, then the body's by distance from its end.
+std::vector<std::uint32_t> wire_columns(std::size_t wire_bytes) {
+    const std::size_t body_bytes = wire_bytes - kWireCrcBytes;
+    crc::Crc32Columns table;
+    std::vector<std::uint32_t> columns;
+    for (unsigned j = 0; j < 32; ++j) columns.push_back(1u << j);
+    for (std::size_t d = 0; d < body_bytes; ++d)
+        for (unsigned b = 0; b < 8; ++b) columns.push_back(table.column(d, b));
+    return columns;
+}
+
+/// The wire bit whose column is columns[i] of wire_columns(wire_bytes).
+std::size_t column_bit(std::size_t i, std::size_t wire_bytes) {
+    const std::size_t body_bits = (wire_bytes - kWireCrcBytes) * 8;
+    if (i < 32) return body_bits + i;
+    const std::size_t d = (i - 32) / 8;
+    return body_bits - 8 * (d + 1) + (i - 32) % 8;
+}
+
+/// Indices of four distinct columns XOR-ing to zero, if any: two pairs
+/// with equal XOR.  When all columns are distinct and non-zero, such
+/// pairs cannot share a column.
+std::optional<std::array<std::size_t, 4>> weight_four_pattern(
+    const std::vector<std::uint32_t>& columns) {
+    const std::size_t n = columns.size();
+    std::vector<std::uint32_t> xors;
+    xors.reserve(n * (n - 1) / 2);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i + 1; j < n; ++j) xors.push_back(columns[i] ^ columns[j]);
+    std::sort(xors.begin(), xors.end());
+    const auto twin = std::adjacent_find(xors.begin(), xors.end());
+    if (twin == xors.end()) return std::nullopt;
+    std::vector<std::size_t> found;
+    for (std::size_t i = 0; i < n && found.size() < 4; ++i)
+        for (std::size_t j = i + 1; j < n && found.size() < 4; ++j)
+            if ((columns[i] ^ columns[j]) == *twin) {
+                found.push_back(i);
+                found.push_back(j);
+            }
+    return std::array<std::size_t, 4>{found[0], found[1], found[2], found[3]};
+}
+
+TEST(CrcDistance, NoPatternBelowTheDistancePassesTheTrustedLength) {
+    ASSERT_EQ(kCrcDistance, 4u) << "this proof covers weights 1 to 3";
+    std::vector<std::uint32_t> columns = wire_columns(kCrcDistanceWireBytes);
+    // Weight 1: no column is zero.  Weight 2: no two columns are equal.
+    std::vector<std::uint32_t> sorted = columns;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_NE(sorted.front(), 0u);
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+    // Weight 3: no pair XORs to a third column.  Columns are distinct and
+    // non-zero, so a column equal to c_i ^ c_j is neither c_i nor c_j.
+    // Membership by an open-addressing table, one lookup per pair.
+    std::size_t slots = 1;
+    while (slots < 4 * columns.size()) slots *= 2;
+    std::vector<std::uint32_t> table(slots, 0); // 0 marks an empty slot
+    const auto home = [slots](std::uint32_t c) {
+        return static_cast<std::size_t>(c * 0x9e3779b1u) & (slots - 1);
+    };
+    for (const std::uint32_t c : columns) {
+        std::size_t h = home(c);
+        while (table[h] != 0) h = (h + 1) & (slots - 1);
+        table[h] = c;
+    }
+    std::size_t passing = 0;
+    for (std::size_t i = 0; i < columns.size(); ++i)
+        for (std::size_t j = i + 1; j < columns.size(); ++j) {
+            const std::uint32_t x = columns[i] ^ columns[j];
+            for (std::size_t h = home(x); table[h] != 0; h = (h + 1) & (slots - 1))
+                if (table[h] == x) {
+                    ++passing;
+                    break;
+                }
+        }
+    EXPECT_EQ(passing, 0u) << "weight-3 patterns pass the CRC on a "
+                           << kCrcDistanceWireBytes << "-byte wire";
+}
+
+TEST(CrcDistance, AWeightFourPatternPassesWithinTheTrustedLength) {
+    // So the count rule is as strong as the code allows, and no stronger:
+    // in line with Koopman (2002), who gives IEEE 802.3 CRC-32 distance 5
+    // up to 2974 data bits, the first weight-4 pattern appears on a
+    // 376-byte wire (2976 body bits), within the trusted length.
+    constexpr std::size_t kFirstWireBytes = 376;
+    ASSERT_LE(kFirstWireBytes, kCrcDistanceWireBytes);
+    EXPECT_FALSE(weight_four_pattern(wire_columns(kFirstWireBytes - 1)).has_value());
+    const auto pattern = weight_four_pattern(wire_columns(kFirstWireBytes));
+    ASSERT_TRUE(pattern.has_value());
+    // The pattern passes a real wire's CRC, so the rule must leave a
+    // 4-flip upset of that wire to its positions.
+    RngStream rng(376);
+    const Wire w = make_wire(random_message(rng, kFirstWireBytes - kWireOverheadBytes), false);
+    ASSERT_EQ(w.bytes.size(), kFirstWireBytes);
+    std::vector<std::size_t> flips;
+    for (const std::size_t i : *pattern) flips.push_back(column_bit(i, kFirstWireBytes));
+    std::sort(flips.begin(), flips.end());
+    std::vector<std::byte> corrupted = w.bytes;
+    FaultInjector::flip_bits(corrupted, flips);
+    EXPECT_TRUE(Packet::crc_ok_wire(corrupted));
+    SparseVerdicts sparse;
+    EXPECT_FALSE(sparse.decide(w.plain.size(), flips, false).has_value());
+    EXPECT_FALSE(SparseVerdicts::crc_drops_any(w.plain.size(), flips.size()));
+    EXPECT_TRUE(SparseVerdicts::crc_drops_any(w.plain.size(), flips.size() - 1));
 }
 
 } // namespace
