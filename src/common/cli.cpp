@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <utility>
@@ -66,15 +67,23 @@ std::size_t get_count(const CliArgs& args, const std::string& name, std::size_t 
 
 } // namespace
 
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
+    if (text.empty() || text[0] < '0' || text[0] > '9') return std::nullopt;
+    char* end = nullptr;
+    errno = 0;
+    const auto parsed = std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE) return std::nullopt;
+    return parsed;
+}
+
 std::uint64_t flag_u64(const CliArgs& args, const std::string& name, std::uint64_t fallback) {
     if (!args.has(name)) return fallback;
     const auto v = args.value(name);
     if (!v) usage_error(args, "--" + name + " needs a value");
-    char* end = nullptr;
-    const auto parsed = std::strtoull(v->c_str(), &end, 10);
-    if (v->empty() || *end != '\0' || (*v)[0] == '-')
+    const auto parsed = parse_u64(*v);
+    if (!parsed)
         usage_error(args, "--" + name + " takes a non-negative integer, not '" + *v + "'");
-    return parsed;
+    return *parsed;
 }
 
 double flag_double(const CliArgs& args, const std::string& name, double fallback) {

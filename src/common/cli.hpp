@@ -43,6 +43,10 @@ private:
     std::vector<std::string> positional_;
 };
 
+/// A non-negative decimal integer that fits 64 bits, or nullopt: how
+/// flag_u64 reads a flag's value and a tool reads a positional count.
+std::optional<std::uint64_t> parse_u64(const std::string& text);
+
 /// `--name N` of a bench or tool: `fallback` when the flag is absent; a
 /// bare flag or a value that is not a non-negative integer exits 2 naming
 /// the flag.

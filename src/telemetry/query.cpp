@@ -5,6 +5,7 @@
 #include <charconv>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -118,7 +119,10 @@ LoadResult load_jsonl(std::istream& is) {
         const auto tile = find_number(line, "tile");
         const auto kind =
             kind_name ? trace_kind_from_string(*kind_name) : std::nullopt;
-        if (!round || !kind || !tile) {
+        // A round or tile its type cannot hold is as malformed as a
+        // missing one: truncated, a round would size per_round's table.
+        if (!round || !kind || !tile || *round > std::numeric_limits<Round>::max() ||
+            *tile > std::numeric_limits<TileId>::max()) {
             ++result.skipped;
             continue;
         }

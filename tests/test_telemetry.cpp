@@ -330,6 +330,23 @@ TEST(TraceQuery, LifelineAndTopK) {
     EXPECT_FALSE(tracequery::parse_message_id("garbage").has_value());
 }
 
+TEST(TraceQuery, OutOfRangeRoundsAndTilesAreSkipped) {
+    // 2^64 - 1 read as a 32-bit round once sized per_round's table at
+    // 2^32 rows (std::bad_alloc).  Rounds that fit are not tried here:
+    // a large one still allocates gigabytes.
+    std::istringstream is(
+        "{\"round\":18446744073709551615,\"kind\":\"transmitted\",\"tile\":0}\n"
+        "{\"round\":4294967296,\"kind\":\"transmitted\",\"tile\":0}\n"
+        "{\"round\":1,\"kind\":\"transmitted\",\"tile\":4294967296}\n"
+        "{\"round\":2,\"kind\":\"transmitted\",\"tile\":3}\n");
+    const auto loaded = tracequery::load_jsonl(is);
+    EXPECT_EQ(loaded.skipped, 3u);
+    ASSERT_EQ(loaded.events.size(), 1u);
+    EXPECT_EQ(loaded.events[0].round, 2u);
+    EXPECT_EQ(loaded.events[0].tile, 3u);
+    EXPECT_NE(tracequery::per_round(loaded.events).find('\n'), std::string::npos);
+}
+
 // --- ScenarioRunner integration ----------------------------------------
 
 TEST(ScenarioTelemetry, ExportsPerTrialArtifactsAndManifest) {

@@ -12,11 +12,11 @@
 // Every command accepts --last-rounds=N (keep only the N highest rounds)
 // and --since-round=N (drop everything before round N) to focus on the
 // window around a failure.  An unknown flag or a value that is not a
-// non-negative integer exits 2 naming the flag.
+// non-negative integer exits 2 naming the flag; so does a K that is not
+// one.
 //
 // The heavy lifting lives in src/telemetry/query.{hpp,cpp} so tests can
 // exercise the exact code this binary runs.
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -50,6 +50,16 @@ int main(int argc, char** argv) {
     if (positional.size() < 2) return usage();
     const std::string& command = positional[0];
     const std::string& path = positional[1];
+    std::size_t k = 10;
+    if ((command == "top-tiles" || command == "top-links") && positional.size() >= 3) {
+        const auto parsed = snoc::parse_u64(positional[2]);
+        if (!parsed) {
+            std::cerr << "snoc_trace: K takes a non-negative integer, not '" << positional[2]
+                      << "'\n";
+            return 2;
+        }
+        k = static_cast<std::size_t>(*parsed);
+    }
 
     auto loaded = snoc::tracequery::load_jsonl_file(path);
     if (loaded.events.empty() && loaded.skipped == 0 && !loaded.postmortem) {
@@ -102,9 +112,6 @@ int main(int argc, char** argv) {
         return 0;
     }
     if (command == "top-tiles" || command == "top-links") {
-        std::size_t k = 10;
-        if (positional.size() >= 3)
-            k = static_cast<std::size_t>(std::atoll(positional[2].c_str()));
         std::cout << (command == "top-tiles"
                           ? snoc::tracequery::top_tiles(loaded.events, k)
                           : snoc::tracequery::top_links(loaded.events, k));
