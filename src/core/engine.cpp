@@ -36,6 +36,7 @@ public:
     RngStream& rng() override {
         // Built on first use: only IP-core tiles draw from `app`, and
         // RngPool::stream is pure, so building late moves no draw.
+        if (net_.app_rng_.empty()) net_.app_rng_.resize(net_.tiles_.size());
         auto& stream = net_.app_rng_[tile_];
         if (!stream)
             stream = std::make_unique<RngStream>(net_.pool_.stream("app", tile_));
@@ -73,11 +74,6 @@ GossipNetwork::GossipNetwork(Topology topology, GossipConfig config,
     const std::size_t n = topology_.node_count();
     tiles_.reserve(n);
     for (TileId t = 0; t < n; ++t) tiles_.emplace_back(config_.send_buffer_capacity);
-    app_rng_.resize(n);
-    forward_capacity_.assign(n, static_cast<std::size_t>(-1));
-    route_filter_.resize(n);
-    clock_scale_.assign(n, 1.0);
-    next_action_round_.assign(n, 0.0);
     metrics_.bits_sent_by_tile.assign(n, 0);
     metrics_.packets_by_link.assign(topology_.link_count(), 0);
     crash_state_.dead_tiles.assign(n, false);
@@ -94,18 +90,27 @@ double GossipNetwork::elapsed_seconds() const {
 void GossipNetwork::set_forward_capacity(TileId tile, std::size_t packets_per_round) {
     SNOC_EXPECT(tile < tiles_.size());
     SNOC_EXPECT(packets_per_round > 0);
+    if (forward_capacity_.empty())
+        forward_capacity_.assign(tiles_.size(), static_cast<std::size_t>(-1));
     forward_capacity_[tile] = packets_per_round;
+    gated_ = true;
 }
 
 void GossipNetwork::set_route_filter(TileId tile, RouteFilter filter) {
     SNOC_EXPECT(tile < tiles_.size());
+    if (route_filter_.empty()) route_filter_.resize(tiles_.size());
     route_filter_[tile] = std::move(filter);
+    gated_ = true;
 }
 
 void GossipNetwork::set_clock_scale(TileId tile, double scale) {
     SNOC_EXPECT(!started_);
     SNOC_EXPECT(tile < tiles_.size());
     SNOC_EXPECT(scale > 0.0);
+    if (clock_scale_.empty()) {
+        clock_scale_.assign(tiles_.size(), 1.0);
+        next_action_round_.assign(tiles_.size(), 0.0);
+    }
     clock_scale_[tile] = std::max(scale, 1.0);
 }
 
@@ -127,7 +132,7 @@ bool GossipNetwork::tile_active_this_round(TileId t) const {
     // integer: scale 1.5 acts in 2 of every 3 rounds).  Clock jitter
     // (sigma_synchr) is orthogonal and never gates activity.  Without
     // dense clocks no tile is scaled.
-    if (!dense_clocks_ || clock_scale_[t] <= 1.0) return true;
+    if (!dense_clocks_ || clock_scale_.empty() || clock_scale_[t] <= 1.0) return true;
     return static_cast<double>(round_) + 1e-9 >= next_action_round_[t];
 }
 
@@ -156,6 +161,10 @@ void GossipNetwork::ensure_started() {
                        ? injector_.roll_exact_tile_crashes(topology_, *forced_exact_crashes_,
                                                            protected_tiles_)
                        : injector_.roll_crashes(topology_, protected_tiles_);
+    any_crash_ = std::find(crash_state_.dead_tiles.begin(), crash_state_.dead_tiles.end(),
+                           true) != crash_state_.dead_tiles.end() ||
+                 std::find(crash_state_.dead_links.begin(), crash_state_.dead_links.end(),
+                           true) != crash_state_.dead_links.end();
     for (TileId t = 0; t < tiles_.size(); ++t)
         if (!crash_state_.dead_tiles[t] && tiles_[t].core) cores_.push_back(t);
     for (const TileId t : cores_) {
@@ -391,53 +400,125 @@ bool GossipNetwork::known_duplicates_exact() const {
     return held * max_in_links_ <= config_.in_buffer_capacity;
 }
 
+GossipNetwork::PortMasks GossipNetwork::port_masks(TileId tile, std::size_t first,
+                                                  std::size_t n) const {
+    const std::uint64_t all = n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    if (!any_crash_) return {all, all};
+    const auto nbrs = topology_.neighbours(tile).subspan(first, n);
+    const auto links = topology_.out_links(tile).subspan(first, n);
+    PortMasks out{0, 0};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t live = !crash_state_.dead_links[links[i]];
+        out.live |= live << i;
+        out.live_receiver |= (live & !crash_state_.dead_tiles[nbrs[i]]) << i;
+    }
+    return out;
+}
+
+std::uint64_t GossipNetwork::knowing_ports(TileId tile, std::size_t first,
+                                           std::uint64_t candidates,
+                                           const MessageId& id) const {
+    const auto nbrs = topology_.neighbours(tile);
+    std::uint64_t out = 0;
+    for (; candidates != 0; candidates &= candidates - 1) {
+        const auto i = static_cast<std::size_t>(std::countr_zero(candidates));
+        if (tiles_[nbrs[first + i]].send_buffer.knows(id)) out |= std::uint64_t{1} << i;
+    }
+    return out;
+}
+
 void GossipNetwork::forward_phase() {
     upset_source_ = nullptr;
     elide_known_dups_ = known_duplicates_exact();
     // upset_roll() draws nothing at p_upset <= 0, so skipping it there
     // moves no draw.
     const bool upsets = injector_.scenario().p_upset > 0.0;
+    std::size_t& known_dups = known_dups_[(round_ + 1) % kInFlightRing];
     forward_coins_.start_round(round_);
     for (const TileId t : active_) {
-        if (!tile_active_this_round(t)) continue;
-        auto& tile = tiles_[t];
+        if (dense_clocks_ && !tile_active_this_round(t)) continue;
         forward_coins_.start_tile(t);
-        const auto& nbrs = topology_.neighbours(t);
-        const auto& links = topology_.out_links(t);
-        const auto& filter = route_filter_[t];
-        std::size_t budget = forward_capacity_[t];
-        const auto& msgs = tile.send_buffer.messages();
+        const auto nbrs = topology_.neighbours(t);
+        const auto links = topology_.out_links(t);
+        const RouteFilter* filter = nullptr;
+        std::size_t budget = static_cast<std::size_t>(-1);
+        if (gated_) {
+            if (!route_filter_.empty() && route_filter_[t]) filter = &route_filter_[t];
+            if (!forward_capacity_.empty()) budget = forward_capacity_[t];
+        }
+        const auto msgs = tiles_[t].send_buffer.messages();
         // A capacity-limited tile (bus bridge) serves its buffer with a
         // rotating start so a long-lived rumor cannot starve newer ones of
         // the serialised medium.
         const std::size_t offset =
             (budget >= msgs.size()) ? 0 : static_cast<std::size_t>(round_) % msgs.size();
         for (std::size_t mi = 0; mi < msgs.size(); ++mi) {
-            const HeldMessage& m = msgs[(mi + offset) % msgs.size()];
+            const std::size_t at = mi + offset; // mod msgs.size(), without a division
+            HeldMessage& m = msgs[at < msgs.size() ? at : at - msgs.size()];
             if (budget == 0) break; // serialised medium saturated this round
             if (config_.stop_spread_on_delivery && delivered_unicasts_.contains(m.id()))
                 continue; // spread terminated early (Sec. 3.2.2)
-            const Outgoing out{m, m.id(), wire_size(*m.body) * 8};
+            const std::size_t bits = wire_size(*m.body) * 8;
+            // Every chunk so far found all its live receivers knowing.
+            bool all_know = true;
             // Fig. 3-4: the message is presented on every output port
             // and a random decision (probability p) gates each port.  One
             // coin per port, in port order, stopping once the budget runs
             // out: the coins of a chunk of ports are drawn as one mask,
             // and a chunk is no longer than the budget, so the budget
             // cannot run out before the chunk's last coin.
-            for (std::size_t first = 0; first < nbrs.size() && budget > 0;) {
+            std::size_t first = 0;
+            while (first < nbrs.size() && budget > 0) {
                 const std::size_t chunk =
                     std::min({nbrs.size() - first, budget, std::size_t{64}});
-                for (std::uint64_t mask = forward_coins_.mask(chunk);
-                     mask != 0; mask &= mask - 1) {
-                    const std::size_t i = first + static_cast<std::size_t>(std::countr_zero(mask));
-                    if (crash_state_.dead_links[links[i]]) continue;
-                    if (filter && !filter(*m.body, nbrs[i])) continue;
-                    enqueue_transmission(t, nbrs[i], links[i], out,
-                                         upsets && injector_.upset_roll());
-                    --budget;
+                const PortMasks ports = port_masks(t, first, chunk);
+                std::uint64_t sent = forward_coins_.mask(chunk) & ports.live;
+                if (filter)
+                    for (std::uint64_t rest = sent; rest != 0; rest &= rest - 1) {
+                        const auto i = static_cast<std::size_t>(std::countr_zero(rest));
+                        if (!(*filter)(*m.body, nbrs[first + i]))
+                            sent &= ~(std::uint64_t{1} << i);
+                    }
+                // Sender-side counts, once per chunk.
+                const auto copies = static_cast<std::size_t>(std::popcount(sent));
+                budget -= copies;
+                metrics_.packets_sent += copies;
+                packets_this_round_ += copies;
+                metrics_.bits_sent += copies * bits;
+                metrics_.bits_sent_by_tile[t] += copies * bits;
+                for (std::size_t i = 0; i < chunk; ++i)
+                    metrics_.packets_by_link[links[first + i]] += (sent >> i) & 1;
+                // Known rumors stay known and crashes roll only at start,
+                // so a clean copy to a live tile that knows `m` is a
+                // duplicate on arrival, in round_ + 1 (no skew without
+                // dense clocks).  Once every live receiver knows, no
+                // lookup is needed.
+                std::uint64_t known = 0;
+                if (elide_known_dups_) {
+                    known = m.neighbours_know
+                                ? ports.live_receiver
+                                : knowing_ports(t, first, ports.live_receiver, m.id());
+                    all_know = all_know && known == ports.live_receiver;
+                }
+                if (!upsets) {
+                    known_dups += static_cast<std::size_t>(std::popcount(sent & known));
+                    sent &= ~known;
+                }
+                // What is left goes on the wire copy by copy, in port
+                // order: each upset copy's roll then its flip count.
+                for (; sent != 0; sent &= sent - 1) {
+                    const auto i = static_cast<std::size_t>(std::countr_zero(sent));
+                    const bool upset = upsets && injector_.upset_roll();
+                    if (!upset && ((known >> i) & 1)) {
+                        ++known_dups;
+                        continue;
+                    }
+                    enqueue_transmission(t, nbrs[first + i], m, upset);
                 }
                 first += chunk;
             }
+            if (elide_known_dups_ && all_know && first == nbrs.size())
+                m.neighbours_know = true;
         }
     }
 }
@@ -460,25 +541,10 @@ std::vector<std::byte> GossipNetwork::encode_message(const HeldMessage& m) const
     return wire;
 }
 
-void GossipNetwork::enqueue_transmission(TileId from, TileId to, LinkId link,
-                                         const Outgoing& out, bool upset) {
-    const HeldMessage& m = out.message;
-    const MessageId id = out.id;
-    ++metrics_.packets_sent;
-    ++packets_this_round_;
-    metrics_.bits_sent += out.bits;
-    metrics_.bits_sent_by_tile[from] += out.bits;
-    ++metrics_.packets_by_link[link];
+void GossipNetwork::enqueue_transmission(TileId from, TileId to, const HeldMessage& m,
+                                         bool upset) {
+    const MessageId id = m.id();
     trace(TraceEventKind::Transmitted, from, to, id);
-    // Known rumors stay known and crashes roll only at start, so a clean
-    // copy to a live tile that knows `id` is a duplicate on arrival, in
-    // round_ + 1 (no skew without dense clocks).
-    if (elide_known_dups_ && !upset && !crash_state_.dead_tiles[to] &&
-        tiles_[to].send_buffer.knows(id)) {
-        ++known_dups_[(round_ + 1) % kInFlightRing];
-        return;
-    }
-
     Arrival arrival{nullptr, nullptr, m.ttl};
     // The reference path serialises every transmission, as real hardware
     // does; otherwise a clean transmission carries no bytes at all.
@@ -611,7 +677,7 @@ void GossipNetwork::advance_clocks() {
     }
     for (TileId t = 0; t < tiles_.size(); ++t) {
         if (!tile_active_this_round(t)) continue;
-        const double scale = clock_scale_[t];
+        const double scale = clock_scale_.empty() ? 1.0 : clock_scale_[t];
         clocks_.advance(t, injector_.round_duration(clocks_.t_r() * scale, t));
         if (scale > 1.0) next_action_round_[t] += scale;
     }

@@ -71,6 +71,8 @@ public:
     /// destination's cluster: plain mesh tiles have no filter, gateway and
     /// hub tiles forward a rumor off-cluster only when its destination
     /// lives there.  Returning false suppresses that port for that message.
+    /// It must be a pure gate: the forward phase asks it about a chunk
+    /// of ports, in port order, before those copies draw their upsets.
     using RouteFilter = std::function<bool(const MessageBody&, TileId next_hop)>;
     void set_route_filter(TileId tile, RouteFilter filter);
 
@@ -221,19 +223,24 @@ private:
     /// is a CRC drop is a CRC drop): no receiver-side rule reads where it
     /// sits in its bucket (DESIGN.md §12).
     bool known_duplicates_exact() const;
-    /// A held message as the forward phase sends it: what all its copies
-    /// in a round share.
-    struct Outgoing {
-        const HeldMessage& message;
-        MessageId id;
-        std::size_t bits; ///< on the wire, per copy.
+    /// Ports [first, first + n) of `tile`, n <= 64, as masks (port
+    /// first + i in bit i): those over a live link, and of those the
+    /// ones whose receiver is alive.
+    struct PortMasks {
+        std::uint64_t live;
+        std::uint64_t live_receiver;
     };
-    /// Send `out`'s message from `from` to `to` over `link`; `upset` is
-    /// this copy's upset_roll().  The message must stay in place until
-    /// the forward phase ends: upset transmissions of one held message in
-    /// a round copy a single cached encoding of it.
-    void enqueue_transmission(TileId from, TileId to, LinkId link, const Outgoing& out,
-                              bool upset);
+    PortMasks port_masks(TileId tile, std::size_t first, std::size_t n) const;
+    /// Of `candidates` (bits of ports [first, first + 64) of `tile`), the
+    /// ports whose receiver already knows `id`.
+    std::uint64_t knowing_ports(TileId tile, std::size_t first, std::uint64_t candidates,
+                                const MessageId& id) const;
+    /// Put a copy of `m` from `from` on the wire to `to`; `upset` is this
+    /// copy's upset_roll().  The forward phase has counted the copy as
+    /// sent.  The message must stay in place until the forward phase
+    /// ends: upset transmissions of one held message in a round copy a
+    /// single cached encoding of it.
+    void enqueue_transmission(TileId from, TileId to, const HeldMessage& m, bool upset);
     /// An upset struck `arrival`, a transmission of `m`: decide its
     /// verdict from the flip positions, or corrupt bytes where only the
     /// bytes can tell.
@@ -257,14 +264,20 @@ private:
     GalsClocks clocks_;
 
     std::vector<Tile> tiles_;
-    /// Built by Context::rng() on a tile's first draw.
+    // Per-tile tables that few runs set: each stays empty until its first
+    // set_* call (or, for app_rng_, a tile's first Context::rng()), and
+    // is then sized to every tile.  gated_ says whether either of the
+    // forward phase's two is in use, so an ungated round reads neither.
     std::vector<std::unique_ptr<RngStream>> app_rng_;
     std::vector<std::size_t> forward_capacity_;
     std::vector<RouteFilter> route_filter_;
-    std::vector<double> clock_scale_;
-    std::vector<double> next_action_round_;
+    bool gated_{false};
+    std::vector<double> clock_scale_;       ///< read only under dense clocks.
+    std::vector<double> next_action_round_; ///< parallel to clock_scale_.
     std::vector<TileId> protected_tiles_;
     CrashState crash_state_;
+    /// Some tile or link crashed: port_masks() must read crash_state_.
+    bool any_crash_{false};
     bool started_{false};
     std::optional<std::size_t> forced_exact_crashes_;
 

@@ -53,14 +53,7 @@ bool SendBuffer::insert(Message message, MessageId* evicted) {
                   evicted);
 }
 
-std::size_t SendBuffer::age_and_collect(std::vector<MessageId>* expired_ids) {
-    for (auto& m : messages_) {
-        // Per-message-per-round hot path: leveled so a SNOC_CHECK_LEVEL=0
-        // build strips it (a TTL-0 entry here is a protocol bug — ageing
-        // must never wrap around).
-        SNOC_CHECK(1, m.ttl > 0);
-        --m.ttl;
-    }
+std::size_t SendBuffer::collect_expired(std::vector<MessageId>* expired_ids) {
     const auto first_dead = std::stable_partition(
         messages_.begin(), messages_.end(),
         [](const HeldMessage& m) { return m.ttl > 0; });

@@ -7,8 +7,10 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "common/types.hpp"
 #include "noc/packet.hpp"
 
@@ -19,11 +21,19 @@ namespace snoc {
 struct HeldMessage {
     std::shared_ptr<const MessageBody> body;
     std::uint16_t ttl{0};
+    /// Every live neighbour of the holding tile, over a live link,
+    /// already knows this rumor.  The forward phase sets it in the first
+    /// round it finds that true; it never goes false again, since
+    /// knowers only grow and crashes roll only at start.
+    bool neighbours_know{false};
 
     const MessageId& id() const { return body->id; }
     /// A standalone Message (one payload copy), for IP cores.
     Message message() const { return Message{*body, ttl}; }
 };
+// The flag sits in the padding after the TTL: a send buffer holds one of
+// these per rumor on every tile.
+static_assert(sizeof(HeldMessage) == 24);
 
 class SendBuffer {
 public:
@@ -45,8 +55,18 @@ public:
     /// Decrement every held message's TTL; remove those reaching 0.
     /// Returns the number of expired messages (Fig. 3-4 GC step).  When
     /// `expired_ids` is non-null the collected rumor ids are appended
-    /// (for tracing).
-    std::size_t age_and_collect(std::vector<MessageId>* expired_ids = nullptr);
+    /// (for tracing).  A call in which nothing expires moves nothing.
+    std::size_t age_and_collect(std::vector<MessageId>* expired_ids = nullptr) {
+        bool any_expired = false;
+        for (auto& m : messages_) {
+            // Per-message-per-round hot path: leveled so a
+            // SNOC_CHECK_LEVEL=0 build strips it (a TTL-0 entry here is a
+            // protocol bug — ageing must never wrap around).
+            SNOC_CHECK(1, m.ttl > 0);
+            any_expired |= --m.ttl == 0;
+        }
+        return any_expired ? collect_expired(expired_ids) : 0;
+    }
 
     std::size_t size() const { return messages_.size(); }
     bool empty() const { return messages_.empty(); }
@@ -54,10 +74,17 @@ public:
     std::size_t overflow_drops() const { return overflow_drops_; }
 
     const std::vector<HeldMessage>& messages() const { return messages_; }
+    /// The held messages in place, for the forward phase's
+    /// HeldMessage::neighbours_know flag.
+    std::span<HeldMessage> messages() { return messages_; }
 
     void clear();
 
 private:
+    /// Remove the messages whose TTL reached 0, keeping the others'
+    /// order; the age_and_collect() of a call in which one expired.
+    std::size_t collect_expired(std::vector<MessageId>* expired_ids);
+
     /// Membership set of message ids: open addressing with linear
     /// probing in a power-of-two table kept at most half full.  An origin
     /// of kNoTile marks an empty slot (no real id has it).  One flat

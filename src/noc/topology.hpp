@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,19 +58,19 @@ public:
                                std::string name = "custom");
 
     /// --- Queries ---------------------------------------------------------
-    std::size_t node_count() const { return neighbours_.size(); }
+    std::size_t node_count() const { return row_start_.empty() ? 0 : row_start_.size() - 1; }
     std::size_t link_count() const { return links_.size(); }
     const std::string& name() const { return name_; }
 
     /// Outgoing neighbour tiles of `t` (order is stable across runs).
-    const std::vector<TileId>& neighbours(TileId t) const {
-        SNOC_EXPECT(t < neighbours_.size());
-        return neighbours_[t];
+    std::span<const TileId> neighbours(TileId t) const {
+        SNOC_EXPECT(t < node_count());
+        return {neighbours_.data() + row_start_[t], neighbours_.data() + row_start_[t + 1]};
     }
     /// Directed link ids leaving `t`, parallel to neighbours(t).
-    const std::vector<LinkId>& out_links(TileId t) const {
-        SNOC_EXPECT(t < out_links_.size());
-        return out_links_[t];
+    std::span<const LinkId> out_links(TileId t) const {
+        SNOC_EXPECT(t < node_count());
+        return {out_links_.data() + row_start_[t], out_links_.data() + row_start_[t + 1]};
     }
     /// Endpoints of a directed link.
     const LinkEnd& link(LinkId id) const;
@@ -93,25 +94,27 @@ public:
     /// Manhattan distance between two tiles of a grid.
     std::size_t manhattan(TileId a, TileId b) const;
 
-    /// True if every node can reach every other through links whose ids
-    /// are not in `dead_links` and nodes not in `dead_tiles` — used to
-    /// check whether crashes have partitioned the NoC ("entire regions of
-    /// the NoC are isolated").
-    bool connected_without(const std::vector<bool>& dead_tiles,
-                           const std::vector<bool>& dead_links) const;
-
 private:
-    Topology() = default;
+    /// `nodes` tiles and no links yet; `links` is how many will be added.
+    Topology(std::size_t nodes, std::size_t links, std::string name);
+    /// Append a directed link; its id is the number of links before it.
     void add_directed_link(TileId from, TileId to);
-    /// Fill grid_ once the grid's links exist.
+    /// Lay the links out as compressed rows once they all exist: a
+    /// tile's ports keep the order its links were added in.
+    void build_rows();
+    /// Fill grid_ once the grid's rows exist.
     void index_grid();
 
     std::string name_;
     std::size_t width_{0};
     std::size_t height_{0};
-    std::vector<std::vector<TileId>> neighbours_;
-    std::vector<std::vector<LinkId>> out_links_;
-    std::vector<LinkEnd> links_;
+    /// Compressed rows: tile t's ports are [row_start_[t], row_start_[t + 1])
+    /// of neighbours_ and out_links_.  One flat array each, so a mesh costs
+    /// a handful of allocations in all rather than a few per tile.
+    std::vector<std::uint32_t> row_start_; ///< node_count() + 1 entries.
+    std::vector<TileId> neighbours_;
+    std::vector<LinkId> out_links_;
+    std::vector<LinkEnd> links_; ///< [link id].
     std::vector<GridTile> grid_; ///< [tile], grids only.
 };
 

@@ -1,8 +1,10 @@
-// Per-tile memory of a GossipNetwork.  No tile owns forward-coin state
-// (the coins are counter-based, common/rng.hpp), and the `app` stream is
-// built only on a tile's first TileContext::rng() call, since only IP
-// cores draw from it.  This binary replaces the global operator new with
-// a counting one (it is local to this test executable) to pin both.
+// Per-tile memory of a GossipNetwork and of the mesh it runs on.  No tile
+// owns forward-coin state (the coins are counter-based, common/rng.hpp),
+// the `app` streams and the forward-capacity, route-filter and clock-scale
+// tables exist only once something sets them, and a Topology keeps its
+// adjacency as compressed rows.  This binary replaces the global operator
+// new with a counting one (it is local to this test executable) to pin
+// all of it.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,11 +17,13 @@
 
 namespace {
 std::size_t g_bytes = 0;
+std::size_t g_allocations = 0;
 std::size_t g_stream_allocations = 0; ///< allocations of one RngStream.
 } // namespace
 
 void* operator new(std::size_t bytes) {
     g_bytes += bytes;
+    ++g_allocations;
     if (bytes == sizeof(snoc::RngStream)) ++g_stream_allocations;
     if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
     throw std::bad_alloc();
@@ -55,7 +59,21 @@ TEST(EngineAlloc, ConstructionStaysUnderHalfAKilobytePerTile) {
     const std::size_t before = g_bytes;
     GossipNetwork net(mesh, GossipConfig{}, FaultScenario::none(), 1);
     const std::size_t per_tile = (g_bytes - before) / (kSide * kSide);
-    EXPECT_LT(per_tile, 512u);
+    // Measured: 231 B, of which the network's copy of the mesh is 79 B
+    // and each tile's send buffer and inbox count most of the rest.
+    EXPECT_LE(per_tile, 231u);
+}
+
+TEST(EngineAlloc, MeshIsFiveFlatArrays) {
+    constexpr std::size_t kSide = 64;
+    const std::size_t bytes = g_bytes;
+    const std::size_t allocations = g_allocations;
+    const Topology mesh = Topology::mesh(kSide, kSide);
+    // Links (8 B each), the two row arrays (4 B per link each), the row
+    // starts and the grid index (12 B per tile): 79 B per tile in five
+    // allocations, however large the mesh.
+    EXPECT_LE((g_bytes - bytes) / (kSide * kSide), 79u);
+    EXPECT_EQ(g_allocations - allocations, 5u);
 }
 
 TEST(EngineAlloc, OnlyTilesThatDrawBuildAnAppStream) {

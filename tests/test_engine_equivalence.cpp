@@ -82,6 +82,9 @@ struct Scenario {
     std::size_t broadcast_payload{24};
     std::size_t width{4};
     std::size_t height{4};
+    /// Nonzero: a fully connected graph on this many tiles instead of
+    /// the width x height mesh.
+    std::size_t fully_connected{0};
 };
 
 std::vector<Scenario> scenarios() {
@@ -220,8 +223,10 @@ std::unique_ptr<GossipNetwork> run_network(const Scenario& s, std::uint64_t seed
                                            bool reference_encode, Watch& watch) {
     GossipConfig config = s.config;
     config.reference_encode_path = reference_encode;
-    auto net = std::make_unique<GossipNetwork>(Topology::mesh(s.width, s.height), config,
-                                               s.faults, seed);
+    auto net = std::make_unique<GossipNetwork>(
+        s.fully_connected != 0 ? Topology::fully_connected(s.fully_connected)
+                               : Topology::mesh(s.width, s.height),
+        config, s.faults, seed);
     net->set_trace_sink(watch.sink);
     const auto step = [&] {
         net->step();
@@ -350,9 +355,13 @@ TEST(EngineEquivalence, ScenariosActuallyExerciseTheHotPaths) {
 // enqueue every copy, and the goldens below record through Telemetry, so
 // only this test takes the untraced path.
 
-/// The grid, plus a fault-free 16x16 broadcast and a line of tiles with
+/// The grid, plus a fault-free 16x16 broadcast, a line of tiles with
 /// two-packet input buffers, which bind in the rounds where a tile holds
-/// two rumors (the elision is off in those rounds and on in the others).
+/// two rumors (the elision is off in those rounds and on in the others),
+/// the 16x16 broadcast over crashed tiles and links without upsets (the
+/// copies to dead receivers of rumors every live neighbour knows), and a
+/// broadcast over 70 fully connected tiles, whose 69 ports take two coin
+/// chunks.
 std::vector<Scenario> elision_scenarios() {
     std::vector<Scenario> out = scenarios();
 
@@ -369,6 +378,17 @@ std::vector<Scenario> elision_scenarios() {
     tight.config.in_buffer_capacity = 2;
     tight.unicast_traffic = true;
     out.push_back(tight);
+
+    Scenario crashed = wide;
+    crashed.name = "clean_crashes_16x16";
+    crashed.faults.p_tiles = 0.1;
+    crashed.faults.p_links = 0.05;
+    out.push_back(crashed);
+
+    Scenario dense = wide;
+    dense.name = "fully_connected_70";
+    dense.fully_connected = 70;
+    out.push_back(dense);
     return out;
 }
 

@@ -112,44 +112,6 @@ TEST(GridAccessors, ThrowOnNonGrid) {
     EXPECT_THROW(t.at(0, 0), ContractViolation);
 }
 
-TEST(Connectivity, IntactMeshIsConnected) {
-    const auto t = Topology::mesh(4, 4);
-    std::vector<bool> no_tiles(t.node_count(), false);
-    std::vector<bool> no_links(t.link_count(), false);
-    EXPECT_TRUE(t.connected_without(no_tiles, no_links));
-}
-
-TEST(Connectivity, CutColumnPartitions) {
-    const auto t = Topology::mesh(4, 4);
-    std::vector<bool> dead_tiles(t.node_count(), false);
-    std::vector<bool> dead_links(t.link_count(), false);
-    // Kill column x=1 entirely: x=0 is isolated from x>=2.
-    for (std::size_t y = 0; y < 4; ++y) dead_tiles[t.at(1, y)] = true;
-    EXPECT_FALSE(t.connected_without(dead_tiles, dead_links));
-}
-
-TEST(Connectivity, SingleDeadInteriorTileStaysConnected) {
-    const auto t = Topology::mesh(4, 4);
-    std::vector<bool> dead_tiles(t.node_count(), false);
-    std::vector<bool> dead_links(t.link_count(), false);
-    dead_tiles[5] = true;
-    EXPECT_TRUE(t.connected_without(dead_tiles, dead_links));
-}
-
-TEST(Connectivity, DeadLinksCanPartition) {
-    const auto t = Topology::mesh(2, 1); // two tiles, two directed links
-    std::vector<bool> dead_tiles(2, false);
-    std::vector<bool> dead_links(t.link_count(), true);
-    EXPECT_FALSE(t.connected_without(dead_tiles, dead_links));
-}
-
-TEST(Connectivity, AllTilesDeadIsTriviallyConnected) {
-    const auto t = Topology::mesh(3, 3);
-    std::vector<bool> dead_tiles(t.node_count(), true);
-    std::vector<bool> dead_links(t.link_count(), false);
-    EXPECT_TRUE(t.connected_without(dead_tiles, dead_links));
-}
-
 class MeshSizeSweep
     : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 
