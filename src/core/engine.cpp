@@ -93,14 +93,12 @@ void GossipNetwork::set_forward_capacity(TileId tile, std::size_t packets_per_ro
     if (forward_capacity_.empty())
         forward_capacity_.assign(tiles_.size(), static_cast<std::size_t>(-1));
     forward_capacity_[tile] = packets_per_round;
-    gated_ = true;
 }
 
 void GossipNetwork::set_route_filter(TileId tile, RouteFilter filter) {
     SNOC_EXPECT(tile < tiles_.size());
     if (route_filter_.empty()) route_filter_.resize(tiles_.size());
     route_filter_[tile] = std::move(filter);
-    gated_ = true;
 }
 
 void GossipNetwork::set_clock_scale(TileId tile, double scale) {
@@ -415,16 +413,14 @@ GossipNetwork::PortMasks GossipNetwork::port_masks(TileId tile, std::size_t firs
     return out;
 }
 
-std::uint64_t GossipNetwork::knowing_ports(TileId tile, std::size_t first,
-                                           std::uint64_t candidates,
-                                           const MessageId& id) const {
+bool GossipNetwork::all_neighbours_know(TileId tile, const MessageId& id) const {
     const auto nbrs = topology_.neighbours(tile);
-    std::uint64_t out = 0;
-    for (; candidates != 0; candidates &= candidates - 1) {
-        const auto i = static_cast<std::size_t>(std::countr_zero(candidates));
-        if (tiles_[nbrs[first + i]].send_buffer.knows(id)) out |= std::uint64_t{1} << i;
-    }
-    return out;
+    const auto links = topology_.out_links(tile);
+    for (std::size_t i = 0; i < nbrs.size(); ++i)
+        if (!crash_state_.dead_links[links[i]] && !crash_state_.dead_tiles[nbrs[i]] &&
+            !tiles_[nbrs[i]].send_buffer.knows(id))
+            return false;
+    return true;
 }
 
 void GossipNetwork::forward_phase() {
@@ -434,6 +430,8 @@ void GossipNetwork::forward_phase() {
     // moves no draw.
     const bool upsets = injector_.scenario().p_upset > 0.0;
     std::size_t& known_dups = known_dups_[(round_ + 1) % kInFlightRing];
+    // Few runs set a route filter or a forward capacity: one test a round.
+    const bool gated = !route_filter_.empty() || !forward_capacity_.empty();
     forward_coins_.start_round(round_);
     for (const TileId t : active_) {
         if (dense_clocks_ && !tile_active_this_round(t)) continue;
@@ -442,7 +440,7 @@ void GossipNetwork::forward_phase() {
         const auto links = topology_.out_links(t);
         const RouteFilter* filter = nullptr;
         std::size_t budget = static_cast<std::size_t>(-1);
-        if (gated_) {
+        if (gated) {
             if (!route_filter_.empty() && route_filter_[t]) filter = &route_filter_[t];
             if (!forward_capacity_.empty()) budget = forward_capacity_[t];
         }
@@ -459,16 +457,16 @@ void GossipNetwork::forward_phase() {
             if (config_.stop_spread_on_delivery && delivered_unicasts_.contains(m.id()))
                 continue; // spread terminated early (Sec. 3.2.2)
             const std::size_t bits = wire_size(*m.body) * 8;
-            // Every chunk so far found all its live receivers knowing.
-            bool all_know = true;
+            // Of the receivers looked up below: did one know `m`, and all?
+            bool some_knew = false;
+            bool all_knew = true;
             // Fig. 3-4: the message is presented on every output port
             // and a random decision (probability p) gates each port.  One
             // coin per port, in port order, stopping once the budget runs
             // out: the coins of a chunk of ports are drawn as one mask,
             // and a chunk is no longer than the budget, so the budget
             // cannot run out before the chunk's last coin.
-            std::size_t first = 0;
-            while (first < nbrs.size() && budget > 0) {
+            for (std::size_t first = 0; first < nbrs.size() && budget > 0;) {
                 const std::size_t chunk =
                     std::min({nbrs.size() - first, budget, std::size_t{64}});
                 const PortMasks ports = port_masks(t, first, chunk);
@@ -491,34 +489,35 @@ void GossipNetwork::forward_phase() {
                 // Known rumors stay known and crashes roll only at start,
                 // so a clean copy to a live tile that knows `m` is a
                 // duplicate on arrival, in round_ + 1 (no skew without
-                // dense clocks).  Once every live receiver knows, no
-                // lookup is needed.
-                std::uint64_t known = 0;
-                if (elide_known_dups_) {
-                    known = m.neighbours_know
-                                ? ports.live_receiver
-                                : knowing_ports(t, first, ports.live_receiver, m.id());
-                    all_know = all_know && known == ports.live_receiver;
-                }
-                if (!upsets) {
-                    known_dups += static_cast<std::size_t>(std::popcount(sent & known));
-                    sent &= ~known;
+                // dense clocks).  Once every live receiver knows, no copy
+                // needs a lookup, and without upsets none needs a draw.
+                const std::uint64_t receivers = elide_known_dups_ ? ports.live_receiver : 0;
+                if (!upsets && m.neighbours_know) {
+                    known_dups += static_cast<std::size_t>(std::popcount(sent & receivers));
+                    sent &= ~receivers;
                 }
                 // What is left goes on the wire copy by copy, in port
                 // order: each upset copy's roll then its flip count.
                 for (; sent != 0; sent &= sent - 1) {
                     const auto i = static_cast<std::size_t>(std::countr_zero(sent));
                     const bool upset = upsets && injector_.upset_roll();
-                    if (!upset && ((known >> i) & 1)) {
-                        ++known_dups;
-                        continue;
+                    if (!upset && ((receivers >> i) & 1)) {
+                        if (m.neighbours_know ||
+                            tiles_[nbrs[first + i]].send_buffer.knows(m.id())) {
+                            some_knew = true;
+                            ++known_dups;
+                            continue;
+                        }
+                        all_knew = false;
                     }
                     enqueue_transmission(t, nbrs[first + i], m, upset);
                 }
                 first += chunk;
             }
-            if (elide_known_dups_ && all_know && first == nbrs.size())
-                m.neighbours_know = true;
+            // Only a message whose copies all went to knowers can have
+            // saturated its neighbourhood; ask every port once it has.
+            if (some_knew && all_knew && !m.neighbours_know)
+                m.neighbours_know = all_neighbours_know(t, m.id());
         }
     }
 }

@@ -231,10 +231,8 @@ private:
         std::uint64_t live_receiver;
     };
     PortMasks port_masks(TileId tile, std::size_t first, std::size_t n) const;
-    /// Of `candidates` (bits of ports [first, first + 64) of `tile`), the
-    /// ports whose receiver already knows `id`.
-    std::uint64_t knowing_ports(TileId tile, std::size_t first, std::uint64_t candidates,
-                                const MessageId& id) const;
+    /// Every live neighbour of `tile` over a live link knows `id`.
+    bool all_neighbours_know(TileId tile, const MessageId& id) const;
     /// Put a copy of `m` from `from` on the wire to `to`; `upset` is this
     /// copy's upset_roll().  The forward phase has counted the copy as
     /// sent.  The message must stay in place until the forward phase
@@ -266,12 +264,10 @@ private:
     std::vector<Tile> tiles_;
     // Per-tile tables that few runs set: each stays empty until its first
     // set_* call (or, for app_rng_, a tile's first Context::rng()), and
-    // is then sized to every tile.  gated_ says whether either of the
-    // forward phase's two is in use, so an ungated round reads neither.
+    // is then sized to every tile.
     std::vector<std::unique_ptr<RngStream>> app_rng_;
     std::vector<std::size_t> forward_capacity_;
     std::vector<RouteFilter> route_filter_;
-    bool gated_{false};
     std::vector<double> clock_scale_;       ///< read only under dense clocks.
     std::vector<double> next_action_round_; ///< parallel to clock_scale_.
     std::vector<TileId> protected_tiles_;

@@ -22,9 +22,10 @@ struct HeldMessage {
     std::shared_ptr<const MessageBody> body;
     std::uint16_t ttl{0};
     /// Every live neighbour of the holding tile, over a live link,
-    /// already knows this rumor.  The forward phase sets it in the first
-    /// round it finds that true; it never goes false again, since
-    /// knowers only grow and crashes roll only at start.
+    /// already knows this rumor.  The forward phase checks it after a
+    /// round in which every copy it looked up went to a knower, and sets
+    /// it once true; it never goes false again, since knowers only grow
+    /// and crashes roll only at start.
     bool neighbours_know{false};
 
     const MessageId& id() const { return body->id; }

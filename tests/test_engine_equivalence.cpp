@@ -388,6 +388,9 @@ std::vector<Scenario> elision_scenarios() {
     Scenario dense = wide;
     dense.name = "fully_connected_70";
     dense.fully_connected = 70;
+    // Slow enough that for several rounds a tile's second chunk can all
+    // know the rumor while its first does not.
+    dense.config.forward_p = 0.03;
     out.push_back(dense);
     return out;
 }

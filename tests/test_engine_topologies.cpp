@@ -3,6 +3,7 @@
 // and robustness fuzzing of the wire decoder.
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +63,25 @@ TEST(FullyConnectedGossip, FloodingInformsEveryoneInOneRound) {
     net.step();
     net.step();
     EXPECT_EQ(net.tiles_knowing({3, 0}), 20u);
+}
+
+TEST(FullyConnectedGossip, FloodingLoadsEveryLinkOfATileAlike) {
+    // 69 ports take two coin chunks.  At p = 1 every forward uses every
+    // port, so all of a tile's out-links carry the same count.
+    GossipConfig c;
+    c.forward_p = 1.0;
+    c.default_ttl = 3;
+    const Topology topo = Topology::fully_connected(70);
+    GossipNetwork net(topo, c, FaultScenario::none(), 1);
+    net.attach(3, std::make_unique<Announcer>());
+    for (int r = 0; r < 4; ++r) net.step();
+    const auto& by_link = net.metrics().packets_by_link;
+    EXPECT_GT(by_link[topo.out_links(3)[0]], 0u);
+    for (TileId t = 0; t < topo.node_count(); ++t) {
+        std::vector<std::size_t> counts;
+        for (const LinkId l : topo.out_links(t)) counts.push_back(by_link[l]);
+        EXPECT_EQ(counts, std::vector<std::size_t>(counts.size(), counts[0])) << "tile " << t;
+    }
 }
 
 TEST(TorusGossip, WrapAroundShortensBroadcast) {
