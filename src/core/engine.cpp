@@ -159,10 +159,7 @@ void GossipNetwork::ensure_started() {
                        ? injector_.roll_exact_tile_crashes(topology_, *forced_exact_crashes_,
                                                            protected_tiles_)
                        : injector_.roll_crashes(topology_, protected_tiles_);
-    any_crash_ = std::find(crash_state_.dead_tiles.begin(), crash_state_.dead_tiles.end(),
-                           true) != crash_state_.dead_tiles.end() ||
-                 std::find(crash_state_.dead_links.begin(), crash_state_.dead_links.end(),
-                           true) != crash_state_.dead_links.end();
+    index_live_ports();
     for (TileId t = 0; t < tiles_.size(); ++t)
         if (!crash_state_.dead_tiles[t] && tiles_[t].core) cores_.push_back(t);
     for (const TileId t : cores_) {
@@ -401,16 +398,35 @@ bool GossipNetwork::known_duplicates_exact() const {
 GossipNetwork::PortMasks GossipNetwork::port_masks(TileId tile, std::size_t first,
                                                   std::size_t n) const {
     const std::uint64_t all = n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
-    if (!any_crash_) return {all, all};
-    const auto nbrs = topology_.neighbours(tile).subspan(first, n);
-    const auto links = topology_.out_links(tile).subspan(first, n);
-    PortMasks out{0, 0};
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t live = !crash_state_.dead_links[links[i]];
-        out.live |= live << i;
-        out.live_receiver |= (live & !crash_state_.dead_tiles[nbrs[i]]) << i;
+    if (live_ports_.empty()) return {all, all};
+    const std::size_t at = topology_.first_port(tile) + first;
+    const auto bits = [&](const std::vector<std::uint64_t>& words) {
+        const std::size_t shift = at % 64;
+        std::uint64_t out = words[at / 64] >> shift;
+        if (shift != 0 && shift + n > 64) out |= words[at / 64 + 1] << (64 - shift);
+        return out & all;
+    };
+    return {bits(live_ports_), bits(live_receivers_)};
+}
+
+void GossipNetwork::index_live_ports() {
+    const auto dead = [](const std::vector<bool>& v) {
+        return std::find(v.begin(), v.end(), true) != v.end();
+    };
+    if (!dead(crash_state_.dead_tiles) && !dead(crash_state_.dead_links)) return;
+    live_ports_.assign((topology_.link_count() + 63) / 64, 0);
+    live_receivers_ = live_ports_;
+    for (TileId t = 0; t < tiles_.size(); ++t) {
+        const auto nbrs = topology_.neighbours(t);
+        const auto links = topology_.out_links(t);
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+            if (crash_state_.dead_links[links[i]]) continue;
+            const std::size_t port = topology_.first_port(t) + i;
+            const std::uint64_t bit = std::uint64_t{1} << (port % 64);
+            live_ports_[port / 64] |= bit;
+            if (!crash_state_.dead_tiles[nbrs[i]]) live_receivers_[port / 64] |= bit;
+        }
     }
-    return out;
 }
 
 bool GossipNetwork::all_neighbours_know(TileId tile, const MessageId& id) const {

@@ -231,6 +231,8 @@ private:
         std::uint64_t live_receiver;
     };
     PortMasks port_masks(TileId tile, std::size_t first, std::size_t n) const;
+    /// Fill live_ports_ and live_receivers_ once crashes have rolled.
+    void index_live_ports();
     /// Every live neighbour of `tile` over a live link knows `id`.
     bool all_neighbours_know(TileId tile, const MessageId& id) const;
     /// Put a copy of `m` from `from` on the wire to `to`; `upset` is this
@@ -272,8 +274,11 @@ private:
     std::vector<double> next_action_round_; ///< parallel to clock_scale_.
     std::vector<TileId> protected_tiles_;
     CrashState crash_state_;
-    /// Some tile or link crashed: port_masks() must read crash_state_.
-    bool any_crash_{false};
+    /// One bit per port, numbered as Topology::first_port: its link is
+    /// live; its link and its receiver are.  Empty on a run without
+    /// crashes, where every port is live.
+    std::vector<std::uint64_t> live_ports_;
+    std::vector<std::uint64_t> live_receivers_;
     bool started_{false};
     std::optional<std::size_t> forced_exact_crashes_;
 

@@ -72,6 +72,12 @@ public:
         SNOC_EXPECT(t < node_count());
         return {out_links_.data() + row_start_[t], out_links_.data() + row_start_[t + 1]};
     }
+    /// Every tile's ports in one numbering, in compressed-row order: port
+    /// i of `t` is number first_port(t) + i, of link_count() in all.
+    std::size_t first_port(TileId t) const {
+        SNOC_EXPECT(t < node_count());
+        return row_start_[t];
+    }
     /// Endpoints of a directed link.
     const LinkEnd& link(LinkId id) const;
 

@@ -1,6 +1,7 @@
 // The gossip engine on non-mesh topologies: the fully-connected graph of
 // the Sec. 3.1 theory (engine behaviour vs the logistic model), the torus,
 // and robustness fuzzing of the wire decoder.
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -65,22 +66,34 @@ TEST(FullyConnectedGossip, FloodingInformsEveryoneInOneRound) {
     EXPECT_EQ(net.tiles_knowing({3, 0}), 20u);
 }
 
-TEST(FullyConnectedGossip, FloodingLoadsEveryLinkOfATileAlike) {
-    // 69 ports take two coin chunks.  At p = 1 every forward uses every
-    // port, so all of a tile's out-links carry the same count.
+TEST(FullyConnectedGossip, FloodingLoadsEveryLiveLinkOfATileAlike) {
+    // At p = 1 a tile that forwards sends on every live out-link and on
+    // no dead one, so all of its live links carry one count.  69 ports
+    // take two coin chunks, and a tile's ports straddle 64-bit words.
     GossipConfig c;
     c.forward_p = 1.0;
     c.default_ttl = 3;
+    FaultScenario s;
+    s.p_tiles = 0.1;
+    s.p_links = 0.05;
     const Topology topo = Topology::fully_connected(70);
-    GossipNetwork net(topo, c, FaultScenario::none(), 1);
+    GossipNetwork net(topo, c, s, 1);
+    net.protect(3);
     net.attach(3, std::make_unique<Announcer>());
     for (int r = 0; r < 4; ++r) net.step();
+    const auto& dead = net.crashes().dead_links;
     const auto& by_link = net.metrics().packets_by_link;
-    EXPECT_GT(by_link[topo.out_links(3)[0]], 0u);
+    ASSERT_NE(std::count(dead.begin(), dead.end(), true), 0);
+    EXPECT_GT(net.metrics().packets_sent, 0u);
     for (TileId t = 0; t < topo.node_count(); ++t) {
-        std::vector<std::size_t> counts;
-        for (const LinkId l : topo.out_links(t)) counts.push_back(by_link[l]);
-        EXPECT_EQ(counts, std::vector<std::size_t>(counts.size(), counts[0])) << "tile " << t;
+        std::vector<std::size_t> live;
+        for (const LinkId l : topo.out_links(t)) {
+            if (dead[l])
+                EXPECT_EQ(by_link[l], 0u) << "dead link " << l;
+            else
+                live.push_back(by_link[l]);
+        }
+        EXPECT_EQ(live, std::vector<std::size_t>(live.size(), live.front())) << "tile " << t;
     }
 }
 
