@@ -446,20 +446,18 @@ void GossipNetwork::forward_phase() {
     // moves no draw.
     const bool upsets = injector_.scenario().p_upset > 0.0;
     std::size_t& known_dups = known_dups_[(round_ + 1) % kInFlightRing];
-    // Few runs set a route filter or a forward capacity: one test a round.
-    const bool gated = !route_filter_.empty() || !forward_capacity_.empty();
     forward_coins_.start_round(round_);
     for (const TileId t : active_) {
         if (dense_clocks_ && !tile_active_this_round(t)) continue;
         forward_coins_.start_tile(t);
         const auto nbrs = topology_.neighbours(t);
         const auto links = topology_.out_links(t);
-        const RouteFilter* filter = nullptr;
-        std::size_t budget = static_cast<std::size_t>(-1);
-        if (gated) {
-            if (!route_filter_.empty() && route_filter_[t]) filter = &route_filter_[t];
-            if (!forward_capacity_.empty()) budget = forward_capacity_[t];
-        }
+        // Few runs set a route filter or a forward capacity: an empty
+        // table means no tile has one.
+        const RouteFilter* filter =
+            !route_filter_.empty() && route_filter_[t] ? &route_filter_[t] : nullptr;
+        std::size_t budget =
+            forward_capacity_.empty() ? static_cast<std::size_t>(-1) : forward_capacity_[t];
         const auto msgs = tiles_[t].send_buffer.messages();
         // A capacity-limited tile (bus bridge) serves its buffer with a
         // rotating start so a long-lived rumor cannot starve newer ones of
