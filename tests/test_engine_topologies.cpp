@@ -138,6 +138,24 @@ TEST(CustomTopologyGossip, LineGraphIsSlowestShape) {
     EXPECT_EQ(r.rounds, 8u);
 }
 
+TEST(CustomTopologyGossip, HubReachesTheLeavesOfItsSecondCoinChunk) {
+    // Hub 0's ports 0..63 lead to a clique of leaves 1..64, which learns
+    // the rumor fast; ports 64..69 lead to leaves 65..70, which only the
+    // hub can tell.  The hub's rumor must not count as known to all its
+    // neighbours once its first chunk knows it.
+    std::vector<LinkEnd> edges;
+    for (TileId leaf = 1; leaf <= 70; ++leaf) edges.push_back({0, leaf});
+    for (TileId a = 1; a <= 64; ++a)
+        for (TileId b = a + 1; b <= 64; ++b) edges.push_back({a, b});
+    GossipConfig c;
+    c.forward_p = 0.1;
+    c.default_ttl = 200;
+    GossipNetwork net(Topology::from_edges(71, edges, "hub"), c, FaultScenario::none(), 1);
+    net.attach(1, std::make_unique<Announcer>());
+    const auto r = net.run_until([&net] { return net.tiles_knowing({1, 0}) == 71; }, 190);
+    EXPECT_TRUE(r.completed);
+}
+
 TEST(PacketFuzz, DecoderNeverMisbehavesOnGarbage) {
     // Arbitrary byte soup must decode to nullopt or a self-consistent
     // message — never crash, never read out of bounds (ASAN-friendly).
