@@ -410,10 +410,10 @@ GossipNetwork::PortMasks GossipNetwork::port_masks(TileId tile, std::size_t firs
 }
 
 void GossipNetwork::index_live_ports() {
-    const auto dead = [](const std::vector<bool>& v) {
-        return std::find(v.begin(), v.end(), true) != v.end();
-    };
-    if (!dead(crash_state_.dead_tiles) && !dead(crash_state_.dead_links)) return;
+    // Read off the scenario, not the crash tables: scanning those costs
+    // milliseconds on a 1000x1000 mesh.
+    const FaultScenario& s = injector_.scenario();
+    if (s.p_tiles <= 0.0 && s.p_links <= 0.0 && forced_exact_crashes_.value_or(0) == 0) return;
     live_ports_.assign((topology_.link_count() + 63) / 64, 0);
     live_receivers_ = live_ports_;
     for (TileId t = 0; t < tiles_.size(); ++t) {

@@ -275,8 +275,8 @@ private:
     std::vector<TileId> protected_tiles_;
     CrashState crash_state_;
     /// One bit per port, numbered as Topology::first_port: its link is
-    /// live; its link and its receiver are.  Empty on a run without
-    /// crashes, where every port is live.
+    /// live; its link and its receiver are.  Empty on a run that cannot
+    /// crash, where every port is live.
     std::vector<std::uint64_t> live_ports_;
     std::vector<std::uint64_t> live_receivers_;
     bool started_{false};
