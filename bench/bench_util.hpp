@@ -95,25 +95,17 @@ inline double completion_pct(const CellResult& cell) {
     return 100.0 * completed / cell.reports.size();
 }
 
-/// Insert a tag before each export path's extension ("run.jsonl" ->
-/// "run_fft.jsonl") — benches that run several sweeps off one flag set use
-/// this to keep the sweeps' artifacts (traces, post-mortems, heartbeat
-/// streams, metrics snapshots) apart.
+/// Tag each export path (tag_path: "run.jsonl" -> "run_fft.jsonl") —
+/// benches that run several sweeps off one flag set use this to keep the
+/// sweeps' artifacts (traces, post-mortems, heartbeat streams, metrics
+/// snapshots) apart.
 inline TelemetryOptions tag_telemetry(const TelemetryOptions& options,
                                       const std::string& tag) {
-    const auto add = [&tag](std::string path) {
-        if (path.empty()) return path;
-        const auto dot = path.find_last_of('.');
-        if (dot == std::string::npos) return path + tag;
-        return path.substr(0, dot) + tag + path.substr(dot);
-    };
     TelemetryOptions out = options;
-    out.trace_jsonl_out = add(out.trace_jsonl_out);
-    out.chrome_out = add(out.chrome_out);
-    out.heatmap_out = add(out.heatmap_out);
-    out.postmortem_out = add(out.postmortem_out);
-    out.heartbeat_out = add(out.heartbeat_out);
-    out.metrics_out = add(out.metrics_out);
+    for (std::string* path : {&out.trace_jsonl_out, &out.chrome_out,
+                              &out.heatmap_out, &out.postmortem_out,
+                              &out.heartbeat_out, &out.metrics_out})
+        *path = tag_path(*path, tag);
     return out;
 }
 

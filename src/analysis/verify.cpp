@@ -7,6 +7,7 @@
 #include "analysis/probes.hpp"
 #include "bus/deflection.hpp"
 #include "common/expect.hpp"
+#include "common/json.hpp"
 #include "core/gossip_config.hpp"
 
 namespace snoc::analysis {
@@ -199,20 +200,6 @@ void write_report(const std::vector<ConfigVerdict>& verdicts, std::ostream& os) 
            << "]\n";
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
 void write_sarif(const std::vector<ConfigVerdict>& verdicts, std::ostream& os) {
     os << "{\n"
        << "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/"
@@ -241,10 +228,10 @@ void write_sarif(const std::vector<ConfigVerdict>& verdicts, std::ostream& os) {
                                : "verify-livelock";
         os << (first ? "\n" : ",\n")
            << "      {\"ruleId\": \"" << rule << "\", \"level\": \"error\", "
-           << "\"message\": {\"text\": \""
-           << json_escape(v.subject + ": " + to_string(v.verdict) + " — " +
-                          v.detail)
-           << "\"}, \"locations\": [{\"physicalLocation\": "
+           << "\"message\": {\"text\": "
+           << json::quoted(v.subject + ": " + to_string(v.verdict) + " — " +
+                           v.detail)
+           << "}, \"locations\": [{\"physicalLocation\": "
               "{\"artifactLocation\": {\"uri\": \"src/router/policy.hpp\", "
               "\"uriBaseId\": \"SRCROOT\"}, \"region\": {\"startLine\": 1}}}]}";
         first = false;

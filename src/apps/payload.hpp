@@ -25,12 +25,6 @@ public:
 
     PayloadWriter& put_f32(double value) { return put(static_cast<float>(value)); }
 
-    template <typename T>
-    PayloadWriter& put_all(std::span<const T> values) {
-        for (const T& v : values) put(v);
-        return *this;
-    }
-
     std::vector<std::byte> take() { return std::move(bytes_); }
     std::size_t size() const { return bytes_.size(); }
 

@@ -22,8 +22,6 @@ public:
     void on_round(TileContext& ctx) override;
     void on_message(const Message&, TileContext&) override {}
 
-    std::size_t items_sent() const { return next_item_; }
-
 private:
     TileId consumer_;
     std::size_t item_count_;

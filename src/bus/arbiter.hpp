@@ -27,8 +27,6 @@ public:
         return rotor_.grant(requests);
     }
 
-    std::size_t module_count() const { return rotor_.slot_count(); }
-
 private:
     router::RotatingArbiter rotor_;
 };

@@ -161,6 +161,15 @@ BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repe
     return parse_bench_options(CliArgs(argc, argv), default_repeats, own_flags);
 }
 
+std::string tag_path(const std::string& path, const std::string& tag) {
+    if (path.empty()) return path;
+    const auto slash = path.find_last_of('/');
+    const auto dot = path.find_last_of('.');
+    if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
+        return path + tag;
+    return path.substr(0, dot) + tag + path.substr(dot);
+}
+
 std::vector<std::string> TelemetryOptions::requested_flags() const {
     const std::pair<const char*, const std::string*> exports[] = {
         {"--trace-out", &trace_jsonl_out},   {"--chrome-out", &chrome_out},

@@ -110,6 +110,12 @@ struct TelemetryOptions {
     std::vector<std::string> requested_flags() const;
 };
 
+/// `path` with `tag` put before its file name's extension: "out/run.jsonl"
+/// + "_fft" -> "out/run_fft.jsonl"; "./trace" and "out.d/run", whose file
+/// names have none, get it appended.  An empty path (an export that is
+/// off) stays empty.
+std::string tag_path(const std::string& path, const std::string& tag);
+
 /// The uniform flag set every bench binary accepts, parsed in exactly one
 /// place: --csv | --json (table output format), --repeats=N, --jobs=N,
 /// --seed=N, plus the telemetry/profiling flags

@@ -143,15 +143,6 @@ LinearFit Regression::fit() const {
     return out;
 }
 
-double Regression::correlation() const {
-    if (n_ < 2) return 0.0;
-    const double n = static_cast<double>(n_);
-    const double var_x = sxx_ - sx_ * sx_ / n;
-    const double var_y = syy_ - sy_ * sy_ / n;
-    if (var_x <= 0.0 || var_y <= 0.0) return 0.0;
-    return (sxy_ - sx_ * sy_ / n) / std::sqrt(var_x * var_y);
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), counts_(buckets, 0) {
     SNOC_EXPECT(hi > lo);

@@ -82,8 +82,6 @@ public:
 
     /// Requires >= 2 points with non-degenerate x spread.
     LinearFit fit() const;
-    /// Pearson correlation coefficient (0 when degenerate).
-    double correlation() const;
 
 private:
     std::size_t n_{0};
@@ -97,7 +95,6 @@ public:
     Histogram(double lo, double hi, std::size_t buckets);
 
     void add(double x);
-    std::size_t bucket_count() const { return counts_.size(); }
     std::size_t count(std::size_t bucket) const;
     std::size_t total() const { return total_; }
     /// Midpoint of bucket i.

@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "common/expect.hpp"
+#include "common/json.hpp"
 
 namespace snoc {
 
@@ -79,39 +80,13 @@ void Table::print_csv(std::ostream& os) const {
     for (const auto& row : rows_) emit(row);
 }
 
-namespace {
-std::string json_escape(const std::string& cell) {
-    std::string out;
-    out.reserve(cell.size() + 2);
-    for (char ch : cell) {
-        switch (ch) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
-} // namespace
-
 void Table::print_json(std::ostream& os) const {
     os << "[";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
         os << (r ? ",\n " : "\n ") << '{';
         for (std::size_t c = 0; c < headers_.size(); ++c) {
             if (c) os << ", ";
-            os << '"' << json_escape(headers_[c]) << "\": \""
-               << json_escape(rows_[r][c]) << '"';
+            os << json::quoted(headers_[c]) << ": " << json::quoted(rows_[r][c]);
         }
         os << '}';
     }

@@ -55,13 +55,6 @@ struct NetworkMetrics {
         return mean > 0.0 ? static_cast<double>(max) / mean : 0.0;
     }
 
-    /// Average packets per link per round — the N_packets/round of Eq. 2.
-    double packets_per_link_round(std::size_t live_links) const {
-        if (rounds == 0 || live_links == 0) return 0.0;
-        return static_cast<double>(packets_sent) /
-               (static_cast<double>(rounds) * static_cast<double>(live_links));
-    }
-
     /// Average packet size S in bits (Eq. 2 / Eq. 3).
     double average_packet_bits() const {
         if (packets_sent == 0) return 0.0;

@@ -3,9 +3,8 @@
 // (Sec. 3.2.2): "CRC encoders and decoders are easy to implement in
 // hardware, as they only require one shift register".
 //
-// We provide the two codes a NoC would realistically choose from:
-//   * CRC-16-CCITT (poly 0x1021, init 0xFFFF)  — cheap, short packets;
-//   * CRC-32 (IEEE 802.3, reflected poly 0xEDB88320, init ~0, final xor ~0).
+// The packet code is CRC-32 (IEEE 802.3, reflected poly 0xEDB88320,
+// init ~0, final xor ~0).
 #pragma once
 
 #include <array>
@@ -29,20 +28,7 @@ constexpr std::array<std::uint32_t, 256> make_crc32_table() {
     return table;
 }
 
-constexpr std::array<std::uint16_t, 256> make_crc16_table() {
-    std::array<std::uint16_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint16_t c = static_cast<std::uint16_t>(i << 8);
-        for (int k = 0; k < 8; ++k)
-            c = static_cast<std::uint16_t>((c & 0x8000u) ? ((c << 1) ^ 0x1021u)
-                                                         : (c << 1));
-        table[i] = c;
-    }
-    return table;
-}
-
 inline constexpr auto kCrc32Table = make_crc32_table();
-inline constexpr auto kCrc16Table = make_crc16_table();
 
 } // namespace detail
 
@@ -52,16 +38,6 @@ constexpr std::uint32_t crc32(std::span<const std::byte> data) {
     for (std::byte b : data)
         c = detail::kCrc32Table[(c ^ static_cast<std::uint32_t>(b)) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
-}
-
-/// CRC-16-CCITT (init 0xFFFF) of a byte span.
-constexpr std::uint16_t crc16_ccitt(std::span<const std::byte> data) {
-    std::uint16_t c = 0xFFFFu;
-    for (std::byte b : data)
-        c = static_cast<std::uint16_t>(
-            (c << 8) ^
-            detail::kCrc16Table[((c >> 8) ^ static_cast<std::uint16_t>(b)) & 0xFFu]);
-    return c;
 }
 
 /// Columns of CRC-32's linear part, for deciding a corrupted packet's

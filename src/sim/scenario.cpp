@@ -28,13 +28,8 @@ namespace {
 std::string trial_path(const std::string& path, std::size_t cell,
                        std::size_t repeat, bool single_trial) {
     if (single_trial) return path;
-    const std::string suffix =
-        "_c" + std::to_string(cell) + "_r" + std::to_string(repeat);
-    const auto slash = path.find_last_of('/');
-    const auto dot = path.find_last_of('.');
-    if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-        return path + suffix;
-    return path.substr(0, dot) + suffix + path.substr(dot);
+    return snoc::tag_path(path, "_c" + std::to_string(cell) + "_r" +
+                                    std::to_string(repeat));
 }
 
 } // namespace
@@ -369,31 +364,6 @@ std::vector<CellResult> ScenarioRunner::run() {
         registry.write_prometheus(spec_.telemetry.metrics_out + ".prom");
     }
     return results;
-}
-
-Table ScenarioRunner::summary_table(const std::vector<CellResult>& cells) {
-    std::vector<std::string> headers;
-    if (!cells.empty())
-        for (const auto& c : cells.front().point.coords) headers.push_back(c.name);
-    for (const char* h : {"completion [%]", "rounds", "latency [s]",
-                          "transmissions", "bits", "energy [J]", "attempts"})
-        headers.emplace_back(h);
-    Table table(headers);
-    for (const auto& cell : cells) {
-        std::vector<std::string> row;
-        for (const auto& c : cell.point.coords)
-            row.push_back(format_number(c.value, 4));
-        const CellStats& s = cell.stats;
-        row.push_back(format_number(100.0 * s.completion_rate, 1));
-        row.push_back(format_number(s.rounds, 1));
-        row.push_back(format_sci(s.seconds, 2));
-        row.push_back(format_number(s.transmissions, 0));
-        row.push_back(format_number(s.bits, 0));
-        row.push_back(format_sci(s.joules, 2));
-        row.push_back(std::to_string(s.attempts));
-        table.add_row(row);
-    }
-    return table;
 }
 
 Table ScenarioRunner::telemetry_table(const std::vector<CellResult>& cells) {

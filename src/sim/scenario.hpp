@@ -159,11 +159,6 @@ public:
     /// aggregate.  Deterministic: identical results for any jobs value.
     std::vector<CellResult> run();
 
-    /// Generic one-row-per-cell emission: axis columns + the standard
-    /// RunReport aggregates.  Figure benches with bespoke pivots build
-    /// their tables from the CellResults directly.
-    static Table summary_table(const std::vector<CellResult>& cells);
-
     /// Cross-trial event aggregation: one row per cell, one column per
     /// TraceEventKind, values summed over the cell's repeats.  Requires
     /// the sweep to have run with telemetry attached (trace_counts

@@ -69,16 +69,18 @@ std::string format_message_id(const MessageId& id) {
     return os.str();
 }
 
+void write_event_line(const TraceEvent& e, std::ostream& os) {
+    os << "{\"round\":" << e.round << ",\"kind\":\"" << to_string(e.kind)
+       << "\",\"tile\":" << e.tile;
+    if (e.peer != kNoTile) os << ",\"peer\":" << e.peer;
+    if (e.message.origin != kNoTile)
+        os << ",\"msg\":\"" << format_message_id(e.message) << '"';
+    os << "}\n";
+}
+
 void write_jsonl(const Telemetry& telemetry, std::ostream& os) {
     SNOC_PROF("telemetry/export");
-    for (const TraceEvent& e : telemetry.events()) {
-        os << "{\"round\":" << e.round << ",\"kind\":\"" << to_string(e.kind)
-           << "\",\"tile\":" << e.tile;
-        if (e.peer != kNoTile) os << ",\"peer\":" << e.peer;
-        if (e.message.origin != kNoTile)
-            os << ",\"msg\":\"" << format_message_id(e.message) << '"';
-        os << "}\n";
-    }
+    for (const TraceEvent& e : telemetry.events()) write_event_line(e, os);
 }
 
 void write_jsonl(const Telemetry& telemetry, const std::string& path) {

@@ -25,6 +25,11 @@
 
 namespace snoc {
 
+/// One trace event as its JSONL line (trailing newline): the line format
+/// of trace dumps and post-mortem bundles alike, which
+/// tracequery::load_jsonl reads back.
+void write_event_line(const TraceEvent& event, std::ostream& os);
+
 void write_jsonl(const Telemetry& telemetry, std::ostream& os);
 void write_jsonl(const Telemetry& telemetry, const std::string& path);
 

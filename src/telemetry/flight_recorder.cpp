@@ -7,35 +7,12 @@
 #include <utility>
 
 #include "common/expect.hpp"
+#include "common/json.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/metrics_registry.hpp"
 
 namespace snoc {
-
-namespace {
-
-// Minimal JSON string escaping for detector-formatted detail text.
-void write_json_string(std::ostream& os, const std::string& text) {
-    os << '"';
-    for (const char c : text) {
-        switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\r': os << "\\r"; break;
-        case '\t': os << "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << ' '; // control characters never carry meaning here
-            else
-                os << c;
-        }
-    }
-    os << '"';
-}
-
-} // namespace
 
 void write_postmortem_bundle(const Telemetry& recorder, const PostmortemInfo& info,
                              std::ostream& os, std::size_t max_events) {
@@ -47,16 +24,12 @@ void write_postmortem_bundle(const Telemetry& recorder, const PostmortemInfo& in
         for (const TraceEvent& e : events)
             last_round = std::max(last_round, e.round);
     }
-    os << "{\"postmortem\":1,\"schema\":\"snoc-postmortem-v1\",\"reason\":";
-    write_json_string(os, info.reason);
-    os << ",\"detail\":";
-    write_json_string(os, info.detail);
-    os << ",\"experiment\":";
-    write_json_string(os, info.experiment);
-    os << ",\"backend\":";
-    write_json_string(os, info.backend);
-    os << ",\"seed\":" << info.seed << ",\"git_sha\":\"" << build_git_sha()
-       << "\",\"check_level\":" << SNOC_CHECK_LEVEL
+    os << "{\"postmortem\":1,\"schema\":\"snoc-postmortem-v1\",\"reason\":"
+       << json::quoted(info.reason) << ",\"detail\":" << json::quoted(info.detail)
+       << ",\"experiment\":" << json::quoted(info.experiment)
+       << ",\"backend\":" << json::quoted(info.backend) << ",\"seed\":" << info.seed
+       << ",\"git_sha\":" << json::quoted(build_git_sha())
+       << ",\"check_level\":" << SNOC_CHECK_LEVEL
        << ",\"events\":" << events.size()
        << ",\"events_overwritten\":" << bundle_overwritten(recorder, max_events)
        << ",\"first_round\":" << first_round << ",\"last_round\":" << last_round
@@ -81,14 +54,7 @@ void write_postmortem_bundle(const Telemetry& recorder, const PostmortemInfo& in
         os << ",\"metrics\":" << one_line;
     }
     os << "}\n";
-    for (const TraceEvent& e : events) {
-        os << "{\"round\":" << e.round << ",\"kind\":\"" << to_string(e.kind)
-           << "\",\"tile\":" << e.tile;
-        if (e.peer != kNoTile) os << ",\"peer\":" << e.peer;
-        if (e.message.origin != kNoTile)
-            os << ",\"msg\":\"" << format_message_id(e.message) << '"';
-        os << "}\n";
-    }
+    for (const TraceEvent& e : events) write_event_line(e, os);
 }
 
 void write_postmortem_bundle(const Telemetry& recorder, const PostmortemInfo& info,

@@ -1,13 +1,14 @@
 #include "telemetry/heartbeat.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/expect.hpp"
+#include "common/json.hpp"
 #include "telemetry/metrics_registry.hpp"
 
 namespace snoc {
@@ -26,57 +27,13 @@ std::uint64_t registry_rounds() {
     return MetricsRegistry::global().value(MetricId::EngineRoundsTotal);
 }
 
-/// Find `"key":` in a heartbeat line and return a pointer to the value
-/// text, or nullptr.  Good enough for the fixed schema we ourselves
-/// write; not a general JSON parser.
-const char* find_value(const std::string& line, const char* key) {
-    const std::string needle = std::string("\"") + key + "\":";
-    const auto pos = line.find(needle);
-    if (pos == std::string::npos) return nullptr;
-    return line.c_str() + pos + needle.size();
-}
-
-bool parse_u64(const std::string& line, const char* key, std::uint64_t& out) {
-    const char* v = find_value(line, key);
-    if (!v) return false;
-    char* end = nullptr;
-    out = std::strtoull(v, &end, 10);
-    return end != v;
-}
-
-bool parse_size(const std::string& line, const char* key, std::size_t& out) {
-    std::uint64_t v = 0;
-    if (!parse_u64(line, key, v)) return false;
-    out = static_cast<std::size_t>(v);
-    return true;
-}
-
-bool parse_double(const std::string& line, const char* key, double& out) {
-    const char* v = find_value(line, key);
-    if (!v) return false;
-    char* end = nullptr;
-    out = std::strtod(v, &end);
-    return end != v;
-}
-
-bool parse_string(const std::string& line, const char* key, std::string& out) {
-    const char* v = find_value(line, key);
-    if (!v || *v != '"') return false;
-    out.clear();
-    for (++v; *v && *v != '"'; ++v) {
-        if (*v == '\\' && v[1]) ++v;
-        out += *v;
-    }
-    return true;
-}
-
 } // namespace
 
 void write_heartbeat(const HeartbeatRecord& record, std::ostream& os) {
     os << "{\"heartbeat\":1,\"schema\":\"snoc-heartbeat-v1\",\"seq\":"
        << record.seq << ",\"elapsed_s\":";
     write_fixed(os, record.elapsed_seconds);
-    os << ",\"experiment\":\"" << record.experiment << "\",\"cells_done\":"
+    os << ",\"experiment\":" << json::quoted(record.experiment) << ",\"cells_done\":"
        << record.cells_done << ",\"cells_total\":" << record.cells_total
        << ",\"trials_done\":" << record.trials_done
        << ",\"trials_total\":" << record.trials_total
@@ -94,24 +51,32 @@ std::vector<HeartbeatRecord> load_heartbeats(std::istream& is) {
     std::vector<HeartbeatRecord> records;
     std::string line;
     while (std::getline(is, line)) {
-        if (line.find("\"heartbeat\":1") == std::string::npos) continue;
-        HeartbeatRecord r;
+        if (json::field(line, "heartbeat") != "1") continue;
         // seq + trials_done are the load-bearing fields; a line missing
-        // either is a torn write and gets skipped.
-        if (!parse_u64(line, "seq", r.seq)) continue;
-        if (!parse_size(line, "trials_done", r.trials_done)) continue;
-        parse_double(line, "elapsed_s", r.elapsed_seconds);
-        parse_string(line, "experiment", r.experiment);
-        parse_size(line, "cells_done", r.cells_done);
-        parse_size(line, "cells_total", r.cells_total);
-        parse_size(line, "trials_total", r.trials_total);
-        parse_size(line, "retries", r.retries);
-        parse_double(line, "cell_s", r.cell_seconds);
-        parse_double(line, "eta_s", r.eta_seconds);
-        parse_u64(line, "rounds_total", r.rounds_total);
-        parse_u64(line, "rounds_delta", r.rounds_delta);
-        parse_u64(line, "postmortems", r.postmortems);
-        r.done = line.find("\"done\":true") != std::string::npos;
+        // either (or holding a value its type cannot) is a torn write
+        // and gets skipped.  Other fields keep their defaults.
+        const auto seq = json::number_field<std::uint64_t>(line, "seq");
+        const auto trials_done = json::number_field<std::size_t>(line, "trials_done");
+        if (!seq || !trials_done) continue;
+        HeartbeatRecord r;
+        r.seq = *seq;
+        r.trials_done = *trials_done;
+        const auto read = [&line](const char* key, auto& out) {
+            using T = std::remove_reference_t<decltype(out)>;
+            out = json::number_field<T>(line, key).value_or(out);
+        };
+        read("elapsed_s", r.elapsed_seconds);
+        if (auto v = json::string_field(line, "experiment")) r.experiment = *v;
+        read("cells_done", r.cells_done);
+        read("cells_total", r.cells_total);
+        read("trials_total", r.trials_total);
+        read("retries", r.retries);
+        read("cell_s", r.cell_seconds);
+        read("eta_s", r.eta_seconds);
+        read("rounds_total", r.rounds_total);
+        read("rounds_delta", r.rounds_delta);
+        read("postmortems", r.postmortems);
+        r.done = json::field(line, "done") == "true";
         records.push_back(std::move(r));
     }
     return records;

@@ -5,39 +5,13 @@
 #include <sstream>
 
 #include "common/expect.hpp"
+#include "common/json.hpp"
 
 #ifndef SNOC_GIT_SHA
 #define SNOC_GIT_SHA "unknown"
 #endif
 
 namespace snoc {
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 const char* build_git_sha() { return SNOC_GIT_SHA; }
 
@@ -46,25 +20,25 @@ std::string manifest_json(const RunManifest& manifest) {
     os << "{\n";
     os << "  \"schema_version\": 1,\n";
     os << "  \"generator\": \"snoc\",\n";
-    os << "  \"git_sha\": \"" << json_escape(build_git_sha()) << "\",\n";
+    os << "  \"git_sha\": " << json::quoted(build_git_sha()) << ",\n";
     os << "  \"check_level\": " << SNOC_CHECK_LEVEL << ",\n";
-    os << "  \"program\": \"" << json_escape(manifest.program) << "\",\n";
-    os << "  \"experiment\": \"" << json_escape(manifest.experiment) << "\",\n";
-    os << "  \"backend\": \"" << json_escape(manifest.backend) << "\",\n";
+    os << "  \"program\": " << json::quoted(manifest.program) << ",\n";
+    os << "  \"experiment\": " << json::quoted(manifest.experiment) << ",\n";
+    os << "  \"backend\": " << json::quoted(manifest.backend) << ",\n";
     os << "  \"base_seed\": " << manifest.base_seed << ",\n";
     os << "  \"repeats\": " << manifest.repeats << ",\n";
     os << "  \"jobs\": " << manifest.jobs << ",\n";
     os << "  \"config\": {";
     for (std::size_t i = 0; i < manifest.config.size(); ++i) {
         os << (i ? ",\n    " : "\n    ");
-        os << '"' << json_escape(manifest.config[i].first) << "\": \""
-           << json_escape(manifest.config[i].second) << '"';
+        os << json::quoted(manifest.config[i].first) << ": "
+           << json::quoted(manifest.config[i].second);
     }
     os << (manifest.config.empty() ? "},\n" : "\n  },\n");
     os << "  \"artifacts\": [";
     for (std::size_t i = 0; i < manifest.artifacts.size(); ++i) {
         os << (i ? ", " : "");
-        os << '"' << json_escape(manifest.artifacts[i]) << '"';
+        os << json::quoted(manifest.artifacts[i]);
     }
     os << "]\n";
     os << "}\n";

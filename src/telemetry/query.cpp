@@ -5,55 +5,16 @@
 #include <charconv>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "telemetry/export.hpp"
 
 namespace snoc::tracequery {
 
 namespace {
-
-// Minimal field extraction over the writer's flat one-object-per-line
-// format.  Tolerant by design: a line missing a required field (or a
-// kind this binary doesn't know) is counted in `skipped`, not fatal, so
-// newer dumps degrade gracefully in older tools.
-
-/// `"key"` then `tail`: the text a field of the writer's format starts
-/// with.  Built by appending, since GCC 12 warns a false -Wrestrict on
-/// `"\"" + std::string(key)` in optimised builds.
-std::string field_needle(std::string_view key, std::string_view tail) {
-    std::string needle;
-    needle.reserve(key.size() + 2 + tail.size());
-    needle.append("\"").append(key).append("\"").append(tail);
-    return needle;
-}
-
-std::optional<std::uint64_t> find_number(std::string_view line,
-                                         std::string_view key) {
-    const std::string needle = field_needle(key, ":");
-    const auto pos = line.find(needle);
-    if (pos == std::string_view::npos) return std::nullopt;
-    const char* begin = line.data() + pos + needle.size();
-    const char* end = line.data() + line.size();
-    std::uint64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc{} || ptr == begin) return std::nullopt;
-    return value;
-}
-
-std::optional<std::string_view> find_string(std::string_view line,
-                                            std::string_view key) {
-    const std::string needle = field_needle(key, ":\"");
-    const auto pos = line.find(needle);
-    if (pos == std::string_view::npos) return std::nullopt;
-    const auto start = pos + needle.size();
-    const auto close = line.find('"', start);
-    if (close == std::string_view::npos) return std::nullopt;
-    return line.substr(start, close - start);
-}
 
 std::size_t kind_index(TraceEventKind k) { return static_cast<std::size_t>(k); }
 
@@ -86,53 +47,51 @@ std::optional<MessageId> parse_message_id(std::string_view text) {
     return MessageId{origin, sequence};
 }
 
+// Tolerant by design: a line missing a required field (or a kind this
+// binary doesn't know) is counted in `skipped`, not fatal, so newer dumps
+// degrade gracefully in older tools.  A number its type cannot hold is as
+// malformed as a missing one (json::number_field): truncated, a round
+// would size per_round's table.
 LoadResult load_jsonl(std::istream& is) {
     LoadResult result;
     std::string line;
     while (std::getline(is, line)) {
         if (line.empty()) continue;
-        if (!result.postmortem && line.find("\"postmortem\":1") !=
-                                      std::string::npos) {
+        if (!result.postmortem && json::field(line, "postmortem") == "1") {
             PostmortemHeader header;
-            if (const auto v = find_string(line, "reason"))
-                header.reason = std::string(*v);
-            if (const auto v = find_string(line, "detail"))
-                header.detail = std::string(*v);
-            if (const auto v = find_string(line, "experiment"))
-                header.experiment = std::string(*v);
-            if (const auto v = find_string(line, "backend"))
-                header.backend = std::string(*v);
-            if (const auto v = find_number(line, "seed")) header.seed = *v;
-            if (const auto v = find_number(line, "events"))
-                header.events = static_cast<std::size_t>(*v);
-            if (const auto v = find_number(line, "events_overwritten"))
-                header.events_overwritten = static_cast<std::size_t>(*v);
-            if (const auto v = find_number(line, "first_round"))
-                header.first_round = static_cast<Round>(*v);
-            if (const auto v = find_number(line, "last_round"))
-                header.last_round = static_cast<Round>(*v);
+            if (auto v = json::string_field(line, "reason")) header.reason = *v;
+            if (auto v = json::string_field(line, "detail")) header.detail = *v;
+            if (auto v = json::string_field(line, "experiment"))
+                header.experiment = *v;
+            if (auto v = json::string_field(line, "backend")) header.backend = *v;
+            if (auto v = json::number_field<std::uint64_t>(line, "seed"))
+                header.seed = *v;
+            if (auto v = json::number_field<std::size_t>(line, "events"))
+                header.events = *v;
+            if (auto v = json::number_field<std::size_t>(line, "events_overwritten"))
+                header.events_overwritten = *v;
+            if (auto v = json::number_field<Round>(line, "first_round"))
+                header.first_round = *v;
+            if (auto v = json::number_field<Round>(line, "last_round"))
+                header.last_round = *v;
             result.postmortem = std::move(header);
             continue;
         }
-        const auto round = find_number(line, "round");
-        const auto kind_name = find_string(line, "kind");
-        const auto tile = find_number(line, "tile");
+        const auto round = json::number_field<Round>(line, "round");
+        const auto kind_name = json::string_field(line, "kind");
+        const auto tile = json::number_field<TileId>(line, "tile");
         const auto kind =
             kind_name ? trace_kind_from_string(*kind_name) : std::nullopt;
-        // A round or tile its type cannot hold is as malformed as a
-        // missing one: truncated, a round would size per_round's table.
-        if (!round || !kind || !tile || *round > std::numeric_limits<Round>::max() ||
-            *tile > std::numeric_limits<TileId>::max()) {
+        if (!round || !kind || !tile) {
             ++result.skipped;
             continue;
         }
         TraceEvent e;
-        e.round = static_cast<Round>(*round);
+        e.round = *round;
         e.kind = *kind;
-        e.tile = static_cast<TileId>(*tile);
-        if (const auto peer = find_number(line, "peer"))
-            e.peer = static_cast<TileId>(*peer);
-        if (const auto msg = find_string(line, "msg"))
+        e.tile = *tile;
+        if (const auto peer = json::number_field<TileId>(line, "peer")) e.peer = *peer;
+        if (const auto msg = json::string_field(line, "msg"))
             if (const auto id = parse_message_id(*msg)) e.message = *id;
         result.events.push_back(e);
     }

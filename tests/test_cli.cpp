@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include "bench_util.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -142,6 +144,21 @@ TEST(BenchOptions, RequestedFlagsNameEveryTelemetryExport) {
         "--trace-out",     "--chrome-out",    "--heatmap-out",
         "--postmortem-out", "--heartbeat-out", "--metrics-out"};
     EXPECT_EQ(opt.telemetry.requested_flags(), expected);
+}
+
+// A bench with two sweeps tags each sweep's exports; a dot before the
+// file name's last slash is no extension ("./trace" once became
+// "_xy./trace", which no stream can open).
+TEST(BenchOptions, TagTelemetryTagsTheFileNameNotADirectory) {
+    TelemetryOptions options;
+    options.trace_jsonl_out = "run.jsonl";
+    options.chrome_out = "./trace";
+    options.heatmap_out = "out.d/run";
+    const TelemetryOptions tagged = bench::tag_telemetry(options, "_xy");
+    EXPECT_EQ(tagged.trace_jsonl_out, "run_xy.jsonl");
+    EXPECT_EQ(tagged.chrome_out, "./trace_xy");
+    EXPECT_EQ(tagged.heatmap_out, "out.d/run_xy");
+    EXPECT_EQ(tagged.postmortem_out, "");
 }
 
 TEST(BenchOptionsDeathTest, RetiredEngineFlagExitsTwoNamingIt) {

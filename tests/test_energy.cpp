@@ -64,10 +64,8 @@ TEST(NetworkMetrics, DerivedAverages) {
     m.rounds = 10;
     m.packets_sent = 200;
     m.bits_sent = 200 * 128;
-    EXPECT_DOUBLE_EQ(m.packets_per_link_round(4), 5.0);
     EXPECT_DOUBLE_EQ(m.average_packet_bits(), 128.0);
     NetworkMetrics empty;
-    EXPECT_DOUBLE_EQ(empty.packets_per_link_round(4), 0.0);
     EXPECT_DOUBLE_EQ(empty.average_packet_bits(), 0.0);
 }
 

@@ -181,30 +181,38 @@ TEST(PostmortemBundle, GoldenBytes) {
 TEST(PostmortemBundle, RoundTripsThroughTracequery) {
     Telemetry recorder(8);
     for (const TraceEvent& e : stream(6)) recorder.record(e);
-    PostmortemInfo info;
-    info.reason = "deadlock-sentinel";
-    info.detail = "no packet moved for 64 cycles";
-    info.experiment = "p=0.5";
-    info.backend = "cut-through";
-    info.seed = 7;
-    std::ostringstream os;
-    write_postmortem_bundle(recorder, info, os);
+    // A failed SNOC_EXPECT(false && "...") puts quotes in the detail.
+    for (const std::string detail :
+         {"no packet moved for 64 cycles",
+          "precondition failed: false && \"unknown sweep axis\" at x.cpp:1"}) {
+        SCOPED_TRACE(detail);
+        PostmortemInfo info;
+        info.reason = "deadlock-sentinel";
+        info.detail = detail;
+        info.experiment = "p=0.5";
+        info.backend = "cut-through";
+        info.seed = 7;
+        std::ostringstream os;
+        write_postmortem_bundle(recorder, info, os);
 
-    std::istringstream is(os.str());
-    const auto loaded = tracequery::load_jsonl(is);
-    EXPECT_EQ(loaded.skipped, 0u);
-    ASSERT_TRUE(loaded.postmortem.has_value());
-    EXPECT_EQ(loaded.postmortem->reason, "deadlock-sentinel");
-    EXPECT_EQ(loaded.postmortem->backend, "cut-through");
-    EXPECT_EQ(loaded.postmortem->seed, 7u);
-    EXPECT_EQ(loaded.postmortem->events, 8u);
-    EXPECT_EQ(loaded.postmortem->events_overwritten, 4u);
-    EXPECT_EQ(loaded.postmortem->first_round, 2u);
-    EXPECT_EQ(loaded.postmortem->last_round, 5u);
-    EXPECT_EQ(loaded.events.size(), 8u);
-    // The round filters snoc_trace exposes work on the bundle's events.
-    EXPECT_EQ(tracequery::last_rounds(loaded.events, 1).size(), 2u);
-    EXPECT_EQ(tracequery::since_round(loaded.events, 4).size(), 4u);
+        std::istringstream is(os.str());
+        const auto loaded = tracequery::load_jsonl(is);
+        EXPECT_EQ(loaded.skipped, 0u);
+        ASSERT_TRUE(loaded.postmortem.has_value());
+        EXPECT_EQ(loaded.postmortem->reason, "deadlock-sentinel");
+        EXPECT_EQ(loaded.postmortem->detail, detail);
+        EXPECT_EQ(loaded.postmortem->experiment, "p=0.5");
+        EXPECT_EQ(loaded.postmortem->backend, "cut-through");
+        EXPECT_EQ(loaded.postmortem->seed, 7u);
+        EXPECT_EQ(loaded.postmortem->events, 8u);
+        EXPECT_EQ(loaded.postmortem->events_overwritten, 4u);
+        EXPECT_EQ(loaded.postmortem->first_round, 2u);
+        EXPECT_EQ(loaded.postmortem->last_round, 5u);
+        EXPECT_EQ(loaded.events.size(), 8u);
+        // The round filters snoc_trace exposes work on the bundle's events.
+        EXPECT_EQ(tracequery::last_rounds(loaded.events, 1).size(), 2u);
+        EXPECT_EQ(tracequery::since_round(loaded.events, 4).size(), 4u);
+    }
 }
 
 /// An InvariantAuditor violation fires the thread-local hook, and an

@@ -44,6 +44,9 @@ TEST(Heartbeat, WriteLoadRoundTrip) {
     auto b = record(2, 8, 8);
     b.done = true;
     b.postmortems = 2;
+    // Quote, backslash and every control byte but NUL read back as written.
+    b.experiment = "fig \"q\" \\ x";
+    for (char c = 0x01; c < 0x20; ++c) b.experiment += c;
     write_heartbeat(b, os);
 
     std::istringstream is(os.str());
@@ -59,6 +62,7 @@ TEST(Heartbeat, WriteLoadRoundTrip) {
     EXPECT_EQ(loaded[0].rounds_total, 100u);
     EXPECT_FALSE(loaded[0].done);
     EXPECT_EQ(loaded[1].seq, 2u);
+    EXPECT_EQ(loaded[1].experiment, b.experiment);
     EXPECT_EQ(loaded[1].postmortems, 2u);
     EXPECT_TRUE(loaded[1].done);
 }
@@ -68,6 +72,8 @@ TEST(Heartbeat, LoaderSkipsTornAndForeignLines) {
     write_heartbeat(record(1, 1, 4), os);
     std::string text = os.str();
     text += "{\"not\":\"a heartbeat\"}\n";
+    // A sequence number no heartbeat has: unsigned fields take no sign.
+    text += "{\"heartbeat\":1,\"seq\":-1,\"trials_done\":1}\n";
     text += "{\"heartbeat\":1,\"schema\":\"snoc-heartbeat-v1\",\"seq\":2,";
     // ^ torn mid-write: no trials_done, must be skipped, not crash.
     std::istringstream is(text);

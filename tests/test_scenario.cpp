@@ -242,17 +242,5 @@ TEST(ScenarioRunner, SweepIsDeterministicAcrossJobCounts) {
     }
 }
 
-TEST(ScenarioRunner, SummaryTableHasAxisAndMetricColumns) {
-    ExperimentSpec spec = trivial_spec();
-    spec.axes = {{"p", {0.25, 0.5}}};
-    spec.repeats = 2;
-    const auto cells = ScenarioRunner(spec).run();
-    const Table table = ScenarioRunner::summary_table(cells);
-    EXPECT_EQ(table.headers().front(), "p");
-    EXPECT_EQ(table.row_count(), 2u);
-    EXPECT_EQ(table.row(0)[0], "0.25");
-    EXPECT_EQ(table.row(1)[0], "0.5");
-}
-
 } // namespace
 } // namespace snoc

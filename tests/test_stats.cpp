@@ -134,13 +134,11 @@ TEST(Regression, ExactLineRecovered) {
     EXPECT_NEAR(fit.slope, 3.0, 1e-12);
     EXPECT_NEAR(fit.intercept, -2.0, 1e-12);
     EXPECT_NEAR(fit.r_squared, 1.0, 1e-12);
-    EXPECT_NEAR(r.correlation(), 1.0, 1e-12);
 }
 
 TEST(Regression, NegativeCorrelation) {
     Regression r;
     for (double x : {0.0, 1.0, 2.0, 3.0}) r.add(x, 10.0 - 2.0 * x);
-    EXPECT_NEAR(r.correlation(), -1.0, 1e-12);
     EXPECT_NEAR(r.fit().slope, -2.0, 1e-12);
 }
 
@@ -161,7 +159,6 @@ TEST(Regression, ConstantYIsPerfectFlatFit) {
     EXPECT_NEAR(fit.slope, 0.0, 1e-12);
     EXPECT_NEAR(fit.intercept, 7.0, 1e-12);
     EXPECT_DOUBLE_EQ(fit.r_squared, 1.0);
-    EXPECT_DOUBLE_EQ(r.correlation(), 0.0);
 }
 
 TEST(Regression, DegenerateInputsRejected) {
@@ -170,7 +167,6 @@ TEST(Regression, DegenerateInputsRejected) {
     EXPECT_THROW(r.fit(), ContractViolation); // one point
     r.add(1.0, 5.0);
     EXPECT_THROW(r.fit(), ContractViolation); // zero x variance
-    EXPECT_DOUBLE_EQ(r.correlation(), 0.0);
 }
 
 // Property sweep: Welford mean equals naive mean for many shapes.

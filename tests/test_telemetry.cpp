@@ -347,6 +347,33 @@ TEST(TraceQuery, OutOfRangeRoundsAndTilesAreSkipped) {
     EXPECT_NE(tracequery::per_round(loaded.events).find('\n'), std::string::npos);
 }
 
+TEST(TraceQuery, HostileLinesAreSkippedOrDefaulted) {
+    std::istringstream is(
+        "{\"round\":1,\"tile\":0,\"kind\":\"transmitted}\n"   // unterminated
+        "{\"round\":1,\"kind\":\"transmit\\u00zzted\",\"tile\":0}\n"
+        "{\"round\":18446744073709551616,\"kind\":\"transmitted\",\"tile\":0}\n"
+        "{\"round\":1,\"kind\":\"transmitted\",\"ti\n"           // truncated
+        "{\"msg\":\"\\\"tile\\\":5\",\"round\":1,\"kind\":\"transmitted\"}\n"
+        "{\"round\":2,\"kind\":\"transmitted\",\"tile\":3,\"peer\":-4,"
+        "\"msg\":\"1:2\"}\n");
+    const auto loaded = tracequery::load_jsonl(is);
+    EXPECT_EQ(loaded.skipped, 5u);
+    ASSERT_EQ(loaded.events.size(), 1u);
+    EXPECT_EQ(loaded.events[0].tile, 3u);
+    EXPECT_EQ(loaded.events[0].peer, kNoTile); // bad optional field: default
+    EXPECT_EQ(loaded.events[0].message.sequence, 2u);
+
+    std::istringstream header(
+        "{\"postmortem\":1,\"reason\":\"r\",\"detail\":\"bad \\u12\","
+        "\"seed\":-3,\"events\":2}\n");
+    const auto bundle = tracequery::load_jsonl(header);
+    ASSERT_TRUE(bundle.postmortem.has_value());
+    EXPECT_EQ(bundle.postmortem->reason, "r");
+    EXPECT_EQ(bundle.postmortem->detail, "");
+    EXPECT_EQ(bundle.postmortem->seed, 0u);
+    EXPECT_EQ(bundle.postmortem->events, 2u);
+}
+
 // --- ScenarioRunner integration ----------------------------------------
 
 TEST(ScenarioTelemetry, ExportsPerTrialArtifactsAndManifest) {
