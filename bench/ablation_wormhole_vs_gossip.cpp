@@ -12,20 +12,28 @@
 #include <iostream>
 
 #include "bench_util.hpp"
+#include "common/parallel.hpp"
 #include "wormhole/router.hpp"
 
 int main(int argc, char** argv) {
     using namespace snoc;
     const auto opt = bench::options(argc, argv, 15);
 
-    // ---- Part 1: saturation curve.
+    // ---- Part 1: saturation curve.  Every load is its own trial with its
+    // own seed, so the loads fan out over --jobs and print in load order.
     wormhole::Config wc;
+    const std::vector<double> kLoads{0.02, 0.05, 0.1, 0.2, 0.35, 0.5};
+    const auto points = run_trials(
+        kLoads.size(),
+        [&](std::uint64_t i) {
+            return wormhole::run_uniform_load(8, wc, kLoads[i], 300, 1500, opt.seed + 7);
+        },
+        opt.jobs);
     Table saturation({"offered load", "avg latency [cycles]", "throughput",
                       "delivered [%]"});
-    for (double load : {0.02, 0.05, 0.1, 0.2, 0.35, 0.5}) {
-        const auto p =
-            wormhole::run_uniform_load(8, wc, load, 300, 1500, opt.seed + 7);
-        saturation.add_row({format_number(load, 2), format_number(p.avg_latency, 1),
+    for (std::size_t i = 0; i < kLoads.size(); ++i) {
+        const auto& p = points[i];
+        saturation.add_row({format_number(kLoads[i], 2), format_number(p.avg_latency, 1),
                             format_number(p.throughput, 3),
                             format_number(100.0 * p.delivered_fraction, 1)});
     }

@@ -5,16 +5,26 @@
 // with the sine window w(n) = sin( pi/(2N) (n + 1/2) ), which satisfies
 // the Princen-Bradley condition, so IMDCT + 50% overlap-add reconstructs
 // the signal exactly (TDAC) — a property the tests verify.
+//
+// The window and the cosine basis depend only on N, so they are built once
+// per transform size and shared by every Mdct of that size (one 16·N² byte
+// table, 64 KB at N = 64).  forward()/inverse() read the table with the
+// same per-term expression and summation order as the direct formula, so
+// every coefficient is bit-identical to calling std::cos per term.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 namespace snoc::apps {
 
+struct MdctBasis;
+
 class Mdct {
 public:
-    /// `n` = number of output coefficients (window length is 2n).
+    /// `n` = number of output coefficients (window length is 2n).  Takes
+    /// the process-wide table lock only here, never in forward()/inverse().
     explicit Mdct(std::size_t n);
 
     std::size_t size() const { return n_; }
@@ -31,7 +41,7 @@ public:
 
 private:
     std::size_t n_;
-    std::vector<double> window_; // precomputed w(n)
+    std::shared_ptr<const MdctBasis> basis_; // shared by every Mdct of size n_
 };
 
 /// Convenience: MDCT analysis of a long signal with 50% overlap; returns

@@ -161,12 +161,18 @@ BenchOptions parse_bench_options(int argc, char** argv, std::size_t default_repe
     return parse_bench_options(CliArgs(argc, argv), default_repeats, own_flags);
 }
 
-std::string tag_path(const std::string& path, const std::string& tag) {
-    if (path.empty()) return path;
+std::size_t extension_pos(const std::string& path) {
     const auto slash = path.find_last_of('/');
     const auto dot = path.find_last_of('.');
     if (dot == std::string::npos || (slash != std::string::npos && dot < slash))
-        return path + tag;
+        return std::string::npos;
+    return dot;
+}
+
+std::string tag_path(const std::string& path, const std::string& tag) {
+    if (path.empty()) return path;
+    const auto dot = extension_pos(path);
+    if (dot == std::string::npos) return path + tag;
     return path.substr(0, dot) + tag + path.substr(dot);
 }
 

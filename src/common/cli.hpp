@@ -110,6 +110,13 @@ struct TelemetryOptions {
     std::vector<std::string> requested_flags() const;
 };
 
+/// Where the extension of `path`'s file name starts (its last '.'), or
+/// npos when the file name has none: a dot before the last '/' belongs to
+/// a directory ("./trace", "out.d/run").  Only '/' separates directories;
+/// a backslash is an ordinary file-name byte.  tag_path and
+/// manifest_path_for both split a path here.
+std::size_t extension_pos(const std::string& path);
+
 /// `path` with `tag` put before its file name's extension: "out/run.jsonl"
 /// + "_fft" -> "out/run_fft.jsonl"; "./trace" and "out.d/run", whose file
 /// names have none, get it appended.  An empty path (an export that is

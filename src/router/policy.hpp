@@ -93,11 +93,6 @@ public:
     virtual PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const = 0;
-
-    /// True when candidates() already filtered dead neighbours out; the
-    /// flow-control stage turns a blocked fault-blind route into a
-    /// CrashDrop and a blocked fault-aware one into a stall or detour.
-    virtual bool fault_aware() const { return false; }
 };
 
 /// Deterministic dimension-order (XY) routing: exactly one candidate,
@@ -132,7 +127,6 @@ public:
     PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const override;
-    bool fault_aware() const override { return true; }
 };
 
 /// Fault-adaptive detour routing (the new backend-zoo policy): minimal
@@ -146,7 +140,6 @@ public:
     PortList candidates(
         const Topology& topo, TileId at, TileId from, TileId dst,
         const std::vector<bool>& dead) const override;
-    bool fault_aware() const override { return true; }
 };
 
 /// The full dimension-order path src..dst inclusive: walk X, then Y.

@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/cli.hpp"
 #include "common/expect.hpp"
 #include "common/json.hpp"
 
@@ -56,13 +57,7 @@ void write_manifest(const RunManifest& manifest, const std::string& path) {
 }
 
 std::string manifest_path_for(const std::string& artifact_path) {
-    const auto slash = artifact_path.find_last_of("/\\");
-    const auto dot = artifact_path.find_last_of('.');
-    const bool has_ext =
-        dot != std::string::npos && (slash == std::string::npos || dot > slash);
-    const std::string stem =
-        has_ext ? artifact_path.substr(0, dot) : artifact_path;
-    return stem + ".manifest.json";
+    return artifact_path.substr(0, extension_pos(artifact_path)) + ".manifest.json";
 }
 
 } // namespace snoc

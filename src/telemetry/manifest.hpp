@@ -38,8 +38,9 @@ void write_manifest(const RunManifest& manifest, const std::string& path);
 /// The git SHA baked into this build ("unknown" outside a git checkout).
 const char* build_git_sha();
 
-/// `path` with its extension replaced by ".manifest.json"
-/// ("out/run.jsonl" -> "out/run.manifest.json").
+/// `path` with its extension (as extension_pos splits it) replaced by
+/// ".manifest.json" ("out/run.jsonl" -> "out/run.manifest.json";
+/// "./trace" -> "./trace.manifest.json").
 std::string manifest_path_for(const std::string& artifact_path);
 
 } // namespace snoc

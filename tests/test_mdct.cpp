@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -92,6 +93,73 @@ TEST(Mdct, ToneEnergyConcentratesInNeighbouringBins) {
             peak_k = k;
         }
     EXPECT_EQ(peak_k, static_cast<std::size_t>(k_target));
+}
+
+// The direct formula, one std::cos per term, in the expression and
+// summation order Mdct keeps: the table must reproduce it bit for bit.
+double reference_basis(std::size_t n, std::size_t i, std::size_t k) {
+    const double nd = static_cast<double>(n);
+    return std::cos(std::numbers::pi / nd * (static_cast<double>(i) + 0.5 + nd / 2.0) *
+                    (static_cast<double>(k) + 0.5));
+}
+
+std::vector<double> reference_forward(const Mdct& m, const std::vector<double>& x) {
+    const std::size_t n = m.size();
+    std::vector<double> out(n);
+    for (std::size_t k = 0; k < n; ++k) {
+        double acc = 0.0;
+        for (std::size_t i = 0; i < 2 * n; ++i)
+            acc += m.window(i) * x[i] * reference_basis(n, i, k);
+        out[k] = acc;
+    }
+    return out;
+}
+
+std::vector<double> reference_inverse(const Mdct& m, const std::vector<double>& coeffs) {
+    const std::size_t n = m.size();
+    std::vector<double> out(2 * n);
+    for (std::size_t i = 0; i < 2 * n; ++i) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < n; ++k) acc += coeffs[k] * reference_basis(n, i, k);
+        out[i] = 2.0 / static_cast<double>(n) * acc * m.window(i);
+    }
+    return out;
+}
+
+TEST(Mdct, ForwardAndInverseMatchTheDirectFormulaBitForBit) {
+    for (const std::size_t n : {16u, 64u, 128u}) {
+        const Mdct m(n);
+        for (std::size_t i = 0; i < 2 * n; ++i)
+            EXPECT_EQ(m.window(i), std::sin(std::numbers::pi / (2.0 * static_cast<double>(n)) *
+                                            (static_cast<double>(i) + 0.5)));
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            const auto window = random_signal(2 * n, 100 * n + seed);
+            const auto coeffs = random_signal(n, 200 * n + seed);
+            const auto fwd = m.forward(window);
+            const auto fwd_ref = reference_forward(m, window);
+            const auto inv = m.inverse(coeffs);
+            const auto inv_ref = reference_inverse(m, coeffs);
+            for (std::size_t k = 0; k < n; ++k)
+                EXPECT_EQ(fwd[k], fwd_ref[k]) << "n=" << n << " seed=" << seed << " k=" << k;
+            for (std::size_t i = 0; i < 2 * n; ++i)
+                EXPECT_EQ(inv[i], inv_ref[i]) << "n=" << n << " seed=" << seed << " i=" << i;
+        }
+    }
+}
+
+TEST(Mdct, ConcurrentConstructionAndForwardAgree) {
+    // Two threads race to build and read the shared table of one size
+    // (a ThreadSanitizer build runs this under the `parallel` label).
+    const auto window = random_signal(128, 5);
+    std::vector<double> results[2];
+    std::thread threads[2];
+    for (int t = 0; t < 2; ++t)
+        threads[t] = std::thread([&window, &out = results[t]] {
+            for (int rep = 0; rep < 50; ++rep) out = Mdct(64).forward(window);
+        });
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(results[0], results[1]);
+    EXPECT_EQ(results[0], reference_forward(Mdct(64), window));
 }
 
 TEST(MdctAnalyze, FrameCountIsHopsPlusOne) {

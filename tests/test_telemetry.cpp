@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/expect.hpp"
 #include "common/prof.hpp"
 #include "sim/backends.hpp"
@@ -164,6 +165,21 @@ TEST(TelemetryGolden, ManifestContents) {
     EXPECT_STRNE(build_git_sha(), "");
     EXPECT_EQ(manifest_path_for("out/run.jsonl"), "out/run.manifest.json");
     EXPECT_EQ(manifest_path_for("dir.v2/run"), "dir.v2/run.manifest.json");
+}
+
+// A trial's artifact name (tag_path) and its manifest name split a path at
+// the same extension: only '/' separates directories, so "out.d\run" is
+// one file name whose extension is ".d\run".
+TEST(ManifestPath, ArtifactAndManifestNamesSplitAPathAlike) {
+    const std::string backslash = tag_path("out.d\\run", "_c0_r0");
+    EXPECT_EQ(backslash, "out_c0_r0.d\\run");
+    EXPECT_EQ(manifest_path_for(backslash), "out_c0_r0.manifest.json");
+    EXPECT_EQ(manifest_path_for("out.d\\run"), "out.manifest.json");
+
+    const std::string dot_dir = tag_path("./trace", "_c0_r0");
+    EXPECT_EQ(dot_dir, "./trace_c0_r0");
+    EXPECT_EQ(manifest_path_for(dot_dir), "./trace_c0_r0.manifest.json");
+    EXPECT_EQ(manifest_path_for("./trace"), "./trace.manifest.json");
 }
 
 // --- Determinism / round-trip ------------------------------------------
